@@ -23,12 +23,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .design import TestDesign
 from .errors import CapExceededError, ParameterError
 from .model import DefectiveSet, OutcomeVector
-from .util import segment_all
+from .util import segment_all, segment_sum
 
 DEFAULT_ENUM_CAP = 2_000_000
 
@@ -118,10 +117,11 @@ class ExplainScorer:
 
 def good_test_counts(design: TestDesign, s: DefectiveSet) -> dict:
     """For each defective, the number of tests containing it and no other defective."""
-    counts = np.zeros(design.T + 1, dtype=np.int64)
-    for i in s.members:
-        counts[design.col(i)] += 1
-    return {int(i): int((counts[design.col(i)] == 1).sum()) for i in s.members}
+    tests = design.cols_of(s.members)
+    alone = np.bincount(tests, minlength=design.T + 1)[tests] == 1
+    idx = np.asarray(s.members, dtype=np.int64)
+    ptr = np.concatenate(([0], np.cumsum(design.col_ptr[idx] - design.col_ptr[idx - 1])))
+    return {int(i): g for i, g in zip(s.members, segment_sum(alone, ptr).tolist())}
 
 
 @dataclass(frozen=True)
@@ -142,9 +142,7 @@ def masking_report(design: TestDesign, s: DefectiveSet) -> MaskingReport:
     """
     if s.n != design.n:
         raise ParameterError(f"ground sets differ: design n={design.n}, set n={s.n}")
-    counts = np.zeros(design.T + 1, dtype=np.int64)
-    for i in s.members:
-        counts[design.col(i)] += 1
+    counts = np.bincount(design.cols_of(s.members), minlength=design.T + 1)
     per_entry = counts[design.col_flat]
     covered = segment_all(per_entry >= 1, design.col_ptr)
     doubly = segment_all(per_entry >= 2, design.col_ptr)
@@ -236,6 +234,8 @@ def posterior_uniformity_check(
     to verify that a biased sampler is rejected. Outcome bins with fewer than
     ``min_bin_factor`` * |satisfying sets| samples are skipped and counted.
     """
+    from scipy import stats  # the package's only scipy use; importing it costs about a second
+
     total = math.comb(design.n, k)
     if total > enum_cap:
         raise CapExceededError(

@@ -82,19 +82,23 @@ class TestDesign:
     @classmethod
     def _from_pairs(cls, n, T, items, tests, metadata=None) -> "TestDesign":
         """Build from parallel (item, test) index arrays; no duplicate pairs."""
-        items = np.asarray(items, dtype=np.int64)
-        tests = np.asarray(tests, dtype=np.int64)
-        order = np.lexsort((items, tests))
-        row_flat = items[order]
-        row_ptr = np.zeros(T + 1, dtype=np.int64)
-        np.add.at(row_ptr, tests, 1)
-        row_ptr = np.cumsum(row_ptr)
-        order = np.lexsort((tests, items))
-        col_flat = tests[order]
-        col_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(col_ptr, items, 1)
-        col_ptr = np.cumsum(col_ptr)
-        return cls(n, T, row_flat, row_ptr, col_flat, col_ptr, metadata)
+        key = (np.asarray(items, dtype=np.int64) - 1) * T + (np.asarray(tests, dtype=np.int64) - 1)
+        key.sort()
+        return cls._from_col_keys(n, T, key, metadata)
+
+    @classmethod
+    def _from_col_keys(cls, n, T, key, metadata=None) -> "TestDesign":
+        """Build from the sorted, distinct item-major keys (i - 1) * T + (t - 1).
+
+        Item-major order is the column view; the row view sorts the
+        test-major keys (t - 1) * n + (i - 1).
+        """
+        items, tests = np.divmod(key, T)
+        row_key = tests * n + items
+        row_key.sort()
+        return cls(
+            n, T, row_key % n + 1, _pointers(tests, T), tests + 1, _pointers(items, n), metadata
+        )
 
     # -- access -------------------------------------------------------------
 
@@ -109,6 +113,17 @@ class TestDesign:
         if not (1 <= i <= self.n):
             raise ParameterError(f"item index {i} out of range [1, {self.n}]")
         return self.col_flat[self.col_ptr[i - 1] : self.col_ptr[i]]
+
+    def cols_of(self, items) -> np.ndarray:
+        """The columns of the given items concatenated: col(i) for each i in turn."""
+        idx = np.asarray(items, dtype=np.int64) - 1
+        if idx.size and not (0 <= idx.min() and idx.max() < self.n):
+            raise ParameterError(f"item indices must lie in [1, {self.n}]")
+        starts = self.col_ptr[idx]
+        lens = self.col_ptr[idx + 1] - starts
+        # entry j of the output, in segment s, reads col_flat[starts[s] + j - (where s begins)]
+        offsets = np.repeat(starts - np.cumsum(lens) + lens, lens)
+        return self.col_flat[offsets + np.arange(offsets.size)]
 
     @property
     def rows(self) -> tuple:
@@ -155,6 +170,13 @@ class TestDesign:
         return f"TestDesign(T={self.T}, n={self.n}, entries={self.entry_count}, kind={kind})"
 
 
+def _pointers(index: np.ndarray, size: int) -> np.ndarray:
+    """CSR pointers of 0-based segment labels: ptr[j + 1] - ptr[j] counts label j."""
+    ptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(index, minlength=size), out=ptr[1:])
+    return ptr
+
+
 # ---------------------------------------------------------------------------
 # random constructions
 
@@ -194,10 +216,9 @@ def ncc_design(n: int, T: int, L: int, seed) -> TestDesign:
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, T, size=(n, L), dtype=np.int64)
     key = np.repeat(np.arange(n, dtype=np.int64), L) * T + draws.ravel()
-    key = np.unique(key)
-    items = key // T + 1
-    tests = key % T + 1
-    return TestDesign._from_pairs(n, T, items, tests, {"kind": "ncc", "L": int(L)})
+    key.sort()
+    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+    return TestDesign._from_col_keys(n, T, key, {"kind": "ncc", "L": int(L)})
 
 
 @dataclass(frozen=True)

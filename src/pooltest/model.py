@@ -182,6 +182,5 @@ def generate_outcomes(design: TestDesign, s: DefectiveSet) -> OutcomeVector:
     if s.n != design.n:
         raise ParameterError(f"ground sets differ: design n={design.n}, set n={s.n}")
     bits = np.zeros(design.T, dtype=bool)
-    for i in s.members:
-        bits[design.col(i) - 1] = True
+    bits[design.cols_of(s.members) - 1] = True
     return OutcomeVector(bits)

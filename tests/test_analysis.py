@@ -13,13 +13,14 @@ from pooltest.analysis import (
     satisfying_sets,
     set_hamming,
 )
-from pooltest.design import TestDesign
+from pooltest.design import DesignSpec, TestDesign, build_design, ncc_design
 from pooltest.errors import CapExceededError, ParameterError
-from pooltest.model import DefectiveSet, generate_outcomes
+from pooltest.model import DefectiveSet, PriorSpec, generate_outcomes, sample_defectives
 from pooltest.reference import (
     naive_explained,
     naive_good_counts,
     naive_masked_items,
+    naive_outcomes,
     naive_satisfying_sets,
 )
 
@@ -186,6 +187,50 @@ def test_masked_defective_is_undetectable():
 def test_masking_report_checks_ground_set():
     with pytest.raises(ParameterError, match="ground sets differ"):
         masking_report(REGRESSION_DESIGN, DefectiveSet(9, (1,)))
+
+
+# ---------------------------------------------------------------------------
+# the gathered tests of a defective set: outcomes, good tests and masking
+
+
+def _check_against_naive(d, s):
+    assert generate_outcomes(d, s).as_tuple() == tuple(naive_outcomes(d, s.members))
+    assert good_test_counts(d, s) == naive_good_counts(d, s)
+    rep = masking_report(d, s)
+    assert list(rep.masked_items) == naive_masked_items(d, s)
+    members = set(s.members)
+    assert rep.masked_defectives == sum(1 for i in rep.masked_items if i in members)
+
+
+def test_gather_callers_on_an_empty_defective_set():
+    # the iid prior can draw no defective at all
+    for d in (REGRESSION_DESIGN, ncc_design(300, 40, 3, seed=2)):
+        s = DefectiveSet(d.n, ())
+        assert not generate_outcomes(d, s).bits.any()
+        assert good_test_counts(d, s) == {}
+        rep = masking_report(d, s)
+        assert rep.masked_defectives == 0
+        assert rep.masked_nondefectives == rep.zero_test_items
+        _check_against_naive(d, s)
+
+
+def test_gather_callers_with_items_in_no_test():
+    # items 2, 5 and 8 sit in no test; the defective sets mix them with covered items
+    d = TestDesign.from_rows(9, [(1, 3), (3, 4, 9), (), (6, 7), (1, 6)])
+    for members in ((2,), (2, 5, 8), (1, 2), (3, 5, 6), (1, 2, 3, 4, 5, 6, 7, 8, 9)):
+        s = DefectiveSet(9, members)
+        _check_against_naive(d, s)
+    assert good_test_counts(d, DefectiveSet(9, (2, 3, 5))) == {2: 0, 3: 2, 5: 0}
+
+
+@pytest.mark.parametrize("kind", ["ncc", "bernoulli"])
+def test_gather_callers_match_naive_at_n_2000(kind):
+    n, T, k = 2000, 200, 25
+    spec = DesignSpec(kind)
+    for seed in range(2):
+        d = build_design(spec, n, T, k, seed)
+        s = sample_defectives(PriorSpec("combinatorial", k=k), n, seed + 100)
+        _check_against_naive(d, s)
 
 
 # ---------------------------------------------------------------------------

@@ -248,3 +248,16 @@ def test_config_file_rejects_bad_lines(tmp_path):
     cfg.write_text("n 60\n")
     r = run_cli("simulate", "--config", cfg)
     assert r.returncode == 1
+
+
+# ---------------------------------------------------------------------------
+# start-up cost
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.stats takes about a second to import and only the posterior
+    # uniformity check needs it, so it is imported there, on first use
+    code = "import sys, pooltest.cli, pooltest.harness; print('scipy' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"

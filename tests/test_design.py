@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -107,6 +108,20 @@ def test_csr_views_agree_with_dense(data):
     for i in range(1, n + 1):
         assert list(d.col(i)) == [t + 1 for t in np.flatnonzero(dense[:, i - 1])]
     assert d.entry_count == int(dense.sum())
+
+
+def test_cols_of_concatenates_columns():
+    d = TestDesign.from_rows(6, [(1, 3), (2, 3, 5), (), (4,)])  # item 6 is in no test
+    for items in ((), (6,), (3, 6, 1), (5, 3), (6, 6, 2), tuple(range(1, 7))):
+        got = d.cols_of(items)
+        assert got.dtype == np.int64
+        assert got.tolist() == [int(t) for i in items for t in d.col(i)]
+    big = ncc_design(2000, 150, 4, seed=1)
+    items = np.random.default_rng(0).choice(2000, size=300, replace=False) + 1
+    assert np.array_equal(big.cols_of(items), np.concatenate([big.col(int(i)) for i in items]))
+    for bad in ((0,), (7,), (1, 7)):
+        with pytest.raises(ParameterError):
+            d.cols_of(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -312,3 +327,63 @@ def test_load_rejects_wrong_test_count(tmp_path):
     path.write_text("3 5\n1 2\n3\n")
     with pytest.raises(DesignFormatError):
         load_design(path)
+
+
+# ---------------------------------------------------------------------------
+# fingerprints: the arrays of every constructor, pinned byte for byte
+
+FINGERPRINT_NUMPY = "2.4.6"  # the numpy version the pinned hashes were made with
+FINGERPRINTS = {
+    "ncc": "3b06667ade3f59c499b41b792dbc4ae0c6675536904e7c2a00c492e8e2cb9243",
+    "bernoulli": "97496251051c9e1a235912ae1fa8eab4daa3052bf3bf816c751622a6b8ae245d",
+    "from_rows": "93368dea4f33e760561faf5a417b6477caaa41e91252af62b3774efdac7aa6d1",
+    "load_design": "f1700fc0a942643a9a2adb806525edb098991c1d112b7a52b4d9c2eaabcd9f16",
+}
+
+
+def _fingerprint(designs) -> str:
+    h = hashlib.sha256()
+    for d in designs:
+        h.update(f"{d.T} {d.n}\n".encode())
+        for a in (d.row_flat, d.row_ptr, d.col_flat, d.col_ptr):
+            h.update(f"{a.dtype.str} {a.size}\n".encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _random_rows(n, T, seed):
+    """T sorted rows of 0..5 items each; leaves empty tests and empty items."""
+    rng = np.random.default_rng(seed)
+    weights = rng.integers(0, min(n, 5) + 1, size=T)
+    return [np.sort(rng.choice(n, size=int(w), replace=False)) + 1 for w in weights]
+
+
+def _fingerprint_designs(kind, tmp_path):
+    if kind == "ncc":
+        shapes = ((40, 12, 3), (500, 90, 6), (2000, 150, 4))
+        grid = [ncc_design(n, T, L, seed) for n, T, L in shapes for seed in range(4)]
+        return grid + [ncc_design(16384, 1293, 7, seed=31)]  # the C8 size at its base budget
+    if kind == "bernoulli":
+        shapes = ((40, 12, 0.03), (500, 90, 0.02), (2000, 150, 0.004))
+        return [bernoulli_design(n, T, p, seed) for n, T, p in shapes for seed in range(4)]
+    shapes = ((1, 1), (7, 3), (60, 25), (300, 40))
+    if kind == "from_rows":
+        return [TestDesign.from_rows(n, _random_rows(n, T, s)) for n, T in shapes for s in range(3)]
+    designs = []
+    for j, (n, T) in enumerate(shapes):
+        for seed in range(3, 6):
+            path = tmp_path / f"design_{j}_{seed}.txt"
+            rows = _random_rows(n, T, seed)
+            lines = [f"{T} {n}"] + [" ".join(str(int(i)) for i in row) for row in rows]
+            path.write_text("\n".join(lines) + "\n")
+            designs.append(load_design(path))
+    return designs
+
+
+@pytest.mark.parametrize("kind", sorted(FINGERPRINTS))
+def test_design_fingerprint(kind, tmp_path):
+    got = _fingerprint(_fingerprint_designs(kind, tmp_path))
+    assert got == FINGERPRINTS[kind], (
+        f"{kind} designs changed: sha256 {got}, pinned {FINGERPRINTS[kind]} with numpy "
+        f"{FINGERPRINT_NUMPY} (running numpy {np.__version__})"
+    )
