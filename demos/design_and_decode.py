@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 
 from pooltest import (
+    Criterion,
     DefectiveSet,
     DesignSpec,
     PriorSpec,
@@ -20,10 +21,10 @@ from pooltest import (
     build_design,
     comp_decode,
     dd_decode,
+    evaluate,
     generate_outcomes,
     masking_report,
     sample_defectives,
-    score_estimate,
     set_hamming,
     subset_decode,
     tests_for_rate,
@@ -40,13 +41,13 @@ def show(design, truth: DefectiveSet, label: str) -> None:
     sub = subset_decode(design, y, truth.k, SubsetParams(eta_minus=0.2))
 
     for name, est in (("comp", comp), ("dd", dd), ("subset(0.2)", sub)):
-        r = score_estimate(truth, est, name)
+        r = evaluate(Criterion.exact(), truth, est)
         flags = []
-        if r.superset_ok:
+        if r.false_negatives == 0:
             flags.append("superset of truth")
-        if r.subset_ok:
+        if r.false_positives == 0:
             flags.append("subset of truth")
-        if est == truth.members:
+        if r.success:
             flags = ["exact"]
         print(f"  {name:<12} -> {est}  "
               f"(fn={r.false_negatives}, fp={r.false_positives}; {', '.join(flags) or 'neither'})")

@@ -83,6 +83,14 @@ def explained_tests(design: TestDesign, outcomes, candidate) -> ExplainCount:
     return ExplainCount(tuple(tests), len(tests))
 
 
+def _test_mask(design: TestDesign, i: int) -> int:
+    """The tests containing item i as an integer bitmask: bit t - 1 for test t."""
+    m = 0
+    for t in design.col(i):
+        m |= 1 << int(t - 1)
+    return m
+
+
 class ExplainScorer:
     """Precomputed explain-count evaluation for many candidates on one instance.
 
@@ -95,15 +103,8 @@ class ExplainScorer:
         clean = clean_items(design, pos)
         self.T = design.T
         self.n = design.n
-        self.masks = []
-        for i in range(1, design.n + 1):
-            if clean[i - 1]:
-                m = 0
-                for t in design.col(i):
-                    m |= 1 << int(t - 1)
-                self.masks.append(m)
-            else:
-                self.masks.append(0)
+        # only clean items explain tests, so only their masks are built
+        self.masks = [_test_mask(design, i) if clean[i - 1] else 0 for i in range(1, design.n + 1)]
 
     def union_mask(self, candidate) -> int:
         m = 0
@@ -154,7 +155,7 @@ def masking_report(design: TestDesign, s: DefectiveSet) -> MaskingReport:
     return MaskingReport(
         masked_defectives=int(masked[is_def].sum()),
         masked_nondefectives=int(masked[~is_def].sum()),
-        masked_items=tuple(int(i) for i in items),
+        masked_items=tuple(items),
         zero_test_items=int(zero.sum()),
     )
 
@@ -174,12 +175,7 @@ def satisfying_sets(design: TestDesign, outcomes, k: int, cap: int = DEFAULT_ENU
     target = 0
     for t in np.flatnonzero(pos):
         target |= 1 << int(t)
-    masks = []
-    for i in range(1, design.n + 1):
-        m = 0
-        for t in design.col(i):
-            m |= 1 << int(t - 1)
-        masks.append(m)
+    masks = [_test_mask(design, i) for i in range(1, design.n + 1)]
     out = []
     for combo in itertools.combinations(range(1, design.n + 1), k):
         union = 0
@@ -242,12 +238,7 @@ def posterior_uniformity_check(
             f"C({design.n}, {k}) = {total} exceeds enumeration cap {enum_cap}", estimate=total
         )
     subsets = list(itertools.combinations(range(1, design.n + 1), k))
-    masks = []
-    for i in range(1, design.n + 1):
-        m = 0
-        for t in design.col(i):
-            m |= 1 << int(t - 1)
-        masks.append(m)
+    masks = [_test_mask(design, i) for i in range(1, design.n + 1)]
     outcome_of = np.empty(total, dtype=np.int64)
     for j, combo in enumerate(subsets):
         m = 0

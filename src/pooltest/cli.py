@@ -240,8 +240,7 @@ def cmd_simulate(args) -> int:
         prior_q=args.q,
         workers=args.workers,
         record_sets=args.record_sets,
-        timing=args.timing,
-        eta_minus=args.eta_minus if args.criterion == "subset" or args.decoder == "subset" else None,
+        eta_minus=args.eta_minus,
         radius_mult=args.radius_mult,
         frontend=args.frontend,
         ml_cap=args.ml_cap,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,27 +29,6 @@ from .util import floor_tol, mix_seed, round_half_up, segment_sum
 
 DEFAULT_ML_CAP = 2_000_000
 DEFAULT_FAMILY_CAP = 5_000_000
-
-
-@dataclass(frozen=True)
-class DecodeResult:
-    """An estimate scored against the truth."""
-
-    estimate: tuple
-    false_negatives: int
-    false_positives: int
-    subset_ok: bool
-    superset_ok: bool
-    decoder_id: str
-    elapsed: float = 0.0
-
-
-def score_estimate(truth, estimate, decoder_id: str = "", elapsed: float = 0.0) -> DecodeResult:
-    t = set(getattr(truth, "members", truth))
-    e = tuple(sorted(int(i) for i in estimate))
-    fn = len(t - set(e))
-    fp = len(set(e) - t)
-    return DecodeResult(e, fn, fp, fp == 0, fn == 0, decoder_id, elapsed)
 
 
 def comp_decode(design: TestDesign, outcomes) -> tuple:
@@ -118,23 +97,14 @@ def family_size(base_size: int, size: int, radius: float, n: int) -> int:
     return total
 
 
-def candidate_family(base, eta_minus: float, radius: float, n: int):
-    """Iterate, in lexicographic order, over the reduced-size candidates.
-
-    Candidates have size floor((1 - eta_minus) * |base|) and Hamming distance
-    at most ``radius`` from ``base``. Each candidate keeps size - j members
-    of the base and adds j outside items, which pins its distance to
-    |base| - size + 2j; the family is empty when radius < |base| - size.
-    """
-    base = tuple(sorted(int(i) for i in set(base)))
-    if not (0.0 <= eta_minus < 1.0):
-        raise ParameterError(f"eta_minus must lie in [0, 1), got {eta_minus}")
-    size = floor_tol((1.0 - eta_minus) * len(base))
-    yield from _family(base, size, radius, n)
-
-
 def _family(base, size: int, radius: float, n: int):
-    """Size/radius form of candidate_family; base already sorted and unique."""
+    """Iterate, in lexicographic order, over the size-``size`` sets within
+    Hamming ``radius`` of the sorted, duplicate-free ``base``.
+
+    Each candidate keeps size - j members of the base and adds j outside
+    items, which pins its distance to |base| - size + 2j; the family is empty
+    when radius < |base| - size.
+    """
     if any(not (1 <= i <= n) for i in base):
         raise ParameterError("base set not contained in the ground set")
     if size == 0:
@@ -290,7 +260,11 @@ def subset_decode(design: TestDesign, outcomes, k: int, params: SubsetParams) ->
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """One simulated run of the delete-then-decode pipeline, in original labels."""
+    """One simulated run of the delete-then-decode pipeline, in original labels.
+
+    ``design`` and ``reduced_truth`` are the exceptions: they live on the kept
+    items, relabeled 1..len(kept) in increasing order.
+    """
 
     estimate: tuple
     defectives: DefectiveSet
@@ -299,6 +273,7 @@ class PipelineResult:
     k_lo: int
     k_hi: int
     design: TestDesign
+    reduced_truth: DefectiveSet
     refused: bool = False
 
 
@@ -390,11 +365,12 @@ def deletion_pipeline(
     estimate = tuple(sorted(int(kept[j - 1]) for j in est_reduced))
     return PipelineResult(
         estimate=estimate,
-        defectives=DefectiveSet(n, tuple(int(i) for i in truth)),
-        deleted=tuple(int(i) for i in deleted),
-        kept=tuple(int(i) for i in kept),
+        defectives=DefectiveSet(n, tuple(truth.tolist())),
+        deleted=tuple(deleted.tolist()),
+        kept=tuple(kept.tolist()),
         k_lo=k_lo,
         k_hi=k_hi,
         design=design,
+        reduced_truth=s_reduced,
         refused=refused,
     )

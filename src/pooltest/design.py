@@ -12,7 +12,7 @@ File format (one design per file):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +36,6 @@ class TestDesign:
         "col_flat",
         "col_ptr",
         "metadata",
-        "_rows_cache",
-        "_cols_cache",
     )
 
     def __init__(self, n, T, row_flat, row_ptr, col_flat, col_ptr, metadata=None):
@@ -48,8 +46,6 @@ class TestDesign:
         self.col_flat = col_flat
         self.col_ptr = col_ptr
         self.metadata = dict(metadata or {})
-        self._rows_cache = None
-        self._cols_cache = None
 
     # -- construction -------------------------------------------------------
 
@@ -126,31 +122,8 @@ class TestDesign:
         return self.col_flat[offsets + np.arange(offsets.size)]
 
     @property
-    def rows(self) -> tuple:
-        if self._rows_cache is None:
-            self._rows_cache = tuple(
-                self.row_flat[self.row_ptr[t] : self.row_ptr[t + 1]] for t in range(self.T)
-            )
-        return self._rows_cache
-
-    @property
-    def cols(self) -> tuple:
-        if self._cols_cache is None:
-            self._cols_cache = tuple(
-                self.col_flat[self.col_ptr[i] : self.col_ptr[i + 1]] for i in range(self.n)
-            )
-        return self._cols_cache
-
-    @property
     def entry_count(self) -> int:
         return int(self.row_flat.size)
-
-    def to_dense(self) -> np.ndarray:
-        """Dense uint8 matrix; for small designs and debugging only."""
-        X = np.zeros((self.T, self.n), dtype=np.uint8)
-        for t in range(self.T):
-            X[t, self.row_flat[self.row_ptr[t] : self.row_ptr[t + 1]] - 1] = 1
-        return X
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TestDesign):

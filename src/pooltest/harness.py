@@ -13,12 +13,11 @@ deterministic.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,7 +102,6 @@ class ExperimentConfig:
     prior_q: float | None = None
     workers: int = 1
     record_sets: bool = False
-    timing: bool = False
     # decoder knobs
     eta_minus: float | None = None
     radius_mult: float = 3.0
@@ -228,6 +226,14 @@ def _resolve(cfg: ExperimentConfig) -> _Resolved:
     return _Resolved(cfg, k, T, prior, params, explicit)
 
 
+def _draw_instance(spec, prior, n, T, k, master_seed, idx, design=None) -> tuple:
+    """(design, defective set) of trial ``idx``, each drawn from its own derived
+    stream; a given ``design`` (a preloaded explicit one) is used as it is."""
+    if design is None:
+        design = build_design(spec, n, T, k, trial_seed(master_seed, idx, TAG_DESIGN))
+    return design, sample_defectives(prior, n, trial_seed(master_seed, idx, TAG_PRIOR))
+
+
 def _run_trial(res: _Resolved, idx: int) -> TrialRecord:
     cfg = res.cfg
     base_seed = trial_seed(cfg.master_seed, idx, TAG_TRIAL)
@@ -252,19 +258,11 @@ def _run_trial(res: _Resolved, idx: int) -> TrialRecord:
         truth = result.defectives
         estimate = result.estimate
         refused = result.refused
-        kept_pos = {orig: j + 1 for j, orig in enumerate(result.kept)}
-        reduced_truth = DefectiveSet(
-            len(result.kept),
-            tuple(sorted(kept_pos[i] for i in truth.members if i in kept_pos)),
-        )
-        mask = masking_report(result.design, reduced_truth)
+        mask = masking_report(result.design, result.reduced_truth)
     else:
-        design = res.explicit_design
-        if design is None:
-            design = build_design(
-                cfg.design, cfg.n, res.T, res.k, trial_seed(cfg.master_seed, idx, TAG_DESIGN)
-            )
-        truth = sample_defectives(res.prior, cfg.n, trial_seed(cfg.master_seed, idx, TAG_PRIOR))
+        design, truth = _draw_instance(
+            cfg.design, res.prior, cfg.n, res.T, res.k, cfg.master_seed, idx, res.explicit_design
+        )
         y = generate_outcomes(design, truth)
         estimate: tuple = ()
         try:
@@ -439,9 +437,7 @@ def masking_sweep(
         defect = np.empty(trials, dtype=np.int64)
         nondef = np.empty(trials, dtype=np.int64)
         for t in range(trials):
-            d = build_design(design, n, T, k, trial_seed(sub_master, t, TAG_DESIGN))
-            s = sample_defectives(prior, n, trial_seed(sub_master, t, TAG_PRIOR))
-            rep = masking_report(d, s)
+            rep = masking_report(*_draw_instance(design, prior, n, T, k, sub_master, t))
             defect[t] = rep.masked_defectives
             nondef[t] = rep.masked_nondefectives
         q_def = np.quantile(defect, [0.1, 0.5, 0.9])
@@ -503,8 +499,7 @@ def _random_small_instance(rng, n_lo=4, n_hi=16, k_hi=5):
         L = int(rng.integers(1, min(T, 6) + 1))
         design = ncc_design(n, T, L, rng)
     members = np.sort(rng.choice(n, size=k, replace=False)) + 1
-    truth = DefectiveSet(n, tuple(int(i) for i in members))
-    return design, truth
+    return design, DefectiveSet(n, tuple(members.tolist()))
 
 
 def suite_explained_naive(seed=0, instances: int = 500) -> SuiteResult:
@@ -555,7 +550,7 @@ def suite_subset_argmax(seed=0, instances: int = 200) -> SuiteResult:
         T = int(rng.integers(6, 21))
         design = bernoulli_design(n, T, min(0.9, LN2 / k), rng)
         members = np.sort(rng.choice(n, size=k, replace=False)) + 1
-        truth = DefectiveSet(n, tuple(int(i) for i in members))
+        truth = DefectiveSet(n, tuple(members.tolist()))
         y = generate_outcomes(design, truth)
         eta = etas[j % len(etas)]
         frontend = frontends[j % len(frontends)]
@@ -597,7 +592,7 @@ def suite_ml_enum(seed=0, instances: int = 150) -> SuiteResult:
         T = int(rng.integers(4, 13))
         design = bernoulli_design(n, T, min(0.9, LN2 / k), rng)
         members = np.sort(rng.choice(n, size=k, replace=False)) + 1
-        truth = DefectiveSet(n, tuple(int(i) for i in members))
+        truth = DefectiveSet(n, tuple(members.tolist()))
         y = generate_outcomes(design, truth)
         est = ml_oracle(design, y, k)
         sets = reference.naive_satisfying_sets(design, [int(b) for b in y.bits], k)

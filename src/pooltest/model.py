@@ -149,7 +149,7 @@ def sample_defectives(prior: PriorSpec, n: int, seed, resample_exact: bool = Fal
 
     if prior.kind == "combinatorial":
         members = np.sort(rng.choice(n, size=prior.k, replace=False)) + 1
-        return DefectiveSet(n, tuple(int(i) for i in members))
+        return DefectiveSet(n, tuple(members.tolist()))
 
     if prior.kind == "iid":
         mask = rng.random(n) < prior.q
@@ -171,7 +171,7 @@ def sample_defectives(prior: PriorSpec, n: int, seed, resample_exact: bool = Fal
                 extra = rng.choice(outside.size, size=prior.k - chosen.size, replace=False)
                 chosen = np.sort(np.concatenate([chosen, outside[extra]]))
         if not resample_exact or chosen.size == prior.k:
-            return DefectiveSet(n, tuple(int(i) for i in chosen))
+            return DefectiveSet(n, tuple(chosen.tolist()))
     raise ParameterError(
         f"could not realize |S| = {prior.k} in {_MAX_RESAMPLE} resampling attempts"
     )

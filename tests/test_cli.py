@@ -1,8 +1,15 @@
 import csv
+import hashlib
 import subprocess
 import sys
 
-from pooltest.design import load_design
+import numpy as np
+import pytest
+
+from pooltest.cli import main
+from pooltest.design import DesignSpec, load_design
+from pooltest.harness import ExperimentConfig, run_experiment, write_trials_csv
+from pooltest.metrics import Criterion
 
 
 def run_cli(*args, cwd=None):
@@ -123,6 +130,30 @@ def test_simulate_pipeline_decoder(tmp_path):
         "--trials", 6, "--out", out,
     )
     assert r.returncode == 0, r.stderr
+
+
+def test_simulate_pipeline_follows_eta_minus(tmp_path):
+    # --eta-minus sets the pipeline's subset search whatever the criterion
+    args = (
+        "--n", 120, "--k", 6, "--tests", 60, "--decoder", "pipeline", "--alpha", 0.1,
+        "--inner", "subset", "--criterion", "exact", "--trials", 20, "--seed", 3,
+    )
+    outs = {}
+    for eta in (0.1, 0.3):
+        out = tmp_path / f"cli_{eta}.csv"
+        assert main(["simulate", *map(str, args), "--eta-minus", str(eta), "--out", str(out)]) == 0
+        summary = run_experiment(
+            ExperimentConfig(
+                n=120, k=6, T=60, design=DesignSpec("bernoulli"), decoder="pipeline",
+                alpha=0.1, inner="subset", criterion=Criterion.exact(), trials=20,
+                master_seed=3, eta_minus=eta,
+            )
+        )
+        expect = tmp_path / f"lib_{eta}.csv"
+        write_trials_csv(summary.records, expect)
+        assert out.read_bytes() == expect.read_bytes()
+        outs[eta] = out.read_bytes()
+    assert outs[0.1] != outs[0.3]
 
 
 def test_simulate_explicit_design_file(tmp_path):
@@ -261,3 +292,64 @@ def test_cli_import_leaves_scipy_unloaded():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# fingerprints: simulate and masking CSVs, pinned byte for byte
+
+CSV_FINGERPRINT_NUMPY = "2.4.6"  # the numpy version the pinned hashes were made with
+_SIMULATE_COMMON = ("--trials", 20, "--seed", 3, "--record-sets")
+SIMULATE_GRID = {
+    "comp-bernoulli": (
+        "--n", 120, "--k", 6, "--tests", 60, "--decoder", "comp", "--criterion", "superset",
+    ),
+    "dd-ncc": ("--n", 120, "--k", 6, "--tests", 60, "--decoder", "dd", "--design", "ncc"),
+    "ml-bernoulli": ("--n", 24, "--k", 3, "--tests", 16, "--decoder", "ml"),
+    "subset-ncc": (
+        "--n", 60, "--k", 4, "--tests", 40, "--decoder", "subset", "--design", "ncc",
+        "--criterion", "subset", "--eta-minus", 0.25,
+    ),
+    "pipeline-dd-bernoulli": (
+        "--n", 120, "--k", 6, "--tests", 60, "--decoder", "pipeline", "--alpha", 0.1,
+        "--inner", "dd", "--criterion", "two-sided", "--beta", 2.0,
+    ),
+    "pipeline-subset-ncc": (
+        "--n", 120, "--k", 6, "--tests", 60, "--decoder", "pipeline", "--alpha", 0.1,
+        "--inner", "subset", "--design", "ncc", "--criterion", "subset", "--eta-minus", 0.2,
+    ),
+    "dd-iid": (
+        "--n", 120, "--k", 6, "--tests", 60, "--decoder", "dd", "--prior", "iid", "--q", 0.05,
+    ),
+}
+MASKING_ARGS = (
+    "--n", 200, "--theta", 0.5, "--rates", "0.5,0.9", "--design", "ncc", "--trials", 15,
+    "--seed", 4,
+)
+CSV_FINGERPRINTS = {
+    "comp-bernoulli": "8af988ce971333fc6187cf885bf85a1752f05af8a2039cc8cd3e788123831605",
+    "dd-iid": "9e21e959f5ec87221e221836c705f1be7b63decc89ebb3ceb552940bbde3dea1",
+    "dd-ncc": "17623ac0bcb84dbe4f179f04200fbda8887910da9274a6ad474864a50e19b437",
+    "masking": "b9f8ca1172ab665df3af1e248277fe84a30f37f2ef51f2993548ac0a5b968fc0",
+    "ml-bernoulli": "77c35cca6d7b97cb1e47400fb3fedf2b71205c75fa408003f37b74d0b3808ef9",
+    "pipeline-dd-bernoulli": "e566ebcbb36a85c80e13ce0cce3e908f2be3881256e2fc5372b01abfbb9ec540",
+    "pipeline-subset-ncc": "72e1850488274dc81a3ef4aadd64932e93a40c4984694bc91f6dab571e3c4796",
+    "subset-ncc": "2c692f87be4b3191d7d0a5be5b9bc8844a4af49337156ef4dc0d21bce11c5166",
+}
+
+
+def _csv_sha256(tmp_path, command, args) -> str:
+    out = tmp_path / f"{command}.csv"
+    assert main([command, *map(str, args), "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CSV_FINGERPRINTS))
+def test_csv_fingerprint(name, tmp_path):
+    if name == "masking":
+        got = _csv_sha256(tmp_path, "masking", MASKING_ARGS)
+    else:
+        got = _csv_sha256(tmp_path, "simulate", SIMULATE_GRID[name] + _SIMULATE_COMMON)
+    assert got == CSV_FINGERPRINTS[name], (
+        f"{name} CSV changed: sha256 {got}, pinned {CSV_FINGERPRINTS[name]} with numpy "
+        f"{CSV_FINGERPRINT_NUMPY} (running numpy {np.__version__})"
+    )

@@ -6,14 +6,12 @@ import pytest
 from pooltest.decode import (
     PipelineResult,
     SubsetParams,
-    candidate_family,
     comp_decode,
     dd_decode,
     dd_pad_frontend,
     deletion_pipeline,
     family_size,
     ml_oracle,
-    score_estimate,
     subset_decode,
 )
 from pooltest.design import DesignSpec, TestDesign, bernoulli_design
@@ -68,16 +66,6 @@ def test_comp_positive_only_design():
     y = generate_outcomes(d, DefectiveSet(3, (2,)))
     assert comp_decode(d, y) == (1, 2, 3)
     assert dd_decode(d, y) == ()
-
-
-def test_score_estimate():
-    r = score_estimate((1, 2, 3), (2, 3, 4), decoder_id="x")
-    assert r.estimate == (2, 3, 4)
-    assert r.false_negatives == 1 and r.false_positives == 1
-    assert not r.subset_ok and not r.superset_ok
-    assert r.decoder_id == "x"
-    r = score_estimate(DefectiveSet(9, (1, 2)), (1,))
-    assert r.subset_ok and not r.superset_ok
 
 
 # ---------------------------------------------------------------------------
@@ -141,25 +129,9 @@ def test_family_size_counts_the_enumeration():
                     assert len(cand) == size
                     dist = len(set(base) ^ set(cand))
                     assert dist <= radius
-
-
-def test_candidate_family_uses_eta_floor():
-    base = (1, 2, 3, 4, 5)
-    fam = list(candidate_family(base, 0.4, 10.0, 8))
-    # floor(0.6 * 5) = 3
-    assert all(len(c) == 3 for c in fam)
-    assert fam == sorted(fam)
-
-
-def test_candidate_family_empty_when_radius_too_small():
     # dropping from 5 to 3 members costs Hamming distance 2 at minimum
-    assert list(candidate_family((1, 2, 3, 4, 5), 0.4, 1.0, 8)) == []
+    assert list(_family((1, 2, 3, 4, 5), 3, 1.0, 8)) == []
     assert family_size(5, 3, 1.0, 8) == 0
-
-
-def test_candidate_family_rejects_bad_eta():
-    with pytest.raises(ParameterError):
-        list(candidate_family((1, 2), 1.0, 2.0, 5))
 
 
 def test_subset_argmax_matches_brute_force():
@@ -323,6 +295,9 @@ def test_pipeline_comp_inner_keeps_retained_truth():
         res = deletion_pipeline(SPEC, 80, 4, 120, alpha=0.15, inner="comp", seed=seed)
         retained = set(res.defectives.members) & set(res.kept)
         assert retained <= set(res.estimate)
+        # the reduced-label truth maps back to exactly the retained defectives
+        assert res.reduced_truth.n == len(res.kept)
+        assert [res.kept[j - 1] for j in res.reduced_truth.members] == sorted(retained)
 
 
 def test_pipeline_k_bounds_override():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pooltest import reference
 from pooltest.design import (
     DesignSpec,
     TestDesign,
@@ -51,22 +52,13 @@ def test_row_col_duality():
             assert i in d.row(int(t))
 
 
-def test_rows_cols_tuples_match_views():
-    d = small_design()
-    assert tuple(tuple(r) for r in d.rows) == ((1, 3), (2, 3, 5), (), (4,))
-    assert tuple(tuple(c) for c in d.cols) == ((1,), (2,), (1, 2), (4,), (2,))
-
-
-def test_to_dense():
-    d = small_design()
-    dense = d.to_dense()
-    assert dense.shape == (4, 5)
-    assert dense.dtype == np.uint8
-    expect = np.zeros((4, 5), dtype=np.uint8)
-    for t, row in enumerate([(1, 3), (2, 3, 5), (), (4,)]):
-        for i in row:
-            expect[t, i - 1] = 1
-    assert np.array_equal(dense, expect)
+def test_reference_dense_worked_example():
+    assert reference.dense(small_design()) == [
+        [1, 0, 1, 0, 0],
+        [0, 1, 1, 0, 1],
+        [0, 0, 0, 0, 0],
+        [0, 0, 0, 1, 0],
+    ]
 
 
 def test_from_rows_rejects_out_of_range():
@@ -102,7 +94,7 @@ def test_csr_views_agree_with_dense(data):
         members = data.draw(st.sets(st.integers(min_value=1, max_value=n)))
         rows.append(tuple(sorted(members)))
     d = TestDesign.from_rows(n, rows)
-    dense = d.to_dense()
+    dense = np.array(reference.dense(d))
     for t in range(1, T + 1):
         assert list(d.row(t)) == [i + 1 for i in np.flatnonzero(dense[t - 1])]
     for i in range(1, n + 1):

@@ -214,7 +214,7 @@ def test_trial_csv_record_sets(tmp_path):
 
 
 def test_trial_csv_timing_column(tmp_path):
-    summ = run_experiment(small_config(trials=5, timing=True))
+    summ = run_experiment(small_config(trials=5))
     p = tmp_path / "trials.csv"
     write_trials_csv(summ.records, p, timing=True)
     rows = read_trials_csv(p)
