@@ -129,6 +129,11 @@ def test_family_size_counts_the_enumeration():
                     assert len(cand) == size
                     dist = len(set(base) ^ set(cand))
                     assert dist <= radius
+
+
+def test_candidate_family_empty_when_radius_too_small():
+    from pooltest.decode import _family
+
     # dropping from 5 to 3 members costs Hamming distance 2 at minimum
     assert list(_family((1, 2, 3, 4, 5), 3, 1.0, 8)) == []
     assert family_size(5, 3, 1.0, 8) == 0
