@@ -97,33 +97,6 @@ def family_size(base_size: int, size: int, radius: float, n: int) -> int:
     return total
 
 
-def _family(base, size: int, radius: float, n: int):
-    """Iterate, in lexicographic order, over the size-``size`` sets within
-    Hamming ``radius`` of the sorted, duplicate-free ``base``.
-
-    Each candidate keeps size - j members of the base and adds j outside
-    items, which pins its distance to |base| - size + 2j; the family is empty
-    when radius < |base| - size.
-    """
-    if any(not (1 <= i <= n) for i in base):
-        raise ParameterError("base set not contained in the ground set")
-    if size == 0:
-        return
-    base_size = len(base)
-    min_dist = base_size - size
-    if radius < min_dist:
-        return
-    j_hi = min((int(math.floor(radius)) - min_dist) // 2, size, n - base_size)
-    outside = sorted(set(range(1, n + 1)) - set(base))
-    found = []
-    for j in range(max(0, size - base_size), j_hi + 1):
-        for kept in itertools.combinations(base, size - j):
-            for added in itertools.combinations(outside, j):
-                found.append(tuple(sorted(kept + added)))
-    found.sort()
-    yield from found
-
-
 @dataclass(frozen=True)
 class SubsetParams:
     """Knobs for subset_decode.
@@ -177,6 +150,16 @@ def dd_pad_frontend(design: TestDesign, outcomes, k: int) -> tuple:
 
 
 def _argmax_explained(scorer: ExplainScorer, base, size, radius, n, family_cap, hill_climb):
+    """Lexicographically smallest size-``size`` set within Hamming ``radius``
+    of ``base`` with the most explained tests, or () when none explains any.
+
+    Each candidate keeps size - j members of the base and adds j outside
+    items, which pins its distance to |base| - size + 2j; the family is empty
+    when radius < |base| - size. Only outside items with a nonzero test mask
+    change a count, so the search enumerates their a-subsets and stands for
+    each group by its smallest member, padded with the j - a smallest inert
+    items. The family itself is never built; ``family_cap`` bounds its size.
+    """
     count = family_size(len(base), size, radius, n)
     if family_cap is not None and count > family_cap:
         if hill_climb:
@@ -184,13 +167,32 @@ def _argmax_explained(scorer: ExplainScorer, base, size, radius, n, family_cap, 
         raise CapExceededError(
             f"candidate family has {count} members, cap is {family_cap}", estimate=count
         )
+    if any(not (1 <= i <= n) for i in base):
+        raise ParameterError("base set not contained in the ground set")
+    min_dist = len(base) - size
+    if size == 0 or radius < min_dist:
+        return ()
+    j_hi = min((int(math.floor(radius)) - min_dist) // 2, size, n - len(base))
+    masks = scorer.masks
+    base_set = set(base)
+    outside = [i for i in range(1, n + 1) if i not in base_set]
+    live = [i for i in outside if masks[i - 1]]
+    inert = [i for i in outside if not masks[i - 1]]
     best = ()
     best_count = 0
-    for cand in _family(base, size, radius, n):
-        c = scorer.count(cand)
-        if c > best_count:
-            best_count = c
-            best = cand
+    for j in range(max(0, size - len(base)), j_hi + 1):
+        for kept in itertools.combinations(base, size - j):
+            kept_mask = scorer.union_mask(kept)
+            for a in range(max(0, j - len(inert)), min(j, len(live)) + 1):
+                pad = tuple(inert[: j - a])
+                for added in itertools.combinations(live, a):
+                    c = (kept_mask | scorer.union_mask(added)).bit_count()
+                    if c == 0 or c < best_count:
+                        continue
+                    cand = tuple(sorted(kept + added + pad))
+                    if c > best_count or cand < best:
+                        best = cand
+                        best_count = c
     return best
 
 
@@ -198,6 +200,7 @@ def _hill_climb(scorer: ExplainScorer, base, size, radius, n):
     """Greedy single-swap ascent; a heuristic stand-in when the family is too
     large to enumerate, not an exact argmax."""
     base_set = set(base)
+    live = [i for i in range(1, n + 1) if scorer.masks[i - 1]]
     current = list(base[:size])
     best_count = scorer.count(current)
     improved = True
@@ -206,7 +209,8 @@ def _hill_climb(scorer: ExplainScorer, base, size, radius, n):
         cur_set = set(current)
         best_swap = None
         for out in sorted(cur_set):
-            for inn in range(1, n + 1):
+            # an item with no explained tests never makes a strict improvement
+            for inn in live:
                 if inn in cur_set:
                     continue
                 trial = cur_set - {out} | {inn}

@@ -33,7 +33,7 @@ from .decode import (
     ml_oracle,
     subset_decode,
 )
-from .design import DesignSpec, TestDesign, bernoulli_design, build_design, load_design, ncc_design
+from .design import DesignSpec, TestDesign, bernoulli_design, build_design, ncc_design
 from .errors import CapExceededError, ParameterError, RefusalBudgetError
 from .metrics import (
     Criterion,
@@ -218,12 +218,14 @@ def _resolve(cfg: ExperimentConfig) -> _Resolved:
             family_cap=cfg.family_cap,
             hill_climb=cfg.hill_climb,
         )
-    explicit = load_design(cfg.design.path) if cfg.design.kind == "explicit" else None
-    if explicit is not None and (explicit.n != cfg.n or explicit.T != T):
-        raise ParameterError(
-            f"explicit design is {explicit.T} x {explicit.n}, experiment wants {T} x {cfg.n}"
-        )
+    explicit = _explicit_design(cfg.design, cfg.n, T, k)
     return _Resolved(cfg, k, T, prior, params, explicit)
+
+
+def _explicit_design(spec, n, T, k) -> TestDesign | None:
+    """The design an explicit spec names, loaded and shape-checked; None for
+    the random kinds, which draw a new design every trial."""
+    return build_design(spec, n, T, k, None) if spec.kind == "explicit" else None
 
 
 def _draw_instance(spec, prior, n, T, k, master_seed, idx, design=None) -> tuple:
@@ -436,8 +438,9 @@ def masking_sweep(
         sub_master = mix_seed(master_seed, 1000 + r_idx)
         defect = np.empty(trials, dtype=np.int64)
         nondef = np.empty(trials, dtype=np.int64)
+        explicit = _explicit_design(design, n, T, k)
         for t in range(trials):
-            rep = masking_report(*_draw_instance(design, prior, n, T, k, sub_master, t))
+            rep = masking_report(*_draw_instance(design, prior, n, T, k, sub_master, t, explicit))
             defect[t] = rep.masked_defectives
             nondef[t] = rep.masked_nondefectives
         q_def = np.quantile(defect, [0.1, 0.5, 0.9])

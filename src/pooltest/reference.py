@@ -115,3 +115,36 @@ def brute_force_subset_argmax(design: TestDesign, y, base, size: int, radius: fl
             best_count = count
             best = combo
     return best
+
+
+def family_argmax(design: TestDesign, y, base, size: int, radius: float) -> tuple:
+    """The same argmax as brute_force_subset_argmax, for ground sets too large
+    to scan every size-``size`` set: the candidates within ``radius`` of
+    ``base`` are listed as base members kept plus outside items added, sorted,
+    and scored from per-item explained-test sets read off the dense matrix."""
+    y = [int(b) for b in y]
+    X = dense(design)
+    explained = {}
+    for i in range(1, design.n + 1):
+        tests = [t for t in range(design.T) if X[t][i - 1]]
+        in_negative = any(not y[t] for t in tests)
+        explained[i] = set() if in_negative else set(tests)
+    base_set = set(base)
+    base = sorted(base)
+    outside = [i for i in range(1, design.n + 1) if i not in base_set]
+    family = []
+    for j in range(size + 1):
+        if len(base) - size + 2 * j > radius:
+            break
+        for kept in itertools.combinations(base, size - j):
+            for added in itertools.combinations(outside, j):
+                family.append(tuple(sorted(kept + added)))
+    family.sort()
+    best = ()
+    best_count = 0
+    for combo in family:
+        count = len(set().union(*(explained[i] for i in combo)))
+        if count > best_count:
+            best_count = count
+            best = combo
+    return best

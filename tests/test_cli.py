@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from pooltest.cli import main
-from pooltest.design import DesignSpec, load_design
+from pooltest.design import DesignSpec, load_design, ncc_design, save_design
 from pooltest.harness import ExperimentConfig, run_experiment, write_trials_csv
 from pooltest.metrics import Criterion
+from pooltest.metrics import tests_for_rate as minimal_tests
+from pooltest.model import k_from_theta
 
 
 def run_cli(*args, cwd=None):
@@ -351,5 +353,24 @@ def test_csv_fingerprint(name, tmp_path):
         got = _csv_sha256(tmp_path, "simulate", SIMULATE_GRID[name] + _SIMULATE_COMMON)
     assert got == CSV_FINGERPRINTS[name], (
         f"{name} CSV changed: sha256 {got}, pinned {CSV_FINGERPRINTS[name]} with numpy "
+        f"{CSV_FINGERPRINT_NUMPY} (running numpy {np.__version__})"
+    )
+
+
+# hashed while the sweep still reloaded the design file on every trial
+MASKING_EXPLICIT_FINGERPRINT = "1f61261396d74e4c047073dbb53cca86f96376d29aed227d424509f67ed09a8b"
+
+
+def test_masking_explicit_csv_fingerprint(tmp_path):
+    n, theta, rate = 200, 0.5, 0.7
+    path = tmp_path / "design.txt"
+    save_design(ncc_design(n, minimal_tests(n, k_from_theta(n, theta), rate), 3, 9), path)
+    args = (
+        "--n", n, "--theta", theta, "--rates", f"{rate},{rate}", "--design", f"file:{path}",
+        "--trials", 15, "--seed", 4,
+    )
+    got = _csv_sha256(tmp_path, "masking", args)
+    assert got == MASKING_EXPLICIT_FINGERPRINT, (
+        f"explicit-design masking CSV changed: sha256 {got}, pinned with numpy "
         f"{CSV_FINGERPRINT_NUMPY} (running numpy {np.__version__})"
     )

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,8 @@ from pooltest.decode import (
 from pooltest.design import DesignSpec, TestDesign, bernoulli_design
 from pooltest.errors import CapExceededError, ParameterError
 from pooltest.model import DefectiveSet, generate_outcomes
-from pooltest.reference import brute_force_subset_argmax, naive_satisfying_sets
+from pooltest.reference import brute_force_subset_argmax, family_argmax, naive_satisfying_sets
+from pooltest.util import LN2, floor_tol
 
 
 def random_instance(rng, n_hi=14, k_hi=5):
@@ -113,29 +115,28 @@ def test_ml_oracle_mode_and_cap():
 # candidate families
 
 
-def test_family_size_counts_the_enumeration():
-    from pooltest.decode import _family
+def _family_by_scan(base, size, radius, n):
+    # every size-``size`` subset of 1..n within Hamming ``radius`` of the base
+    return [
+        cand
+        for cand in itertools.combinations(range(1, n + 1), size)
+        if len(set(base) ^ set(cand)) <= radius
+    ]
 
+
+def test_family_size_counts_the_enumeration():
     n = 9
     for base_size in range(1, 6):
         base = tuple(range(1, base_size + 1))
         for size in range(1, base_size + 1):
             for radius in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.5, 6.0, 10.0):
-                fam = list(_family(base, size, radius, n))
+                fam = _family_by_scan(base, size, radius, n)
                 assert len(fam) == family_size(base_size, size, radius, n)
-                assert fam == sorted(fam)
-                assert len(set(fam)) == len(fam)
-                for cand in fam:
-                    assert len(cand) == size
-                    dist = len(set(base) ^ set(cand))
-                    assert dist <= radius
 
 
 def test_candidate_family_empty_when_radius_too_small():
-    from pooltest.decode import _family
-
     # dropping from 5 to 3 members costs Hamming distance 2 at minimum
-    assert list(_family((1, 2, 3, 4, 5), 3, 1.0, 8)) == []
+    assert _family_by_scan((1, 2, 3, 4, 5), 3, 1.0, 8) == []
     assert family_size(5, 3, 1.0, 8) == 0
 
 
@@ -229,6 +230,73 @@ def test_subset_decode_hill_climb_over_cap():
         est = subset_decode(d, y, 3, params)
     # target size floor(0.66 * 3) = 1; the heuristic may also come back empty
     assert len(est) in (0, 1)
+
+
+def test_subset_decode_provided_outside_ground_set_raises():
+    d = TestDesign.from_rows(5, [(1,), (2,), (3,), (4,), (5,)])
+    y = generate_outcomes(d, DefectiveSet(5, (2, 4)))
+    for bad in ((0, 2), (2, 6)):
+        params = SubsetParams(eta_minus=0.4, frontend="provided", provided=bad)
+        with pytest.raises(ParameterError, match="not contained in the ground set"):
+            subset_decode(d, y, 2, params)
+
+
+def test_subset_argmax_matches_family_scan_at_benchmark_shape():
+    # the shape of the subset-local benchmark workload
+    n, k, T, eta = 500, 10, 98, 0.1
+    size = floor_tol((1.0 - eta) * k)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        d = bernoulli_design(n, T, LN2 / k, rng)
+        truth = tuple(sorted((rng.choice(n, size=k, replace=False) + 1).tolist()))
+        y = generate_outcomes(d, DefectiveSet(n, truth))
+        base = dd_pad_frontend(d, y, k)
+        got = subset_decode(d, y, k, SubsetParams(eta_minus=eta))
+        assert got == family_argmax(d, y.as_tuple(), base, size, 3.0 * eta * k)
+        # the provided base keeps all but one true member and adds a non-defective
+        outside = [i for i in range(1, n + 1) if i not in truth]
+        provided = tuple(sorted(truth[1:] + (outside[seed],)))
+        params = SubsetParams(eta_minus=eta, frontend="provided", provided=provided)
+        got = subset_decode(d, y, k, params)
+        assert got == family_argmax(d, y.as_tuple(), provided, size, 3.0 * eta * k)
+
+        r = deletion_pipeline(DesignSpec("bernoulli"), n, k, T, 0.1, inner="subset", seed=seed, eta_minus=0.2)
+        y_reduced = generate_outcomes(r.design, r.reduced_truth)
+        base = dd_pad_frontend(r.design, y_reduced, r.k_hi)
+        expect = family_argmax(
+            r.design, y_reduced.as_tuple(), base, floor_tol(0.8 * r.k_lo), 3.0 * 0.2 * r.k_hi
+        )
+        assert r.estimate == tuple(r.kept[j - 1] for j in expect)
+
+
+# hill-climb estimates recorded while every item was tried as a swap-in,
+# before the search skipped items that explain no test
+HILL_CLIMB_PINNED = {
+    0: ((50, 70, 84, 109, 248, 250), (50, 84, 109, 145, 248, 250)),
+    1: ((17, 34, 40, 47, 77, 90), (17, 40, 77, 90, 140, 216)),
+    2: ((46, 51, 68, 130, 181, 255), (46, 51, 68, 130, 181, 255)),
+    3: ((32, 47, 53, 90, 96, 206), (47, 53, 90, 96, 205, 206)),
+}
+
+
+def test_hill_climb_outputs_pinned():
+    n, k = 300, 8
+    for seed, expect in HILL_CLIMB_PINNED.items():
+        rng = np.random.default_rng(seed)
+        d = bernoulli_design(n, 60, 0.693 / k, rng)
+        truth = tuple(sorted((rng.choice(n, size=k, replace=False) + 1).tolist()))
+        y = generate_outcomes(d, DefectiveSet(n, truth))
+        provided = (truth[0] + 1,) + truth[1:]
+        got = tuple(
+            subset_decode(d, y, k, params)
+            for params in (
+                SubsetParams(eta_minus=0.25, family_cap=1, hill_climb=True),
+                SubsetParams(
+                    eta_minus=0.25, frontend="provided", provided=provided, family_cap=1, hill_climb=True
+                ),
+            )
+        )
+        assert got == expect
 
 
 def test_subset_params_validation():

@@ -2,7 +2,8 @@ import warnings
 
 import pytest
 
-from pooltest.design import DesignSpec
+import pooltest.design
+from pooltest.design import DesignSpec, ncc_design, save_design
 from pooltest.errors import ParameterError, RefusalBudgetError
 from pooltest.harness import (
     TAG_DECODE,
@@ -21,6 +22,8 @@ from pooltest.harness import (
     write_trials_csv,
 )
 from pooltest.metrics import Criterion
+from pooltest.metrics import tests_for_rate as minimal_tests
+from pooltest.model import k_from_theta
 
 
 def small_config(**kw):
@@ -262,6 +265,36 @@ def test_masking_sweep_is_deterministic():
     kw = dict(n=80, theta=0.5, rate_grid=(0.5,), design=DesignSpec("ncc"), trials=20,
               master_seed=9)
     assert masking_sweep(**kw) == masking_sweep(**kw)
+
+
+def test_masking_sweep_loads_explicit_design_once_per_rate_point(tmp_path, monkeypatch):
+    n, theta, rate = 80, 0.5, 0.6
+    path = tmp_path / "design.txt"
+    save_design(ncc_design(n, minimal_tests(n, k_from_theta(n, theta), rate), 3, 1), path)
+    calls = []
+    real = pooltest.design.load_design
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(pooltest.design, "load_design", counting)
+    rows = masking_sweep(
+        n=n, theta=theta, rate_grid=(rate, rate, rate), design=DesignSpec("explicit", path=str(path)),
+        trials=10, master_seed=3,
+    )
+    assert len(rows) == 3
+    assert len(calls) == 3
+
+
+def test_masking_sweep_rejects_explicit_design_of_wrong_shape(tmp_path):
+    path = tmp_path / "design.txt"
+    save_design(ncc_design(80, 7, 2, 1), path)
+    with pytest.raises(ParameterError, match="explicit design is 7 x 80"):
+        masking_sweep(
+            n=80, theta=0.5, rate_grid=(0.6,), design=DesignSpec("explicit", path=str(path)),
+            trials=5, master_seed=3,
+        )
 
 
 # ---------------------------------------------------------------------------
