@@ -30,6 +30,10 @@ from .model import DefectiveSet, OutcomeVector
 from .util import segment_all, segment_sum
 
 DEFAULT_ENUM_CAP = 2_000_000
+# posterior_uniformity_check: bins with fewer than this many samples per
+# satisfying set are skipped, and C(n, k) above the cap is refused
+UNIFORMITY_MIN_BIN_FACTOR = 5
+UNIFORMITY_ENUM_CAP = 100_000
 
 
 def _bits(outcomes, T: int) -> np.ndarray:
@@ -218,8 +222,6 @@ def posterior_uniformity_check(
     trials: int,
     seed,
     sampler=None,
-    min_bin_factor: int = 5,
-    enum_cap: int = 100_000,
 ) -> UniformityReport:
     """Chi-square check that, given the outcomes, the truth is uniform over
     the satisfying sets.
@@ -228,14 +230,16 @@ def posterior_uniformity_check(
     equivalent of the combinatorial prior); ``sampler(rng, m, trials)`` can
     replace the draw with any distribution over subset indices 0..m-1, e.g.
     to verify that a biased sampler is rejected. Outcome bins with fewer than
-    ``min_bin_factor`` * |satisfying sets| samples are skipped and counted.
+    UNIFORMITY_MIN_BIN_FACTOR * |satisfying sets| samples are skipped and
+    counted; C(n, k) above UNIFORMITY_ENUM_CAP raises CapExceededError.
     """
     from scipy import stats  # the package's only scipy use; importing it costs about a second
 
     total = math.comb(design.n, k)
-    if total > enum_cap:
+    if total > UNIFORMITY_ENUM_CAP:
         raise CapExceededError(
-            f"C({design.n}, {k}) = {total} exceeds enumeration cap {enum_cap}", estimate=total
+            f"C({design.n}, {k}) = {total} exceeds enumeration cap {UNIFORMITY_ENUM_CAP}",
+            estimate=total,
         )
     subsets = list(itertools.combinations(range(1, design.n + 1), k))
     masks = [_test_mask(design, i) for i in range(1, design.n + 1)]
@@ -263,7 +267,7 @@ def posterior_uniformity_check(
         observed = sample_counts[members]
         n_bin = int(observed.sum())
         outcome = tuple(int((key >> t) & 1) for t in range(design.T))
-        if n_bin < min_bin_factor * len(members) or len(members) < 2:
+        if n_bin < UNIFORMITY_MIN_BIN_FACTOR * len(members) or len(members) < 2:
             skipped += 1
             bins.append(UniformityBin(outcome, len(members), n_bin, None))
             continue

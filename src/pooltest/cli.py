@@ -9,7 +9,8 @@ Subcommands:
 
 A config file (--config PATH) holds flat ``key = value`` lines using the
 long option names; values given on the command line override it. Exit codes:
-0 success, 1 parameter error, 2 suite failure, 3 refusal budget exceeded.
+0 success, 1 parameter error, 2 usage error (argparse) or suite failure,
+3 refusal budget exceeded.
 """
 
 from __future__ import annotations

@@ -56,31 +56,18 @@ def dd_decode(design: TestDesign, outcomes) -> tuple:
     return tuple(found.tolist())
 
 
-def ml_oracle(
-    design: TestDesign,
-    outcomes,
-    k: int,
-    cap: int = DEFAULT_ML_CAP,
-    mode: str = "deterministic",
-    seed=None,
-) -> tuple:
+def ml_oracle(design: TestDesign, outcomes, k: int, cap: int = DEFAULT_ML_CAP) -> tuple:
     """Exhaustive maximum likelihood over all size-k satisfying sets.
 
-    Every satisfying set is equally likely under a uniform size-k prior, so
-    "deterministic" returns the lexicographically smallest and "sample"
-    returns one uniformly at random.
+    Every satisfying set is equally likely under a uniform size-k prior; the
+    lexicographically smallest is returned.
     """
-    if mode not in ("deterministic", "sample"):
-        raise ParameterError(f"unknown ml mode {mode!r}")
     sets = satisfying_sets(design, outcomes, k, cap=cap)
     if not sets:
         raise ParameterError(
             "no size-k set reproduces the outcomes; inconsistent (design, outcomes, k)"
         )
-    if mode == "deterministic":
-        return sets[0]
-    rng = np.random.default_rng(seed)
-    return sets[int(rng.integers(0, len(sets)))]
+    return sets[0]
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +110,8 @@ class SubsetParams:
             raise ParameterError(f"unknown frontend {self.frontend!r}")
         if self.frontend == "provided" and self.provided is None:
             raise ParameterError("frontend 'provided' needs the provided estimate")
+        if self.provided is not None and len(set(self.provided)) != len(self.provided):
+            raise ParameterError(f"provided estimate repeats an item: {tuple(self.provided)}")
         if self.radius_mult <= 0:
             raise ParameterError(f"radius_mult must be positive, got {self.radius_mult}")
 
@@ -267,7 +256,8 @@ class PipelineResult:
     """One simulated run of the delete-then-decode pipeline, in original labels.
 
     ``design`` and ``reduced_truth`` are the exceptions: they live on the kept
-    items, relabeled 1..len(kept) in increasing order.
+    items, relabeled 1..len(kept) in increasing order. ``k_lo`` and ``k_hi``
+    both hold k_mid, the expected retained defective count.
     """
 
     estimate: tuple
@@ -295,7 +285,6 @@ def deletion_pipeline(
     xi: float | None = None,
     eta_minus: float = 0.1,
     radius_mult: float = 3.0,
-    k_bounds: tuple | None = None,
     family_cap: int = DEFAULT_FAMILY_CAP,
     hill_climb: bool = False,
 ) -> PipelineResult:
@@ -305,8 +294,11 @@ def deletion_pipeline(
     non-defective (xi defaults to alpha / 100). A design from ``spec`` is
     built over the remaining ground set, outcomes are generated for a uniform
     size-k defective set on the full ground set, and the inner decoder runs
-    with the defective count known only within [k_lo, k_hi] (both default to
-    the expected retained count). The estimate never contains deleted items.
+    on the kept items. The defective count is taken as k_mid, the expected
+    retained count; the "subset" inner decoder is ``subset_decode`` at k_mid
+    with a dd-pad front end and the given eta_minus, radius_mult, family_cap
+    and hill_climb, without its warnings. The estimate never contains deleted
+    items.
     """
     if not (0.0 < alpha < 1.0):
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
@@ -322,6 +314,12 @@ def deletion_pipeline(
     d = round_half_up((alpha - xi) * n)
     if d >= n:
         raise ParameterError(f"deletion would remove all {n} items")
+    # built before any draw, so bad search knobs fail fast
+    params = (
+        SubsetParams(eta_minus, radius_mult=radius_mult, family_cap=family_cap, hill_climb=hill_climb)
+        if inner == "subset"
+        else None
+    )
 
     prior_rng = np.random.default_rng(mix_seed(seed, 2))
     design_rng = np.random.default_rng(mix_seed(seed, 1))
@@ -331,15 +329,7 @@ def deletion_pipeline(
     deleted = np.sort(delete_rng.choice(n, size=d, replace=False)) + 1 if d else np.empty(0, np.int64)
     kept = np.setdiff1d(np.arange(1, n + 1), deleted, assume_unique=True)
     n_kept = kept.size
-
-    expected = k * n_kept / n
-    k_mid = max(1, round_half_up(expected))
-    if k_bounds is None:
-        k_lo = k_hi = k_mid
-    else:
-        k_lo, k_hi = int(k_bounds[0]), int(k_bounds[1])
-        if not (1 <= k_lo <= k_hi):
-            raise ParameterError(f"need 1 <= k_lo <= k_hi, got {k_bounds}")
+    k_mid = max(1, round_half_up(k * n_kept / n))
 
     design = build_design(spec, n_kept, T, k_mid, design_rng)
     # original label -> reduced label
@@ -354,14 +344,10 @@ def deletion_pipeline(
     elif inner == "dd":
         est_reduced = dd_decode(design, y)
     else:
-        base = dd_pad_frontend(design, y, k_hi)
-        size = floor_tol((1.0 - eta_minus) * k_lo)
-        radius = radius_mult * eta_minus * k_hi
-        scorer = ExplainScorer(design, y)
         try:
-            est_reduced = _argmax_explained(
-                scorer, base, size, radius, n_kept, family_cap, hill_climb
-            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                est_reduced = subset_decode(design, y, k_mid, params)
         except CapExceededError:
             est_reduced = ()
             refused = True
@@ -372,8 +358,8 @@ def deletion_pipeline(
         defectives=DefectiveSet(n, tuple(truth.tolist())),
         deleted=tuple(deleted.tolist()),
         kept=tuple(kept.tolist()),
-        k_lo=k_lo,
-        k_hi=k_hi,
+        k_lo=k_mid,
+        k_hi=k_mid,
         design=design,
         reduced_truth=s_reduced,
         refused=refused,

@@ -128,6 +128,11 @@ class ExperimentConfig:
             raise ParameterError(f"need workers >= 1, got {self.workers}")
         if self.decoder == "pipeline" and self.alpha is None:
             raise ParameterError("pipeline decoder needs alpha")
+        if self.decoder == "pipeline" and self.design.kind == "explicit":
+            raise ParameterError(
+                "pipeline decoder cannot use an explicit design: the pipeline draws its own "
+                "design over the kept items"
+            )
 
 
 @dataclass(frozen=True)
@@ -206,7 +211,7 @@ def _resolve(cfg: ExperimentConfig) -> _Resolved:
     else:
         prior = PriorSpec(cfg.prior_kind, k=k)
     params = None
-    if cfg.decoder == "subset":
+    if cfg.decoder == "subset" or (cfg.decoder == "pipeline" and cfg.inner == "subset"):
         eta = cfg.eta_minus
         if eta is None:
             eta = cfg.criterion.eta_minus if cfg.criterion.kind == "subset" else 0.1
@@ -243,6 +248,15 @@ def _run_trial(res: _Resolved, idx: int) -> TrialRecord:
     refused = False
 
     if cfg.decoder == "pipeline":
+        knobs = {}
+        if res.subset_params is not None:
+            p = res.subset_params
+            knobs = dict(
+                eta_minus=p.eta_minus,
+                radius_mult=p.radius_mult,
+                family_cap=p.family_cap,
+                hill_climb=p.hill_climb,
+            )
         result = deletion_pipeline(
             cfg.design,
             cfg.n,
@@ -252,10 +266,7 @@ def _run_trial(res: _Resolved, idx: int) -> TrialRecord:
             inner=cfg.inner,
             seed=base_seed,
             xi=cfg.xi,
-            eta_minus=cfg.eta_minus if cfg.eta_minus is not None else 0.1,
-            radius_mult=cfg.radius_mult,
-            family_cap=cfg.family_cap,
-            hill_climb=cfg.hill_climb,
+            **knobs,
         )
         truth = result.defectives
         estimate = result.estimate

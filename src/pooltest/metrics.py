@@ -80,9 +80,6 @@ class Criterion:
       superset    estimate contains truth, size at most (1 + eta_plus) k
       two-sided   at most beta*k missed and beta*k spurious items
       asymmetric  at most alpha_fn*k missed, alpha_fp*k spurious
-
-    With ``strict_size`` the one-sided criteria demand the exact target size
-    (floor for subset, ceil for superset) instead of a one-sided bound.
     """
 
     kind: str
@@ -91,7 +88,6 @@ class Criterion:
     beta: float | None = None
     alpha_fn: float | None = None
     alpha_fp: float | None = None
-    strict_size: bool = False
 
     def __post_init__(self):
         kinds = ("exact", "subset", "superset", "two-sided", "asymmetric")
@@ -117,12 +113,12 @@ class Criterion:
         return cls("exact")
 
     @classmethod
-    def subset(cls, eta_minus: float, strict_size: bool = False) -> "Criterion":
-        return cls("subset", eta_minus=eta_minus, strict_size=strict_size)
+    def subset(cls, eta_minus: float) -> "Criterion":
+        return cls("subset", eta_minus=eta_minus)
 
     @classmethod
-    def superset(cls, eta_plus: float, strict_size: bool = False) -> "Criterion":
-        return cls("superset", eta_plus=eta_plus, strict_size=strict_size)
+    def superset(cls, eta_plus: float) -> "Criterion":
+        return cls("superset", eta_plus=eta_plus)
 
     @classmethod
     def two_sided(cls, beta: float) -> "Criterion":
@@ -167,17 +163,9 @@ def evaluate(criterion: Criterion, truth, estimate) -> EvalOutcome:
     if kind == "exact":
         ok = fn == 0 and fp == 0
     elif kind == "subset":
-        need = floor_tol((1.0 - criterion.eta_minus) * k)
-        if criterion.strict_size:
-            ok = fp == 0 and len(e) == need
-        else:
-            ok = fp == 0 and len(e) >= need
+        ok = fp == 0 and len(e) >= floor_tol((1.0 - criterion.eta_minus) * k)
     elif kind == "superset":
-        cap = ceil_tol((1.0 + criterion.eta_plus) * k)
-        if criterion.strict_size:
-            ok = fn == 0 and len(e) == cap
-        else:
-            ok = fn == 0 and len(e) <= cap
+        ok = fn == 0 and len(e) <= ceil_tol((1.0 + criterion.eta_plus) * k)
     elif kind == "two-sided":
         allow = criterion.beta * k + 1e-9
         ok = fn <= allow and fp <= allow

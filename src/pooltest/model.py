@@ -15,8 +15,6 @@ from .design import TestDesign
 from .errors import ParameterError
 from .util import round_half_up
 
-_MAX_RESAMPLE = 1000
-
 
 def k_from_theta(n: int, theta: float) -> int:
     """Defective count k = n**theta rounded to nearest, ties upward."""
@@ -97,8 +95,7 @@ class PriorSpec:
     kind "iid":           each item defective independently with probability q.
     kind "iid-trim":      i.i.d. with q' = (k + sqrt(k) ln n) / n, then remove
                           uniformly chosen items down to size k. A draw can
-                          undershoot k; it is kept as-is unless resampling is
-                          requested at sampling time.
+                          undershoot k; it is kept as-is.
     kind "iid-pad":       i.i.d. with q' = (k - sqrt(k) ln n) / n, then add
                           uniformly chosen non-members up to size k.
     """
@@ -134,13 +131,8 @@ def _two_step_q(kind: str, k: int, n: int) -> float:
     return q
 
 
-def sample_defectives(prior: PriorSpec, n: int, seed, resample_exact: bool = False) -> DefectiveSet:
-    """Draw a defective set from the prior.
-
-    ``resample_exact`` redraws until the realized size equals k; it only
-    applies to the trim/pad kinds (the others hit their size by construction
-    or have no target size).
-    """
+def sample_defectives(prior: PriorSpec, n: int, seed) -> DefectiveSet:
+    """Draw a defective set from the prior."""
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
     if prior.kind != "iid" and prior.k > n:
@@ -155,26 +147,19 @@ def sample_defectives(prior: PriorSpec, n: int, seed, resample_exact: bool = Fal
         mask = rng.random(n) < prior.q
         return DefectiveSet(n, tuple((np.flatnonzero(mask) + 1).tolist()))
 
-    q = _two_step_q(prior.kind, prior.k, n)
-    for _ in range(_MAX_RESAMPLE if resample_exact else 1):
-        mask = rng.random(n) < q
-        chosen = np.flatnonzero(mask) + 1
-        if prior.kind == "iid-trim":
-            if chosen.size > prior.k:
-                drop = rng.choice(chosen.size, size=chosen.size - prior.k, replace=False)
-                keep = np.ones(chosen.size, dtype=bool)
-                keep[drop] = False
-                chosen = chosen[keep]
-        else:
-            if chosen.size < prior.k:
-                outside = np.setdiff1d(np.arange(1, n + 1), chosen, assume_unique=True)
-                extra = rng.choice(outside.size, size=prior.k - chosen.size, replace=False)
-                chosen = np.sort(np.concatenate([chosen, outside[extra]]))
-        if not resample_exact or chosen.size == prior.k:
-            return DefectiveSet(n, tuple(chosen.tolist()))
-    raise ParameterError(
-        f"could not realize |S| = {prior.k} in {_MAX_RESAMPLE} resampling attempts"
-    )
+    mask = rng.random(n) < _two_step_q(prior.kind, prior.k, n)
+    chosen = np.flatnonzero(mask) + 1
+    if prior.kind == "iid-trim":
+        if chosen.size > prior.k:
+            drop = rng.choice(chosen.size, size=chosen.size - prior.k, replace=False)
+            keep = np.ones(chosen.size, dtype=bool)
+            keep[drop] = False
+            chosen = chosen[keep]
+    elif chosen.size < prior.k:
+        outside = np.setdiff1d(np.arange(1, n + 1), chosen, assume_unique=True)
+        extra = rng.choice(outside.size, size=prior.k - chosen.size, replace=False)
+        chosen = np.sort(np.concatenate([chosen, outside[extra]]))
+    return DefectiveSet(n, tuple(chosen.tolist()))
 
 
 def generate_outcomes(design: TestDesign, s: DefectiveSet) -> OutcomeVector:

@@ -299,7 +299,7 @@ def test_biased_sampler_fails():
 def test_uniformity_check_cap():
     d = TestDesign.from_rows(40, [(1, 2)])
     with pytest.raises(CapExceededError):
-        posterior_uniformity_check(d, k=20, trials=100, seed=0, enum_cap=1000)
+        posterior_uniformity_check(d, k=20, trials=100, seed=0)
 
 
 def test_uniformity_outcome_labels_are_consistent():

@@ -170,6 +170,18 @@ def test_simulate_explicit_design_file(tmp_path):
     assert r.returncode == 0, r.stderr
 
 
+def test_simulate_pipeline_rejects_explicit_design_file(tmp_path):
+    dpath = tmp_path / "d.txt"
+    r = run_cli("gen-design", "--n", 400, "--k", 8, "--tests", 120, "--seed", 2, "--out", dpath)
+    assert r.returncode == 0
+    r = run_cli(
+        "simulate", "--n", 400, "--k", 8, "--tests", 120, "--design", f"file:{dpath}",
+        "--decoder", "pipeline", "--alpha", 0.1, "--trials", 5,
+    )
+    assert r.returncode == 1
+    assert "draws its own design over the kept items" in r.stderr
+
+
 # ---------------------------------------------------------------------------
 # thresholds
 

@@ -89,24 +89,8 @@ def test_ml_oracle_inconsistent_inputs():
         ml_oracle(d, y, 1)
 
 
-def test_ml_oracle_sample_mode():
-    d = TestDesign.from_rows(6, [(1, 2, 3), (4, 5, 6)])
-    y = (1, 0)
-    sets = naive_satisfying_sets(d, y, 1)
-    assert sets == [(1,), (2,), (3,)]
-    seen = set()
-    for seed in range(30):
-        pick = ml_oracle(d, y, 1, mode="sample", seed=seed)
-        assert pick in sets
-        seen.add(pick)
-        assert ml_oracle(d, y, 1, mode="sample", seed=seed) == pick
-    assert len(seen) == 3
-
-
 def test_ml_oracle_mode_and_cap():
     d = TestDesign.from_rows(30, [tuple(range(1, 31))])
-    with pytest.raises(ParameterError, match="unknown ml mode"):
-        ml_oracle(d, (1,), 2, mode="other")
     with pytest.raises(CapExceededError):
         ml_oracle(d, (1,), 15, cap=100)
 
@@ -308,6 +292,9 @@ def test_subset_params_validation():
         SubsetParams(eta_minus=0.1, frontend="provided")
     with pytest.raises(ParameterError):
         SubsetParams(eta_minus=0.1, radius_mult=0.0)
+    # a repeated item could come back as an estimate that repeats it
+    with pytest.raises(ParameterError, match="repeats an item"):
+        SubsetParams(eta_minus=0.2, frontend="provided", provided=(2, 2, 5), radius_mult=1.7)
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +313,10 @@ def test_pipeline_validation():
         deletion_pipeline(SPEC, 100, 5, 40, alpha=0.1, inner="ml")
     with pytest.raises(ParameterError):
         deletion_pipeline(SPEC, 100, 5, 40, alpha=0.1, xi=0.2)
-    with pytest.raises(ParameterError):
-        deletion_pipeline(SPEC, 100, 5, 40, alpha=0.1, k_bounds=(0, 3))
+    # the subset inner decoder checks its knobs as subset_decode does
+    for bad in (dict(eta_minus=1.0), dict(radius_mult=0)):
+        with pytest.raises(ParameterError):
+            deletion_pipeline(SPEC, 100, 5, 40, alpha=0.1, inner="subset", **bad)
 
 
 def test_pipeline_is_deterministic():
@@ -350,7 +339,7 @@ def test_pipeline_bookkeeping():
     assert set(res.estimate) <= set(res.kept)
     assert res.design.n == len(res.kept)
     assert res.design.T == 60
-    assert res.k_lo == res.k_hi  # defaults collapse to the point estimate
+    assert res.k_lo == res.k_hi  # both hold the expected retained count
 
 
 def test_pipeline_deletion_count():
@@ -371,11 +360,6 @@ def test_pipeline_comp_inner_keeps_retained_truth():
         # the reduced-label truth maps back to exactly the retained defectives
         assert res.reduced_truth.n == len(res.kept)
         assert [res.kept[j - 1] for j in res.reduced_truth.members] == sorted(retained)
-
-
-def test_pipeline_k_bounds_override():
-    res = deletion_pipeline(SPEC, 100, 5, 40, alpha=0.2, k_bounds=(3, 8), seed=0)
-    assert (res.k_lo, res.k_hi) == (3, 8)
 
 
 def test_pipeline_subset_inner_runs():

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -173,6 +174,23 @@ def test_pipeline_decoder_through_harness():
     )
     summ = run_experiment(cfg)
     assert summ.included == 10
+
+
+def test_pipeline_subset_search_takes_the_criterion_slack():
+    # with eta_minus unset the pipeline's search takes the criterion's slack,
+    # as the subset decoder does
+    common = dict(
+        n=200, k=6, T=60, decoder="pipeline", alpha=0.1, inner="subset",
+        criterion=Criterion.subset(0.4), trials=20,
+    )
+
+    def records(**extra):
+        summ = run_experiment(small_config(**common, **extra))
+        return [replace(r, elapsed_us=0) for r in summ.records]
+
+    unset = records()
+    assert unset == records(eta_minus=0.4)
+    assert {r.est_size for r in unset} == {3}
 
 
 # ---------------------------------------------------------------------------

@@ -124,13 +124,6 @@ def test_evaluate_subset():
     assert evaluate(crit, truth, truth).success
 
 
-def test_evaluate_subset_strict_size():
-    crit = Criterion.subset(0.4, strict_size=True)
-    truth = (1, 2, 3, 4, 5)
-    assert evaluate(crit, truth, (1, 2, 3)).success
-    assert not evaluate(crit, truth, (1, 2, 3, 4)).success  # must hit the floor exactly
-
-
 def test_evaluate_subset_tolerates_float_size_products():
     # (1 - 0.29) * 100 lands one ulp below 71; the size floor must still be 71
     crit = Criterion.subset(0.29)

@@ -182,14 +182,6 @@ def test_pad_prior_never_undershoots():
     assert any(size == k for size in sizes)
 
 
-def test_resample_exact_pins_the_size():
-    n = 500
-    for kind, k in (("iid-trim", 20), ("iid-pad", 60)):
-        prior = PriorSpec(kind, k=k)
-        for seed in range(50):
-            assert sample_defectives(prior, n, seed=seed, resample_exact=True).k == k
-
-
 def test_two_step_density_domain_error():
     # (k + sqrt(k) ln n) / n > 1 for k = 4, n = 5
     prior = PriorSpec("iid-trim", k=4)
