@@ -24,7 +24,7 @@ import numpy as np
 from .analysis import ExplainScorer, clean_items, satisfying_sets, _bits
 from .design import DesignSpec, TestDesign, build_design
 from .errors import CapExceededError, ParameterError
-from .model import DefectiveSet, generate_outcomes
+from .model import DefectiveSet, PriorSpec, generate_outcomes, sample_defectives
 from .util import floor_tol, mix_seed, round_half_up, segment_sum
 
 DEFAULT_ML_CAP = 2_000_000
@@ -274,6 +274,78 @@ class PipelineResult:
 _PIPELINE_INNER = ("comp", "dd", "subset")
 
 
+def _pipeline_deletions(n: int, alpha: float, xi: float | None, inner: str) -> int:
+    """Number of items the pipeline deletes, round((alpha - xi) * n) with xi
+    defaulting to alpha / 100, once alpha, xi and the inner decoder check out."""
+    if not (0.0 < alpha < 1.0):
+        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
+    if inner not in _PIPELINE_INNER:
+        raise ParameterError(
+            f"inner decoder must be one of {_PIPELINE_INNER}, got {inner!r}; exhaustive ml "
+            "needs the defective count exactly, which deletion leaves uncertain"
+        )
+    if xi is None:
+        xi = alpha / 100.0
+    if xi < 0 or xi > alpha:
+        raise ParameterError(f"xi must lie in [0, alpha], got {xi}")
+    d = round_half_up((alpha - xi) * n)
+    if d >= n:
+        raise ParameterError(f"deletion would remove all {n} items")
+    return d
+
+
+@dataclass(frozen=True)
+class _Deletion:
+    """One pipeline instance: the truth on the full ground set, the deleted
+    and kept items, and the design and retained truth on the kept items,
+    relabeled 1..len(kept) in increasing order."""
+
+    truth: DefectiveSet
+    deleted: np.ndarray
+    kept: np.ndarray
+    k_mid: int
+    design: TestDesign
+    reduced_truth: DefectiveSet
+
+    def lift(self, est_reduced) -> tuple:
+        """A sorted reduced-label estimate in original labels."""
+        return tuple(self.kept[np.asarray(est_reduced, dtype=np.int64) - 1].tolist())
+
+
+def _delete(spec: DesignSpec, prior: PriorSpec, n: int, k: int, T: int, d: int, seed):
+    """Draw the truth from ``prior``, delete ``d`` uniform items and build a
+    design for k_mid = round(k * kept / n) over the kept ones. Truth, design
+    and deletion use the sub-streams 2, 1 and 3 of ``seed``."""
+    truth = sample_defectives(prior, n, mix_seed(seed, 2))
+    delete_rng = np.random.default_rng(mix_seed(seed, 3))
+    deleted = np.sort(delete_rng.choice(n, size=d, replace=False)) + 1
+    kept = np.setdiff1d(np.arange(1, n + 1), deleted, assume_unique=True)
+    k_mid = max(1, round_half_up(k * kept.size / n))
+    design = build_design(spec, kept.size, T, k_mid, mix_seed(seed, 1))
+    members = np.asarray(truth.members, dtype=np.int64)
+    retained = np.searchsorted(kept, members[np.isin(members, kept, assume_unique=True)]) + 1
+    reduced = DefectiveSet(kept.size, tuple(retained.tolist()))
+    return _Deletion(truth, deleted, kept, k_mid, design, reduced)
+
+
+def _decode(name: str, design: TestDesign, outcomes, k: int, params=None, ml_cap=DEFAULT_ML_CAP):
+    """(estimate, refused) of decoder ``name``: comp, dd, ml, or subset with
+    ``params`` and its warnings silenced. A CapExceededError is a refusal,
+    with an empty estimate."""
+    try:
+        if name == "comp":
+            return comp_decode(design, outcomes), False
+        if name == "dd":
+            return dd_decode(design, outcomes), False
+        if name == "ml":
+            return ml_oracle(design, outcomes, k, cap=ml_cap), False
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return subset_decode(design, outcomes, k, params), False
+    except CapExceededError:
+        return (), True
+
+
 def deletion_pipeline(
     spec: DesignSpec,
     n: int,
@@ -291,76 +363,34 @@ def deletion_pipeline(
     """Delete a uniform fraction of items, then decode the survivors.
 
     round((alpha - xi) * n) items are deleted outright and declared
-    non-defective (xi defaults to alpha / 100). A design from ``spec`` is
-    built over the remaining ground set, outcomes are generated for a uniform
-    size-k defective set on the full ground set, and the inner decoder runs
-    on the kept items. The defective count is taken as k_mid, the expected
-    retained count; the "subset" inner decoder is ``subset_decode`` at k_mid
-    with a dd-pad front end and the given eta_minus, radius_mult, family_cap
-    and hill_climb, without its warnings. The estimate never contains deleted
-    items.
+    non-defective (xi defaults to alpha / 100). The truth is a uniform size-k
+    set on the full ground set (pipeline trials of the harness draw it from
+    their configured prior instead, through the same deletion step); a design
+    from ``spec`` is built over the remaining ground set and the inner
+    decoder runs on the kept items, through the harness's decoder dispatch. The
+    defective count is taken as k_mid, the expected retained count; the
+    "subset" inner decoder is ``subset_decode`` at k_mid with a dd-pad front
+    end and the given eta_minus, radius_mult, family_cap and hill_climb,
+    without its warnings. The estimate never contains deleted items.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    if inner not in _PIPELINE_INNER:
-        raise ParameterError(
-            f"inner decoder must be one of {_PIPELINE_INNER}, got {inner!r}; exhaustive ml "
-            "needs the defective count exactly, which deletion leaves uncertain"
-        )
-    if xi is None:
-        xi = alpha / 100.0
-    if xi < 0 or xi > alpha:
-        raise ParameterError(f"xi must lie in [0, alpha], got {xi}")
-    d = round_half_up((alpha - xi) * n)
-    if d >= n:
-        raise ParameterError(f"deletion would remove all {n} items")
+    d = _pipeline_deletions(n, alpha, xi, inner)
     # built before any draw, so bad search knobs fail fast
     params = (
         SubsetParams(eta_minus, radius_mult=radius_mult, family_cap=family_cap, hill_climb=hill_climb)
         if inner == "subset"
         else None
     )
-
-    prior_rng = np.random.default_rng(mix_seed(seed, 2))
-    design_rng = np.random.default_rng(mix_seed(seed, 1))
-    delete_rng = np.random.default_rng(mix_seed(seed, 3))
-
-    truth = np.sort(prior_rng.choice(n, size=k, replace=False)) + 1
-    deleted = np.sort(delete_rng.choice(n, size=d, replace=False)) + 1 if d else np.empty(0, np.int64)
-    kept = np.setdiff1d(np.arange(1, n + 1), deleted, assume_unique=True)
-    n_kept = kept.size
-    k_mid = max(1, round_half_up(k * n_kept / n))
-
-    design = build_design(spec, n_kept, T, k_mid, design_rng)
-    # original label -> reduced label
-    reduced_of = {int(orig): j + 1 for j, orig in enumerate(kept)}
-    retained_truth = [reduced_of[int(i)] for i in truth if int(i) in reduced_of]
-    s_reduced = DefectiveSet(n_kept, tuple(sorted(retained_truth)))
-    y = generate_outcomes(design, s_reduced)
-
-    refused = False
-    if inner == "comp":
-        est_reduced = comp_decode(design, y)
-    elif inner == "dd":
-        est_reduced = dd_decode(design, y)
-    else:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                est_reduced = subset_decode(design, y, k_mid, params)
-        except CapExceededError:
-            est_reduced = ()
-            refused = True
-
-    estimate = tuple(sorted(int(kept[j - 1]) for j in est_reduced))
+    cut = _delete(spec, PriorSpec("combinatorial", k=k), n, k, T, d, seed)
+    y = generate_outcomes(cut.design, cut.reduced_truth)
+    est, refused = _decode(inner, cut.design, y, cut.k_mid, params)
     return PipelineResult(
-        estimate=estimate,
-        defectives=DefectiveSet(n, tuple(truth.tolist())),
-        deleted=tuple(deleted.tolist()),
-        kept=tuple(kept.tolist()),
-        k_lo=k_mid,
-        k_hi=k_mid,
-        design=design,
-        reduced_truth=s_reduced,
+        estimate=cut.lift(est),
+        defectives=cut.truth,
+        deleted=tuple(cut.deleted.tolist()),
+        kept=tuple(cut.kept.tolist()),
+        k_lo=cut.k_mid,
+        k_hi=cut.k_mid,
+        design=cut.design,
+        reduced_truth=cut.reduced_truth,
         refused=refused,
     )

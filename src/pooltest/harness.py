@@ -4,10 +4,13 @@ Reproducibility contract: every trial derives its random streams from
 (master_seed, trial index, stream tag) through the splitmix64-based
 ``mix_seed``; the design and the defective set use separate tags, so the
 same sequence of defective sets can be replayed against a different design
-family. Results are therefore byte-identical for a given config regardless
-of worker count, and across runs. Per-trial wall time is measured but
-written to CSV as 0 unless timing is requested, precisely to keep the file
-deterministic.
+family. A pipeline trial draws its truth (from the configured prior), its
+design and its deletion from sub-streams 2, 1 and 3 of the trial's
+TAG_TRIAL seed. Every decoder, the pipeline's inner one included, then runs
+through one decode, masking and scoring path. Results are therefore
+byte-identical for a given config regardless of worker count, and across
+runs. Per-trial wall time is measured but written to CSV as 0 unless timing
+is requested, precisely to keep the file deterministic.
 """
 
 from __future__ import annotations
@@ -26,15 +29,15 @@ from .analysis import masking_report, posterior_uniformity_check
 from .decode import (
     DEFAULT_ML_CAP,
     SubsetParams,
-    comp_decode,
-    dd_decode,
+    _decode,
+    _delete,
+    _pipeline_deletions,
     dd_pad_frontend,
-    deletion_pipeline,
     ml_oracle,
     subset_decode,
 )
 from .design import DesignSpec, TestDesign, bernoulli_design, build_design, ncc_design
-from .errors import CapExceededError, ParameterError, RefusalBudgetError
+from .errors import ParameterError, RefusalBudgetError
 from .metrics import (
     Criterion,
     chernoff_lower,
@@ -85,7 +88,9 @@ class ExperimentConfig:
 
     Exactly one of (k, theta) and exactly one of (T, target_rate) must be
     set. ``decoder`` is comp, dd, ml, subset, or pipeline; the pipeline
-    builds its own per-trial design from ``design`` after deleting items.
+    draws its truth from the configured prior and builds its own per-trial
+    design from ``design`` after deleting items. Its alpha, xi and inner
+    decoder are checked here, and it takes only the dd-pad front end.
     """
 
     n: int
@@ -126,13 +131,21 @@ class ExperimentConfig:
             raise ParameterError(f"need trials >= 1, got {self.trials}")
         if self.workers < 1:
             raise ParameterError(f"need workers >= 1, got {self.workers}")
-        if self.decoder == "pipeline" and self.alpha is None:
+        if self.decoder != "pipeline":
+            return
+        if self.alpha is None:
             raise ParameterError("pipeline decoder needs alpha")
-        if self.decoder == "pipeline" and self.design.kind == "explicit":
+        if self.design.kind == "explicit":
             raise ParameterError(
                 "pipeline decoder cannot use an explicit design: the pipeline draws its own "
                 "design over the kept items"
             )
+        if self.frontend != "dd-pad":
+            raise ParameterError(
+                f"pipeline decoder cannot use frontend {self.frontend!r}: the pipeline's search "
+                "pads dd, because exhaustive ml needs the retained count exactly"
+            )
+        _pipeline_deletions(self.n, self.alpha, self.xi, self.inner)
 
 
 @dataclass(frozen=True)
@@ -245,54 +258,22 @@ def _run_trial(res: _Resolved, idx: int) -> TrialRecord:
     cfg = res.cfg
     base_seed = trial_seed(cfg.master_seed, idx, TAG_TRIAL)
     start = time.perf_counter()
-    refused = False
-
     if cfg.decoder == "pipeline":
-        knobs = {}
-        if res.subset_params is not None:
-            p = res.subset_params
-            knobs = dict(
-                eta_minus=p.eta_minus,
-                radius_mult=p.radius_mult,
-                family_cap=p.family_cap,
-                hill_climb=p.hill_climb,
-            )
-        result = deletion_pipeline(
-            cfg.design,
-            cfg.n,
-            res.k,
-            res.T,
-            cfg.alpha,
-            inner=cfg.inner,
-            seed=base_seed,
-            xi=cfg.xi,
-            **knobs,
-        )
-        truth = result.defectives
-        estimate = result.estimate
-        refused = result.refused
-        mask = masking_report(result.design, result.reduced_truth)
+        d = _pipeline_deletions(cfg.n, cfg.alpha, cfg.xi, cfg.inner)
+        cut = _delete(cfg.design, res.prior, cfg.n, res.k, res.T, d, base_seed)
+        design, truth, tested, lift = cut.design, cut.truth, cut.reduced_truth, cut.lift
+        name, k = cfg.inner, cut.k_mid
     else:
         design, truth = _draw_instance(
             cfg.design, res.prior, cfg.n, res.T, res.k, cfg.master_seed, idx, res.explicit_design
         )
-        y = generate_outcomes(design, truth)
-        estimate: tuple = ()
-        try:
-            if cfg.decoder == "comp":
-                estimate = comp_decode(design, y)
-            elif cfg.decoder == "dd":
-                estimate = dd_decode(design, y)
-            elif cfg.decoder == "ml":
-                estimate = ml_oracle(design, y, truth.k, cap=cfg.ml_cap)
-            else:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    estimate = subset_decode(design, y, res.k, res.subset_params)
-        except CapExceededError:
-            refused = True
-        mask = masking_report(design, truth)
-
+        tested, lift, name = truth, tuple, cfg.decoder
+        # ml is told the drawn set's size, the other decoders the configured k
+        k = truth.k if name == "ml" else res.k
+    y = generate_outcomes(design, tested)
+    estimate, refused = _decode(name, design, y, k, res.subset_params, cfg.ml_cap)
+    estimate = lift(estimate)
+    mask = masking_report(design, tested)
     elapsed_us = int((time.perf_counter() - start) * 1e6)
     if refused:
         fn = fp = est_size = None
@@ -319,7 +300,7 @@ def _run_trial(res: _Resolved, idx: int) -> TrialRecord:
         masked_nondef=mask.masked_nondefectives,
         elapsed_us=elapsed_us,
         true_set=truth.members if cfg.record_sets else (),
-        est_set=tuple(estimate) if cfg.record_sets else (),
+        est_set=estimate if cfg.record_sets else (),
     )
 
 

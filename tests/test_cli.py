@@ -182,6 +182,15 @@ def test_simulate_pipeline_rejects_explicit_design_file(tmp_path):
     assert "draws its own design over the kept items" in r.stderr
 
 
+def test_simulate_pipeline_rejects_ml_frontend():
+    r = run_cli(
+        "simulate", "--n", 120, "--k", 6, "--tests", 60, "--decoder", "pipeline",
+        "--alpha", 0.1, "--inner", "subset", "--frontend", "ml", "--trials", 5,
+    )
+    assert r.returncode == 1
+    assert "the pipeline's search pads dd" in r.stderr
+
+
 # ---------------------------------------------------------------------------
 # thresholds
 
@@ -331,6 +340,15 @@ SIMULATE_GRID = {
         "--n", 120, "--k", 6, "--tests", 60, "--decoder", "pipeline", "--alpha", 0.1,
         "--inner", "subset", "--design", "ncc", "--criterion", "subset", "--eta-minus", 0.2,
     ),
+    "pipeline-comp-ncc": (
+        "--n", 120, "--k", 6, "--tests", 60, "--decoder", "pipeline", "--alpha", 0.1,
+        "--inner", "comp", "--design", "ncc", "--criterion", "superset",
+    ),
+    "pipeline-subset-hill-climb": (
+        "--n", 200, "--k", 6, "--tests", 60, "--decoder", "pipeline", "--alpha", 0.1,
+        "--inner", "subset", "--criterion", "subset", "--eta-minus", 0.4, "--family-cap", 50,
+        "--hill-climb",
+    ),
     "dd-iid": (
         "--n", 120, "--k", 6, "--tests", 60, "--decoder", "dd", "--prior", "iid", "--q", 0.05,
     ),
@@ -345,7 +363,9 @@ CSV_FINGERPRINTS = {
     "dd-ncc": "17623ac0bcb84dbe4f179f04200fbda8887910da9274a6ad474864a50e19b437",
     "masking": "b9f8ca1172ab665df3af1e248277fe84a30f37f2ef51f2993548ac0a5b968fc0",
     "ml-bernoulli": "77c35cca6d7b97cb1e47400fb3fedf2b71205c75fa408003f37b74d0b3808ef9",
+    "pipeline-comp-ncc": "2cb0f8a94bacec2d5dcba39975d33673f7b923e0ed6af5b914645fedc7e2dc8f",
     "pipeline-dd-bernoulli": "e566ebcbb36a85c80e13ce0cce3e908f2be3881256e2fc5372b01abfbb9ec540",
+    "pipeline-subset-hill-climb": "50816573ce1118acc19a0c0fd577e3a93b2483a40805439f81b2f02f00355f9d",
     "pipeline-subset-ncc": "72e1850488274dc81a3ef4aadd64932e93a40c4984694bc91f6dab571e3c4796",
     "subset-ncc": "2c692f87be4b3191d7d0a5be5b9bc8844a4af49337156ef4dc0d21bce11c5166",
 }

@@ -100,6 +100,15 @@ def test_config_pipeline_needs_alpha():
     small_config(decoder="pipeline", alpha=0.1)
 
 
+def test_config_checks_pipeline_arguments():
+    # bad pipeline arguments fail when the config is made, before any trial
+    for bad in (dict(alpha=1.0), dict(alpha=0.1, xi=0.2), dict(alpha=0.1, inner="ml")):
+        with pytest.raises(ParameterError):
+            small_config(decoder="pipeline", **bad)
+    with pytest.raises(ParameterError, match="pads dd"):
+        small_config(decoder="pipeline", alpha=0.1, inner="subset", frontend="ml")
+
+
 # ---------------------------------------------------------------------------
 # running experiments
 
@@ -138,13 +147,14 @@ def test_theta_and_rate_resolution():
 
 
 def test_workers_give_identical_csv(tmp_path):
-    paths = []
-    for idx, workers in enumerate((1, 3)):
-        summ = run_experiment(small_config(workers=workers))
-        p = tmp_path / f"w{idx}.csv"
-        write_trials_csv(summ.records, p)
-        paths.append(p.read_bytes())
-    assert paths[0] == paths[1]
+    for decoder in (dict(), dict(decoder="pipeline", alpha=0.1, inner="subset")):
+        paths = []
+        for idx, workers in enumerate((1, 3)):
+            summ = run_experiment(small_config(workers=workers, **decoder))
+            p = tmp_path / f"w{idx}.csv"
+            write_trials_csv(summ.records, p, record_sets=True)
+            paths.append(p.read_bytes())
+        assert paths[0] == paths[1]
 
 
 def test_dd_never_false_positive():
@@ -191,6 +201,16 @@ def test_pipeline_subset_search_takes_the_criterion_slack():
     unset = records()
     assert unset == records(eta_minus=0.4)
     assert {r.est_size for r in unset} == {3}
+
+
+def test_pipeline_truth_follows_the_prior():
+    common = dict(n=400, k=10, T=100, decoder="pipeline", alpha=0.1, trials=40, master_seed=3,
+                  record_sets=True)
+    combinatorial = run_experiment(small_config(**common)).records
+    iid = run_experiment(small_config(**common, prior_kind="iid")).records
+    assert [r.true_set for r in iid] != [r.true_set for r in combinatorial]
+    assert len({len(r.true_set) for r in iid}) > 1
+    assert all(r.k == len(r.true_set) for r in iid)
 
 
 # ---------------------------------------------------------------------------
