@@ -60,8 +60,17 @@ def set_hamming(a, b) -> int:
 
 
 def clean_items(design: TestDesign, positive: np.ndarray) -> np.ndarray:
-    """Boolean mask over items: True when the item is in no negative test."""
-    return segment_all(positive[design.col_flat - 1], design.col_ptr)
+    """Boolean mask over items: True when the item is in no negative test.
+
+    Read off the row view: every item of a negative test is marked. When
+    ``positive`` are the outcomes of a defective set, a non-defective is
+    clean exactly when it is masked (every test containing it has a
+    defective), which masking_report relies on.
+    """
+    clean = np.ones(design.n, dtype=bool)
+    negative_entries = np.repeat(np.logical_not(positive), np.diff(design.row_ptr))
+    clean[design.row_flat[negative_entries] - 1] = False
+    return clean
 
 
 @dataclass(frozen=True)
@@ -120,13 +129,19 @@ class ExplainScorer:
         return self.union_mask(candidate).bit_count()
 
 
+def _defective_columns(design: TestDesign, s: DefectiveSet):
+    """(members, their concatenated columns, CSR pointers splitting those
+    columns by member, per-test defective counts indexed by test)."""
+    idx = np.asarray(s.members, dtype=np.int64)
+    tests = design.cols_of(idx)
+    ptr = np.concatenate(([0], np.cumsum(design.col_ptr[idx] - design.col_ptr[idx - 1])))
+    return idx, tests, ptr, np.bincount(tests, minlength=design.T + 1)
+
+
 def good_test_counts(design: TestDesign, s: DefectiveSet) -> dict:
     """For each defective, the number of tests containing it and no other defective."""
-    tests = design.cols_of(s.members)
-    alone = np.bincount(tests, minlength=design.T + 1)[tests] == 1
-    idx = np.asarray(s.members, dtype=np.int64)
-    ptr = np.concatenate(([0], np.cumsum(design.col_ptr[idx] - design.col_ptr[idx - 1])))
-    return {int(i): g for i, g in zip(s.members, segment_sum(alone, ptr).tolist())}
+    _, tests, ptr, counts = _defective_columns(design, s)
+    return {int(i): g for i, g in zip(s.members, segment_sum(counts[tests] == 1, ptr).tolist())}
 
 
 @dataclass(frozen=True)
@@ -144,23 +159,24 @@ def masking_report(design: TestDesign, s: DefectiveSet) -> MaskingReport:
     non-defective is masked when each of its tests has any defective. Items
     appearing in zero tests are masked vacuously and also counted in
     zero_test_items.
+
+    A non-defective is masked exactly when it is clean under the outcomes of
+    ``s``: its tests all hold a defective just when they are all positive.
+    So the non-defectives come from clean_items, and only the defectives'
+    own columns are read for the "another defective in every test" check.
     """
     if s.n != design.n:
         raise ParameterError(f"ground sets differ: design n={design.n}, set n={s.n}")
-    counts = np.bincount(design.cols_of(s.members), minlength=design.T + 1)
-    per_entry = counts[design.col_flat]
-    covered = segment_all(per_entry >= 1, design.col_ptr)
-    doubly = segment_all(per_entry >= 2, design.col_ptr)
-    is_def = np.zeros(design.n, dtype=bool)
-    is_def[np.asarray(s.members, dtype=np.int64) - 1] = True
-    masked = np.where(is_def, doubly, covered)
-    zero = design.col_ptr[1:] == design.col_ptr[:-1]
-    items = (np.flatnonzero(masked) + 1).tolist()
+    idx, tests, ptr, counts = _defective_columns(design, s)
+    masked = clean_items(design, counts[1:] > 0)
+    masked[idx - 1] = segment_all(counts[tests] >= 2, ptr)
+    masked_defectives = int(masked[idx - 1].sum())
+    items = np.flatnonzero(masked) + 1
     return MaskingReport(
-        masked_defectives=int(masked[is_def].sum()),
-        masked_nondefectives=int(masked[~is_def].sum()),
-        masked_items=tuple(items),
-        zero_test_items=int(zero.sum()),
+        masked_defectives=masked_defectives,
+        masked_nondefectives=int(items.size) - masked_defectives,
+        masked_items=tuple(items.tolist()),
+        zero_test_items=int(np.count_nonzero(design.col_ptr[1:] == design.col_ptr[:-1])),
     )
 
 

@@ -25,7 +25,7 @@ from .analysis import ExplainScorer, clean_items, satisfying_sets, _bits
 from .design import DesignSpec, TestDesign, build_design
 from .errors import CapExceededError, ParameterError
 from .model import DefectiveSet, PriorSpec, generate_outcomes, sample_defectives
-from .util import floor_tol, mix_seed, round_half_up, segment_sum
+from .util import floor_tol, mix_seed, round_half_up
 
 DEFAULT_ML_CAP = 2_000_000
 DEFAULT_FAMILY_CAP = 5_000_000
@@ -42,18 +42,16 @@ def dd_decode(design: TestDesign, outcomes) -> tuple:
     """Sole remaining candidates of positive tests.
 
     Start from the comp survivors (possible defectives); any positive test
-    containing exactly one of them pins that item as defective.
+    containing exactly one of them pins that item as defective. Survivors
+    sit in positive tests only, so counting over their own columns finds
+    every such test.
     """
     pos = _bits(outcomes, design.T)
-    clean = clean_items(design, pos)
-    pd_flags = clean[design.row_flat - 1]
-    per_test = segment_sum(pd_flags, design.row_ptr)
-    sole = pos & (per_test == 1)
-    if not sole.any():
-        return ()
-    entry_sole = np.repeat(sole, np.diff(design.row_ptr))
-    found = np.unique(design.row_flat[entry_sole & pd_flags])
-    return tuple(found.tolist())
+    survivors = np.flatnonzero(clean_items(design, pos)) + 1
+    tests = design.cols_of(survivors)
+    sole = np.bincount(tests, minlength=design.T + 1)[tests] == 1
+    owners = np.repeat(survivors, design.col_ptr[survivors] - design.col_ptr[survivors - 1])
+    return tuple(np.unique(owners[sole]).tolist())
 
 
 def ml_oracle(design: TestDesign, outcomes, k: int, cap: int = DEFAULT_ML_CAP) -> tuple:

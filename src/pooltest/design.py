@@ -71,29 +71,38 @@ class TestDesign:
         T = len(rows)
         if T < 1:
             raise ParameterError("need at least one test")
-        return cls._from_pairs(
-            n, T, np.asarray(items, dtype=np.int64), np.asarray(tests, dtype=np.int64), metadata
-        )
+        return cls._from_pairs(n, T, items, tests, metadata)
 
     @classmethod
     def _from_pairs(cls, n, T, items, tests, metadata=None) -> "TestDesign":
         """Build from parallel (item, test) index arrays; no duplicate pairs."""
-        key = (np.asarray(items, dtype=np.int64) - 1) * T + (np.asarray(tests, dtype=np.int64) - 1)
+        bt, _, dtype = _key_layout(n, T)
+        key = np.array(items, dtype=dtype)
+        key -= 1
+        key <<= bt
+        key += np.asarray(tests, dtype=dtype)
+        key -= 1
         key.sort()
         return cls._from_col_keys(n, T, key, metadata)
 
     @classmethod
     def _from_col_keys(cls, n, T, key, metadata=None) -> "TestDesign":
-        """Build from the sorted, distinct item-major keys (i - 1) * T + (t - 1).
+        """Build from the sorted, distinct item-major keys (i - 1) << bt | (t - 1).
 
         Item-major order is the column view; the row view sorts the
-        test-major keys (t - 1) * n + (i - 1).
+        test-major keys (t - 1) << bn | (i - 1). See _key_layout for the
+        field widths and the key dtype. ``key`` is overwritten.
         """
-        items, tests = np.divmod(key, T)
-        row_key = tests * n + items
+        bt, bn, _ = _key_layout(n, T)
+        row_key = key & ((1 << bt) - 1)
+        col_flat = np.add(row_key, 1, dtype=np.int64)
+        row_key <<= bn
+        row_key |= np.right_shift(key, bt, out=key)
         row_key.sort()
+        row_key &= (1 << bn) - 1
+        row_flat = np.add(row_key, 1, dtype=np.int64)
         return cls(
-            n, T, row_key % n + 1, _pointers(tests, T), tests + 1, _pointers(items, n), metadata
+            n, T, row_flat, _pointers(col_flat, T), col_flat, _pointers(row_flat, n), metadata
         )
 
     # -- access -------------------------------------------------------------
@@ -143,11 +152,22 @@ class TestDesign:
         return f"TestDesign(T={self.T}, n={self.n}, entries={self.entry_count}, kind={kind})"
 
 
+def _key_layout(n: int, T: int):
+    """(bt, bn, dtype): the bit widths of the test and item fields, and the
+    dtype of the packed keys.
+
+    An (item, test) pair packs into (i - 1) << bt | (t - 1) for the column
+    view and into (t - 1) << bn | (i - 1) for the row view. Both fit int32
+    when bt + bn <= 31; int32 keys halve the memory the sorts move.
+    """
+    bt, bn = (T - 1).bit_length(), (n - 1).bit_length()
+    return bt, bn, (np.int32 if bt + bn <= 31 else np.int64)
+
+
 def _pointers(index: np.ndarray, size: int) -> np.ndarray:
-    """CSR pointers of 0-based segment labels: ptr[j + 1] - ptr[j] counts label j."""
-    ptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(index, minlength=size), out=ptr[1:])
-    return ptr
+    """CSR pointers of 1-based segment labels: ptr[j] - ptr[j - 1] counts label j."""
+    ptr = np.bincount(index, minlength=size + 1)
+    return np.cumsum(ptr, out=ptr)
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +207,16 @@ def ncc_design(n: int, T: int, L: int, seed) -> TestDesign:
     if not (1 <= L <= T):
         raise ParameterError(f"need 1 <= L <= T, got L={L}, T={T}")
     rng = np.random.default_rng(seed)
-    draws = rng.integers(0, T, size=(n, L), dtype=np.int64)
-    key = np.repeat(np.arange(n, dtype=np.int64), L) * T + draws.ravel()
+    bt, _, dtype = _key_layout(n, T)
+    # int64 draws keep numpy's stream; the draw is freed once copied to key dtype
+    key = rng.integers(0, T, size=(n, L), dtype=np.int64).astype(dtype, copy=False)
+    key |= (np.arange(n, dtype=dtype) << bt)[:, None]
+    key = key.ravel()
     key.sort()
-    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+    distinct = np.empty(key.size, dtype=bool)
+    distinct[0] = True
+    np.not_equal(key[1:], key[:-1], out=distinct[1:])
+    key = key[distinct]  # rebound so the undeduplicated keys are freed before the build
     return TestDesign._from_col_keys(n, T, key, {"kind": "ncc", "L": int(L)})
 
 
@@ -301,6 +327,4 @@ def load_design(path) -> TestDesign:
             prev = idx
             tests.append(t)
             items.append(idx)
-    return TestDesign._from_pairs(
-        n, T, np.asarray(items, dtype=np.int64), np.asarray(tests, dtype=np.int64), {"kind": "explicit"}
-    )
+    return TestDesign._from_pairs(n, T, items, tests, {"kind": "explicit"})

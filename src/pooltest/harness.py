@@ -32,6 +32,8 @@ from .decode import (
     _decode,
     _delete,
     _pipeline_deletions,
+    comp_decode,
+    dd_decode,
     dd_pad_frontend,
     ml_oracle,
     subset_decode,
@@ -498,7 +500,7 @@ def _random_small_instance(rng, n_lo=4, n_hi=16, k_hi=5):
 
 
 def suite_explained_naive(seed=0, instances: int = 500) -> SuiteResult:
-    """explained/good/masked fast paths against the literal double loops."""
+    """explained/comp/dd/good/masked fast paths against the literal double loops."""
     rng = np.random.default_rng(mix_seed(seed, 11))
     failures = 0
     lines = []
@@ -520,6 +522,12 @@ def suite_explained_naive(seed=0, instances: int = 500) -> SuiteResult:
             if list(fast.explained) != slow or fast.count != len(slow):
                 failures += 1
                 lines.append(f"instance {j}: explained mismatch for {candidate}")
+        if list(comp_decode(design, y)) != reference.naive_comp(design, y_list):
+            failures += 1
+            lines.append(f"instance {j}: comp mismatch")
+        if list(dd_decode(design, y)) != reference.naive_dd(design, y_list):
+            failures += 1
+            lines.append(f"instance {j}: dd mismatch")
         fast_good = good_test_counts(design, truth)
         if fast_good != reference.naive_good_counts(design, truth):
             failures += 1

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from .design import TestDesign
 from .model import DefectiveSet
 
@@ -31,6 +33,34 @@ def naive_outcomes(design: TestDesign, members) -> list:
                 hit = 1
         y.append(hit)
     return y
+
+
+def naive_comp(design: TestDesign, y) -> list:
+    """Items in no negative test."""
+    X = dense(design)
+    out = []
+    for i in range(1, design.n + 1):
+        in_negative = False
+        for t in range(design.T):
+            if X[t][i - 1] and not y[t]:
+                in_negative = True
+        if not in_negative:
+            out.append(i)
+    return out
+
+
+def naive_dd(design: TestDesign, y) -> list:
+    """comp survivors that are the only survivor in some positive test."""
+    X = dense(design)
+    survivors = naive_comp(design, y)
+    found = set()
+    for t in range(design.T):
+        if not y[t]:
+            continue
+        in_test = [i for i in survivors if X[t][i - 1]]
+        if len(in_test) == 1:
+            found.add(in_test[0])
+    return sorted(found)
 
 
 def naive_explained(design: TestDesign, y, candidate) -> list:
@@ -148,3 +178,15 @@ def family_argmax(design: TestDesign, y, base, size: int, radius: float) -> tupl
             best_count = count
             best = combo
     return best
+
+
+def ncc_rows(n: int, T: int, L: int, seed) -> TestDesign:
+    """The ncc design of (n, T, L, seed) rebuilt test by test: the same L
+    draws per item, collapsed with a set, appended to the rows of the tests
+    they name, and read through TestDesign.from_rows."""
+    draws = np.random.default_rng(seed).integers(0, T, size=(n, L), dtype=np.int64)
+    rows = [[] for _ in range(T)]
+    for i in range(n):
+        for t in set(draws[i].tolist()):
+            rows[t].append(i + 1)
+    return TestDesign.from_rows(n, rows, {"kind": "ncc", "L": int(L)})

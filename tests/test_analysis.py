@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,16 +14,19 @@ from pooltest.analysis import (
     satisfying_sets,
     set_hamming,
 )
+from pooltest.decode import comp_decode, dd_decode
 from pooltest.design import DesignSpec, TestDesign, build_design, ncc_design
 from pooltest.errors import CapExceededError, ParameterError
 from pooltest.model import DefectiveSet, PriorSpec, generate_outcomes, sample_defectives
 from pooltest.reference import (
+    naive_comp,
     naive_explained,
     naive_good_counts,
     naive_masked_items,
     naive_outcomes,
     naive_satisfying_sets,
 )
+from pooltest.util import LN2
 
 
 def random_instance(rng, n_hi=14, k_hi=5):
@@ -231,6 +235,36 @@ def test_gather_callers_match_naive_at_n_2000(kind):
         d = build_design(spec, n, T, k, seed)
         s = sample_defectives(PriorSpec("combinatorial", k=k), n, seed + 100)
         _check_against_naive(d, s)
+
+
+# ---------------------------------------------------------------------------
+# masking identities: a non-defective is masked exactly when comp keeps it
+
+
+@pytest.mark.parametrize("T", [1035, 1293, 1552])
+def test_masking_identities_at_the_c8_shape(T):
+    n, k = 16384, 128
+    for seed in range(3):
+        d = build_design(DesignSpec("ncc"), n, T, k, seed)
+        s = sample_defectives(PriorSpec("combinatorial", k=k), n, seed + 100)
+        y = generate_outcomes(d, s)
+        comp = set(comp_decode(d, y))
+        assert masking_report(d, s).masked_nondefectives == len(comp) - k
+        assert set(dd_decode(d, y)) <= set(s.members) <= comp
+
+
+@pytest.mark.parametrize("k", [6, 268])  # about n^0.3 and n^0.9
+def test_masking_and_clean_items_match_naive_at_n_500(k):
+    n = 500
+    T = math.ceil(k * math.log(n / k) / LN2**2)
+    for seed in range(2):
+        d = build_design(DesignSpec("ncc"), n, T, k, seed)
+        s = sample_defectives(PriorSpec("combinatorial", k=k), n, seed + 100)
+        _check_against_naive(d, s)
+        y = generate_outcomes(d, s)
+        comp = naive_comp(d, [int(b) for b in y.bits])
+        assert (np.flatnonzero(clean_items(d, y.bits)) + 1).tolist() == comp
+        assert masking_report(d, s).masked_nondefectives == len(comp) - k
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,39 @@ def test_ncc_determinism():
     assert a != ncc_design(25, 12, 3, seed=10)
 
 
+def _entries(flat, ptr):
+    """The (segment, index) pairs of a CSR view, sorted, both 1-based."""
+    return sorted(zip(np.repeat(np.arange(1, ptr.size), np.diff(ptr)).tolist(), flat.tolist()))
+
+
+@pytest.mark.parametrize(
+    "n, T, L, seeds",
+    [
+        (40, 12, 3, range(4)),  # the fingerprint shapes
+        (500, 90, 6, range(4)),
+        (2000, 150, 4, range(4)),
+        (16384, 1293, 7, (31,)),
+        (1 << 17, 1 << 15, 1, (5,)),  # keys need bt + bn = 32 bits: the int64 branch
+        (1, 1, 1, range(2)),
+        (9, 1, 1, range(2)),
+        (1, 7, 7, range(2)),
+        (30, 5, 5, range(2)),  # L = T
+    ],
+)
+def test_ncc_design_matches_the_test_by_test_oracle(n, T, L, seeds):
+    for seed in seeds:
+        got = ncc_design(n, T, L, seed)
+        want = reference.ncc_rows(n, T, L, seed)
+        for name in ("row_flat", "row_ptr", "col_flat", "col_ptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == np.int64 and np.array_equal(a, b), name
+        # the column view against the draws themselves, the row view as its transpose
+        draws = np.random.default_rng(seed).integers(0, T, size=(n, L), dtype=np.int64)
+        cols = _entries(got.col_flat, got.col_ptr)
+        assert cols == [(i + 1, t + 1) for i, row in enumerate(draws.tolist()) for t in sorted(set(row))]
+        assert _entries(got.row_flat, got.row_ptr) == sorted((t, i) for i, t in cols)
+
+
 # ---------------------------------------------------------------------------
 # specs
 
