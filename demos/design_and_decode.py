@@ -34,7 +34,7 @@ from pooltest import (
 def show(design, truth: DefectiveSet, label: str) -> None:
     y = generate_outcomes(design, truth)
     print(f"--- {label} design: {design.T} tests x {design.n} items, "
-          f"{len(y.positives())} positive tests")
+          f"{int(y.sum())} positive tests")
 
     comp = comp_decode(design, y)
     dd = dd_decode(design, y)

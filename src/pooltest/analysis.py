@@ -14,6 +14,9 @@ The notions here drive both decoding and error analysis:
   reproduce the outcomes exactly. Conditioned on the outcomes, a uniformly
   drawn defective set is uniform over them, which posterior_uniformity_check
   verifies empirically.
+
+Outcomes are a length-T bool array. ExplainScorer holds the clean mask and the
+clean items' test bitmasks that satisfying_sets and the subset search read.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .design import TestDesign
 from .errors import CapExceededError, ParameterError
-from .model import DefectiveSet, OutcomeVector
+from .model import DefectiveSet
 from .util import segment_all, segment_sum
 
 DEFAULT_ENUM_CAP = 2_000_000
@@ -37,10 +40,10 @@ UNIFORMITY_ENUM_CAP = 100_000
 
 
 def _bits(outcomes, T: int) -> np.ndarray:
-    b = outcomes.bits if isinstance(outcomes, OutcomeVector) else np.asarray(outcomes, dtype=bool)
+    b = np.asarray(outcomes, dtype=bool)
     if b.size != T:
         raise ParameterError(f"outcome length {b.size} does not match T={T}")
-    return b.astype(bool)
+    return b
 
 
 def _member_tuple(s) -> tuple:
@@ -83,17 +86,13 @@ def explained_tests(design: TestDesign, outcomes, candidate) -> ExplainCount:
     """Positive tests explained by the candidate set.
 
     A member explains a test when the test contains it and the member sits in
-    no negative test; the explained set of the candidate is the union over
-    its members.
+    no negative test; the explained set of the candidate is the union of its
+    clean members' columns.
     """
-    pos = _bits(outcomes, design.T)
-    clean = clean_items(design, pos)
-    hit = np.zeros(design.T, dtype=bool)
-    for i in _member_tuple(candidate):
-        if clean[i - 1]:
-            hit[design.col(i) - 1] = True
-    tests = (np.flatnonzero(hit) + 1).tolist()
-    return ExplainCount(tuple(tests), len(tests))
+    clean = clean_items(design, _bits(outcomes, design.T))
+    members = np.asarray(_member_tuple(candidate), dtype=np.int64)
+    tests = np.unique(design.cols_of(members[clean[members - 1]]))
+    return ExplainCount(tuple(tests.tolist()), int(tests.size))
 
 
 def _test_mask(design: TestDesign, i: int) -> int:
@@ -107,17 +106,16 @@ def _test_mask(design: TestDesign, i: int) -> int:
 class ExplainScorer:
     """Precomputed explain-count evaluation for many candidates on one instance.
 
-    Each item's tests are packed into an integer bitmask; a candidate's
-    explained count is the popcount of the OR over its clean members.
+    ``clean`` is the clean-item mask. Each clean item's tests are packed into
+    an integer bitmask, and every other item's mask is 0; a candidate's
+    explained count is the popcount of the OR over its members' masks.
     """
 
     def __init__(self, design: TestDesign, outcomes):
-        pos = _bits(outcomes, design.T)
-        clean = clean_items(design, pos)
+        self.clean = clean_items(design, _bits(outcomes, design.T))
         self.T = design.T
         self.n = design.n
-        # only clean items explain tests, so only their masks are built
-        self.masks = [_test_mask(design, i) if clean[i - 1] else 0 for i in range(1, design.n + 1)]
+        self.masks = [_test_mask(design, i) if c else 0 for i, c in enumerate(self.clean.tolist(), 1)]
 
     def union_mask(self, candidate) -> int:
         m = 0
@@ -183,31 +181,20 @@ def masking_report(design: TestDesign, s: DefectiveSet) -> MaskingReport:
 def satisfying_sets(design: TestDesign, outcomes, k: int, cap: int = DEFAULT_ENUM_CAP) -> list:
     """All size-k sets reproducing the outcomes, in lexicographic order.
 
-    Exhaustive enumeration only: refuses when C(n, k) exceeds ``cap``.
+    Only the clean items' k-subsets can, so only they are enumerated; the
+    call still refuses when C(n, k) exceeds ``cap``.
     """
     total = math.comb(design.n, k)
     if total > cap:
         raise CapExceededError(
             f"C({design.n}, {k}) = {total} exceeds enumeration cap {cap}", estimate=total
         )
-    pos = _bits(outcomes, design.T)
-    clean = clean_items(design, pos)
+    scorer = ExplainScorer(design, outcomes)
     target = 0
-    for t in np.flatnonzero(pos):
-        target |= 1 << int(t)
-    masks = [_test_mask(design, i) for i in range(1, design.n + 1)]
-    out = []
-    for combo in itertools.combinations(range(1, design.n + 1), k):
-        union = 0
-        ok = True
-        for i in combo:
-            if not clean[i - 1]:
-                ok = False
-                break
-            union |= masks[i - 1]
-        if ok and union == target:
-            out.append(combo)
-    return out
+    for t in np.flatnonzero(_bits(outcomes, design.T)).tolist():
+        target |= 1 << t
+    clean = (np.flatnonzero(scorer.clean) + 1).tolist()
+    return [c for c in itertools.combinations(clean, k) if scorer.union_mask(c) == target]
 
 
 @dataclass(frozen=True)
@@ -248,6 +235,7 @@ def posterior_uniformity_check(
     to verify that a biased sampler is rejected. Outcome bins with fewer than
     UNIFORMITY_MIN_BIN_FACTOR * |satisfying sets| samples are skipped and
     counted; C(n, k) above UNIFORMITY_ENUM_CAP raises CapExceededError.
+    Subsets are grouped by Python-int outcome bitmasks, so any T works.
     """
     from scipy import stats  # the package's only scipy use; importing it costs about a second
 
@@ -257,24 +245,19 @@ def posterior_uniformity_check(
             f"C({design.n}, {k}) = {total} exceeds enumeration cap {UNIFORMITY_ENUM_CAP}",
             estimate=total,
         )
-    subsets = list(itertools.combinations(range(1, design.n + 1), k))
     masks = [_test_mask(design, i) for i in range(1, design.n + 1)]
-    outcome_of = np.empty(total, dtype=np.int64)
-    for j, combo in enumerate(subsets):
+    groups: dict = {}
+    for j, combo in enumerate(itertools.combinations(range(1, design.n + 1), k)):
         m = 0
         for i in combo:
             m |= masks[i - 1]
-        outcome_of[j] = m
+        groups.setdefault(m, []).append(j)
     rng = np.random.default_rng(seed)
     if sampler is None:
         idx = rng.integers(0, total, size=trials)
     else:
         idx = np.asarray(sampler(rng, total, trials), dtype=np.int64)
     sample_counts = np.bincount(idx, minlength=total)
-
-    groups: dict = {}
-    for j in range(total):
-        groups.setdefault(int(outcome_of[j]), []).append(j)
 
     bins = []
     skipped = 0

@@ -8,7 +8,9 @@ Subcommands:
     oracle-check run a named cross-check suite
 
 A config file (--config PATH) holds flat ``key = value`` lines using the
-long option names; values given on the command line override it. Exit codes:
+long option names; values given on the command line override it. A key that
+names no option of any subcommand, or a number that does not parse, is a
+parameter error naming the file and line. Exit codes:
 0 success, 1 parameter error, 2 usage error (argparse) or suite failure,
 3 refusal budget exceeded.
 """
@@ -20,6 +22,8 @@ import sys
 
 import numpy as np
 
+from .analysis import DEFAULT_ENUM_CAP
+from .decode import DEFAULT_FAMILY_CAP
 from .design import DesignSpec, build_design, save_design
 from .errors import (
     CapExceededError,
@@ -42,6 +46,7 @@ from .util import LN2
 
 
 def _parse_config_file(path) -> dict:
+    """key -> (line number, raw value); keys take underscores for dashes."""
     values = {}
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -51,7 +56,7 @@ def _parse_config_file(path) -> dict:
             if "=" not in line:
                 raise ParameterError(f"{path}:{line_no}: expected 'key = value'")
             key, val = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = val.strip()
+            values[key.strip().replace("-", "_")] = (line_no, val.strip())
     return values
 
 
@@ -145,8 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--timing", action="store_true", help="record wall time (breaks determinism)")
     s.add_argument("--frontend", default="dd-pad", choices=["dd-pad", "ml"])
     s.add_argument("--radius-mult", type=float, default=3.0)
-    s.add_argument("--ml-cap", type=int, default=2_000_000)
-    s.add_argument("--family-cap", type=int, default=5_000_000)
+    s.add_argument("--ml-cap", type=int, default=DEFAULT_ENUM_CAP)
+    s.add_argument("--family-cap", type=int, default=DEFAULT_FAMILY_CAP)
     s.add_argument("--hill-climb", action="store_true")
     s.add_argument("--alpha", type=float, default=None, help="pipeline deletion fraction")
     s.add_argument("--xi", type=float, default=None, help="pipeline deletion slack")
@@ -180,21 +185,32 @@ def _apply_config_file(parser, argv):
     known, _ = probe.parse_known_args(argv)
     if not known.config:
         return parser.parse_args(argv)
-    values = _parse_config_file(known.config)
-    for action in parser._subparsers._group_actions[0].choices.values():
+    path = known.config
+    values = _parse_config_file(path)
+    subparsers = parser._subparsers._group_actions[0].choices.values()
+    # a file may be shared across subcommands, so only a key no subcommand knows is an error
+    known_keys = {a.dest for sub in subparsers for a in sub._actions}
+    for key, (line_no, _) in values.items():
+        if key not in known_keys:
+            raise ParameterError(f"{path}:{line_no}: unknown key {key!r}")
+    for action in subparsers:
         defaults = {}
         for sub_action in action._actions:
-            key = sub_action.dest.replace("-", "_")
-            if key in values:
-                raw = values[key]
-                if sub_action.type is int:
-                    defaults[key] = int(raw)
-                elif sub_action.type is float:
-                    defaults[key] = float(raw)
-                elif isinstance(sub_action, argparse._StoreTrueAction):
-                    defaults[key] = raw.lower() in ("1", "true", "yes", "on")
-                else:
-                    defaults[key] = raw
+            key = sub_action.dest
+            if key not in values:
+                continue
+            line_no, raw = values[key]
+            if isinstance(sub_action, argparse._StoreTrueAction):
+                defaults[key] = raw.lower() in ("1", "true", "yes", "on")
+            elif sub_action.type in (int, float):
+                try:
+                    defaults[key] = sub_action.type(raw)
+                except ValueError:
+                    raise ParameterError(
+                        f"{path}:{line_no}: {key} wants {sub_action.type.__name__}, got {raw!r}"
+                    ) from None
+            else:
+                defaults[key] = raw
         action.set_defaults(**defaults)
     return parser.parse_args(argv)
 

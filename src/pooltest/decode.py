@@ -21,40 +21,44 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import ExplainScorer, clean_items, satisfying_sets, _bits
+from .analysis import DEFAULT_ENUM_CAP, ExplainScorer, clean_items, satisfying_sets, _bits
 from .design import DesignSpec, TestDesign, build_design
 from .errors import CapExceededError, ParameterError
 from .model import DefectiveSet, PriorSpec, generate_outcomes, sample_defectives
 from .util import floor_tol, mix_seed, round_half_up
 
-DEFAULT_ML_CAP = 2_000_000
 DEFAULT_FAMILY_CAP = 5_000_000
+
+
+def _survivors(design: TestDesign, outcomes) -> np.ndarray:
+    """The comp survivors: items in no negative test, as a sorted int64 array."""
+    return np.flatnonzero(clean_items(design, _bits(outcomes, design.T))) + 1
+
+
+def _sole(design: TestDesign, survivors: np.ndarray) -> np.ndarray:
+    """Survivors that are the only survivor of some test, sorted.
+
+    Survivors sit in positive tests only, so counting over their own columns
+    finds every positive test that holds exactly one of them.
+    """
+    tests = design.cols_of(survivors)
+    sole = np.bincount(tests, minlength=design.T + 1)[tests] == 1
+    owners = np.repeat(survivors, design.col_ptr[survivors] - design.col_ptr[survivors - 1])
+    return np.unique(owners[sole])
 
 
 def comp_decode(design: TestDesign, outcomes) -> tuple:
     """Items appearing in no negative test, sorted."""
-    pos = _bits(outcomes, design.T)
-    clean = clean_items(design, pos)
-    return tuple((np.flatnonzero(clean) + 1).tolist())
+    return tuple(_survivors(design, outcomes).tolist())
 
 
 def dd_decode(design: TestDesign, outcomes) -> tuple:
-    """Sole remaining candidates of positive tests.
-
-    Start from the comp survivors (possible defectives); any positive test
-    containing exactly one of them pins that item as defective. Survivors
-    sit in positive tests only, so counting over their own columns finds
-    every such test.
-    """
-    pos = _bits(outcomes, design.T)
-    survivors = np.flatnonzero(clean_items(design, pos)) + 1
-    tests = design.cols_of(survivors)
-    sole = np.bincount(tests, minlength=design.T + 1)[tests] == 1
-    owners = np.repeat(survivors, design.col_ptr[survivors] - design.col_ptr[survivors - 1])
-    return tuple(np.unique(owners[sole]).tolist())
+    """Sole remaining candidates of positive tests: the comp survivors that
+    are the only survivor of some positive test, which pins them as defective."""
+    return tuple(_sole(design, _survivors(design, outcomes)).tolist())
 
 
-def ml_oracle(design: TestDesign, outcomes, k: int, cap: int = DEFAULT_ML_CAP) -> tuple:
+def ml_oracle(design: TestDesign, outcomes, k: int, cap: int = DEFAULT_ENUM_CAP) -> tuple:
     """Exhaustive maximum likelihood over all size-k satisfying sets.
 
     Every satisfying set is equally likely under a uniform size-k prior; the
@@ -97,7 +101,7 @@ class SubsetParams:
     radius_mult: float = 3.0
     frontend: str = "dd-pad"
     provided: tuple | None = None
-    ml_cap: int = DEFAULT_ML_CAP
+    ml_cap: int = DEFAULT_ENUM_CAP
     family_cap: int = DEFAULT_FAMILY_CAP
     hill_climb: bool = False
 
@@ -115,19 +119,17 @@ class SubsetParams:
 
 
 def dd_pad_frontend(design: TestDesign, outcomes, k: int) -> tuple:
-    """dd estimate padded to size k with the lowest-index comp survivors."""
-    est = list(dd_decode(design, outcomes))
+    """dd estimate padded to size k with the lowest-index comp survivors.
+
+    The survivors are derived once; on inconsistent inputs where they run
+    out, the lowest-index other items pad the rest.
+    """
+    survivors = _survivors(design, outcomes)
+    est = _sole(design, survivors).tolist()
     if len(est) >= k:
         return tuple(est[:k])
     have = set(est)
-    for i in comp_decode(design, outcomes):
-        if len(est) >= k:
-            break
-        if i not in have:
-            est.append(i)
-            have.add(i)
-    for i in range(1, design.n + 1):
-        # only reachable on inconsistent inputs where comp survivors run out
+    for i in itertools.chain(survivors.tolist(), range(1, design.n + 1)):
         if len(est) >= k:
             break
         if i not in have:
@@ -326,7 +328,7 @@ def _delete(spec: DesignSpec, prior: PriorSpec, n: int, k: int, T: int, d: int, 
     return _Deletion(truth, deleted, kept, k_mid, design, reduced)
 
 
-def _decode(name: str, design: TestDesign, outcomes, k: int, params=None, ml_cap=DEFAULT_ML_CAP):
+def _decode(name: str, design: TestDesign, outcomes, k: int, params=None, ml_cap=DEFAULT_ENUM_CAP):
     """(estimate, refused) of decoder ``name``: comp, dd, ml, or subset with
     ``params`` and its warnings silenced. A CapExceededError is a refusal,
     with an empty estimate."""

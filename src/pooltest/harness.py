@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reference
-from .analysis import masking_report, posterior_uniformity_check
+from .analysis import DEFAULT_ENUM_CAP, masking_report, posterior_uniformity_check
 from .decode import (
-    DEFAULT_ML_CAP,
+    DEFAULT_FAMILY_CAP,
     SubsetParams,
     _decode,
     _delete,
@@ -55,7 +55,6 @@ from .util import LN2, floor_tol, mix_seed
 TAG_TRIAL = 0
 TAG_DESIGN = 1
 TAG_PRIOR = 2
-TAG_DECODE = 3
 
 TRIAL_CSV_HEADER = [
     "trial",
@@ -113,8 +112,8 @@ class ExperimentConfig:
     eta_minus: float | None = None
     radius_mult: float = 3.0
     frontend: str = "dd-pad"
-    ml_cap: int = DEFAULT_ML_CAP
-    family_cap: int = 5_000_000
+    ml_cap: int = DEFAULT_ENUM_CAP
+    family_cap: int = DEFAULT_FAMILY_CAP
     hill_climb: bool = False
     alpha: float | None = None
     xi: float | None = None
@@ -509,7 +508,7 @@ def suite_explained_naive(seed=0, instances: int = 500) -> SuiteResult:
     for j in range(instances):
         design, truth = _random_small_instance(rng)
         y = generate_outcomes(design, truth)
-        y_list = [int(b) for b in y.bits]
+        y_list = y.astype(int).tolist()
         if reference.naive_outcomes(design, truth.members) != y_list:
             failures += 1
             lines.append(f"instance {j}: outcome mismatch")
@@ -575,9 +574,7 @@ def suite_subset_argmax(seed=0, instances: int = 200) -> SuiteResult:
         else:
             base = provided
         size = floor_tol((1.0 - eta) * k)
-        slow = reference.brute_force_subset_argmax(
-            design, [int(b) for b in y.bits], base, size, 3.0 * eta * k
-        )
+        slow = reference.brute_force_subset_argmax(design, y, base, size, 3.0 * eta * k)
         if fast != slow:
             failures += 1
             lines.append(f"instance {j}: {fast} != brute {slow} (eta={eta}, frontend={frontend})")
@@ -598,7 +595,7 @@ def suite_ml_enum(seed=0, instances: int = 150) -> SuiteResult:
         truth = DefectiveSet(n, tuple(members.tolist()))
         y = generate_outcomes(design, truth)
         est = ml_oracle(design, y, k)
-        sets = reference.naive_satisfying_sets(design, [int(b) for b in y.bits], k)
+        sets = reference.naive_satisfying_sets(design, y, k)
         if est not in sets or est != sets[0]:
             failures += 1
             lines.append(f"instance {j}: ml estimate {est} not the first of {len(sets)} sets")

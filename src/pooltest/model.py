@@ -1,6 +1,8 @@
 """Defective-set priors and the noiseless OR outcome channel.
 
 A pool is positive exactly when it contains at least one defective item.
+Outcomes are a length-T bool numpy array aligned with the design's tests;
+every decoder and analysis also accepts any 0/1 sequence of that length.
 Natural logs are used in the two-step prior densities.
 """
 
@@ -54,37 +56,6 @@ class DefectiveSet:
 
     def __iter__(self):
         return iter(self.members)
-
-
-class OutcomeVector:
-    """Binary outcomes of the T tests, index-aligned with the design rows."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits):
-        self.bits = np.asarray(bits, dtype=bool)
-
-    @property
-    def T(self) -> int:
-        return int(self.bits.size)
-
-    def positives(self) -> np.ndarray:
-        """Sorted 1-based indices of positive tests."""
-        return np.flatnonzero(self.bits) + 1
-
-    def as_tuple(self) -> tuple:
-        return tuple(int(b) for b in self.bits)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, OutcomeVector):
-            return np.array_equal(self.bits, other.bits)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.as_tuple())
-
-    def __repr__(self):
-        return f"OutcomeVector({''.join('1' if b else '0' for b in self.bits)})"
 
 
 @dataclass(frozen=True)
@@ -162,10 +133,11 @@ def sample_defectives(prior: PriorSpec, n: int, seed) -> DefectiveSet:
     return DefectiveSet(n, tuple(chosen.tolist()))
 
 
-def generate_outcomes(design: TestDesign, s: DefectiveSet) -> OutcomeVector:
-    """OR-channel outcomes: test t is positive iff it contains a defective."""
+def generate_outcomes(design: TestDesign, s: DefectiveSet) -> np.ndarray:
+    """OR-channel outcomes as a length-T bool array: entry t - 1 is True iff
+    test t contains a defective."""
     if s.n != design.n:
         raise ParameterError(f"ground sets differ: design n={design.n}, set n={s.n}")
     bits = np.zeros(design.T, dtype=bool)
     bits[design.cols_of(s.members) - 1] = True
-    return OutcomeVector(bits)
+    return bits

@@ -70,10 +70,9 @@ def test_clean_items_brute_force():
     rng = np.random.default_rng(1)
     for _ in range(100):
         d, s, y = random_instance(rng)
-        pos = np.asarray(y.bits, dtype=bool)
-        clean = clean_items(d, pos)
+        clean = clean_items(d, y)
         for i in range(1, d.n + 1):
-            expect = all(pos[t - 1] for t in d.col(i))
+            expect = all(y[t - 1] for t in d.col(i))
             assert clean[i - 1] == expect
         # every defective is clean: its tests are all positive
         for i in s.members:
@@ -89,8 +88,8 @@ def test_truth_explains_every_positive_test():
     for _ in range(100):
         d, s, y = random_instance(rng)
         ec = explained_tests(d, y, s)
-        assert ec.explained == tuple(int(t) for t in y.positives())
-        assert ec.count == len(y.positives())
+        assert ec.explained == tuple((np.flatnonzero(y) + 1).tolist())
+        assert ec.count == int(y.sum())
 
 
 def test_explained_tests_matches_naive():
@@ -100,12 +99,12 @@ def test_explained_tests_matches_naive():
         k = int(rng.integers(0, min(5, d.n) + 1))
         cand = tuple(sorted(int(i) for i in rng.choice(d.n, size=k, replace=False) + 1))
         ec = explained_tests(d, y, cand)
-        assert list(ec.explained) == naive_explained(d, y.as_tuple(), cand)
+        assert list(ec.explained) == naive_explained(d, y, cand)
 
 
 def test_explained_tests_regression_instance():
     y = generate_outcomes(REGRESSION_DESIGN, REGRESSION_TRUTH)
-    assert y.as_tuple() == (0, 1, 0, 1, 1, 1, 0)
+    assert tuple(y.astype(int).tolist()) == (0, 1, 0, 1, 1, 1, 0)
     ec = explained_tests(REGRESSION_DESIGN, y, (4, 5, 6))
     assert ec.explained == ()
     assert ec.count == 0
@@ -183,7 +182,7 @@ def test_masked_defective_is_undetectable():
             if i not in s.members:
                 continue
             reduced = DefectiveSet(d.n, tuple(j for j in s.members if j != i))
-            assert generate_outcomes(d, reduced) == y
+            assert np.array_equal(generate_outcomes(d, reduced), y)
             checked += 1
     assert checked > 20
 
@@ -198,7 +197,7 @@ def test_masking_report_checks_ground_set():
 
 
 def _check_against_naive(d, s):
-    assert generate_outcomes(d, s).as_tuple() == tuple(naive_outcomes(d, s.members))
+    assert generate_outcomes(d, s).astype(int).tolist() == naive_outcomes(d, s.members)
     assert good_test_counts(d, s) == naive_good_counts(d, s)
     rep = masking_report(d, s)
     assert list(rep.masked_items) == naive_masked_items(d, s)
@@ -210,7 +209,7 @@ def test_gather_callers_on_an_empty_defective_set():
     # the iid prior can draw no defective at all
     for d in (REGRESSION_DESIGN, ncc_design(300, 40, 3, seed=2)):
         s = DefectiveSet(d.n, ())
-        assert not generate_outcomes(d, s).bits.any()
+        assert not generate_outcomes(d, s).any()
         assert good_test_counts(d, s) == {}
         rep = masking_report(d, s)
         assert rep.masked_defectives == 0
@@ -262,8 +261,8 @@ def test_masking_and_clean_items_match_naive_at_n_500(k):
         s = sample_defectives(PriorSpec("combinatorial", k=k), n, seed + 100)
         _check_against_naive(d, s)
         y = generate_outcomes(d, s)
-        comp = naive_comp(d, [int(b) for b in y.bits])
-        assert (np.flatnonzero(clean_items(d, y.bits)) + 1).tolist() == comp
+        comp = naive_comp(d, y)
+        assert (np.flatnonzero(clean_items(d, y)) + 1).tolist() == comp
         assert masking_report(d, s).masked_nondefectives == len(comp) - k
 
 
@@ -276,7 +275,7 @@ def test_satisfying_sets_matches_naive():
     for _ in range(60):
         d, s, y = random_instance(rng, n_hi=11, k_hi=4)
         got = satisfying_sets(d, y, s.k)
-        assert got == naive_satisfying_sets(d, y.as_tuple(), s.k)
+        assert got == naive_satisfying_sets(d, y, s.k)
         assert s.members in got
         assert got == sorted(got)  # lexicographic
 
@@ -289,6 +288,17 @@ def test_satisfying_sets_cap():
     import math
 
     assert exc.value.estimate == math.comb(30, 15)
+
+
+def test_satisfying_sets_cap_counts_every_item():
+    # only items 1..4 are clean, so 6 pairs are enumerated, but the cap
+    # compares C(30, 2) = 435
+    d = TestDesign.from_rows(30, [(1, 2, 3, 4), tuple(range(5, 31))])
+    y = (1, 0)
+    with pytest.raises(CapExceededError) as exc:
+        satisfying_sets(d, y, 2, cap=100)
+    assert exc.value.estimate == math.comb(30, 2)
+    assert satisfying_sets(d, y, 2, cap=435) == list(itertools.combinations(range(1, 5), 2))
 
 
 def test_satisfying_sets_unique_when_design_separates():
@@ -330,6 +340,18 @@ def test_biased_sampler_fails():
     assert rep.min_p() < 1e-6
 
 
+@pytest.mark.parametrize("T", [64, 70])
+def test_uniformity_check_takes_64_tests_and_more(T):
+    # tests alternate {1,2} and {3,4}, so the 15 pairs fall into 4 outcome
+    # bins: no positive test ({5,6}), the {1,2} tests only (5 pairs), the
+    # {3,4} tests only (5) and all tests (4); the one-pair bin is skipped
+    d = TestDesign.from_rows(6, [(1, 2), (3, 4)] * (T // 2))
+    rep = posterior_uniformity_check(d, k=2, trials=3_000, seed=0)
+    assert sorted(b.v_size for b in rep.bins) == [1, 4, 5, 5]
+    assert rep.skipped == 1
+    assert all(len(b.outcome) == T for b in rep.bins)
+
+
 def test_uniformity_check_cap():
     d = TestDesign.from_rows(40, [(1, 2)])
     with pytest.raises(CapExceededError):
@@ -347,6 +369,6 @@ def test_uniformity_outcome_labels_are_consistent():
         members = [
             c
             for c in itertools.combinations(range(1, 7), 2)
-            if generate_outcomes(UNIFORM_DESIGN, DefectiveSet(6, c)).as_tuple() == b.outcome
+            if tuple(generate_outcomes(UNIFORM_DESIGN, DefectiveSet(6, c)).astype(int).tolist()) == b.outcome
         ]
         assert len(members) == b.v_size

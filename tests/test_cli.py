@@ -304,6 +304,31 @@ def test_config_file_rejects_bad_lines(tmp_path):
     assert r.returncode == 1
 
 
+def test_config_file_rejects_unknown_keys(tmp_path):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("n = 60\nk = 4\ntests = 30\ntrials = 4\neta_minsu = 0.3\n")
+    r = run_cli("simulate", "--config", cfg)
+    assert r.returncode == 1
+    assert f"error: {cfg}:5: unknown key 'eta_minsu'" in r.stderr
+
+
+def test_config_file_keeps_keys_of_other_subcommands(tmp_path):
+    # rates and suite belong to masking and oracle-check; a shared file may hold them
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("n = 60\nk = 4\ntests = 30\ntrials = 4\nrates = 0.5\nsuite = ml-enum\n")
+    r = run_cli("simulate", "--config", cfg, "--out", tmp_path / "t.csv")
+    assert r.returncode == 0, r.stderr
+
+
+def test_config_file_rejects_bad_numbers(tmp_path):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("n = 60\nk = 4\ntests = 30\ntrials = abc\n")
+    r = run_cli("simulate", "--config", cfg)
+    assert r.returncode == 1
+    assert f"error: {cfg}:4: trials wants int, got 'abc'" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 # ---------------------------------------------------------------------------
 # start-up cost
 

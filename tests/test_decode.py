@@ -43,7 +43,7 @@ def random_instance(rng, n_hi=14, k_hi=5):
 def test_comp_dd_worked_example():
     d = TestDesign.from_rows(6, [(1, 2), (2, 3), (4,), (5, 6)])
     y = generate_outcomes(d, DefectiveSet(6, (2, 4)))
-    assert y.as_tuple() == (1, 1, 1, 0)
+    assert tuple(y.astype(int).tolist()) == (1, 1, 1, 0)
     # 5 and 6 sit in the negative test; everyone else survives
     assert comp_decode(d, y) == (1, 2, 3, 4)
     # test 3 contains survivor 4 alone, pinning it; tests 1 and 2 are ambiguous
@@ -78,7 +78,7 @@ def test_ml_oracle_returns_lex_smallest_satisfying_set():
     rng = np.random.default_rng(11)
     for _ in range(60):
         d, s, y = random_instance(rng, n_hi=11, k_hi=4)
-        sets = naive_satisfying_sets(d, y.as_tuple(), s.k)
+        sets = naive_satisfying_sets(d, y, s.k)
         assert ml_oracle(d, y, s.k) == sets[0]
 
 
@@ -140,7 +140,7 @@ def test_subset_argmax_matches_brute_force():
             with _w.catch_warnings():
                 _w.simplefilter("ignore")
                 got = subset_decode(d, y, s.k, params)
-            expect = brute_force_subset_argmax(d, y.as_tuple(), base, size, radius)
+            expect = brute_force_subset_argmax(d, y, base, size, radius)
             assert got == tuple(expect)
 
 
@@ -236,19 +236,19 @@ def test_subset_argmax_matches_family_scan_at_benchmark_shape():
         y = generate_outcomes(d, DefectiveSet(n, truth))
         base = dd_pad_frontend(d, y, k)
         got = subset_decode(d, y, k, SubsetParams(eta_minus=eta))
-        assert got == family_argmax(d, y.as_tuple(), base, size, 3.0 * eta * k)
+        assert got == family_argmax(d, y, base, size, 3.0 * eta * k)
         # the provided base keeps all but one true member and adds a non-defective
         outside = [i for i in range(1, n + 1) if i not in truth]
         provided = tuple(sorted(truth[1:] + (outside[seed],)))
         params = SubsetParams(eta_minus=eta, frontend="provided", provided=provided)
         got = subset_decode(d, y, k, params)
-        assert got == family_argmax(d, y.as_tuple(), provided, size, 3.0 * eta * k)
+        assert got == family_argmax(d, y, provided, size, 3.0 * eta * k)
 
         r = deletion_pipeline(DesignSpec("bernoulli"), n, k, T, 0.1, inner="subset", seed=seed, eta_minus=0.2)
         y_reduced = generate_outcomes(r.design, r.reduced_truth)
         base = dd_pad_frontend(r.design, y_reduced, r.k_hi)
         expect = family_argmax(
-            r.design, y_reduced.as_tuple(), base, floor_tol(0.8 * r.k_lo), 3.0 * 0.2 * r.k_hi
+            r.design, y_reduced, base, floor_tol(0.8 * r.k_lo), 3.0 * 0.2 * r.k_hi
         )
         assert r.estimate == tuple(r.kept[j - 1] for j in expect)
 

@@ -152,7 +152,7 @@ def test_bernoulli_positive_test_fraction():
     p = LN2 / k
     d = bernoulli_design(n, T, p, seed=42)
     y = generate_outcomes(d, DefectiveSet(n, tuple(range(1, k + 1))))
-    frac = sum(y.bits) / T
+    frac = sum(y) / T
     target = 0.5124395609995183
     sd = math.sqrt(target * (1 - target) / T)
     assert abs(frac - target) < 5 * sd

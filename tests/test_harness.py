@@ -7,7 +7,6 @@ import pooltest.design
 from pooltest.design import DesignSpec, ncc_design, save_design
 from pooltest.errors import ParameterError, RefusalBudgetError
 from pooltest.harness import (
-    TAG_DECODE,
     TAG_DESIGN,
     TAG_PRIOR,
     TAG_TRIAL,
@@ -50,9 +49,9 @@ def test_trial_seed_streams_are_distinct():
     seeds = {
         trial_seed(7, t, tag)
         for t in range(20)
-        for tag in (TAG_TRIAL, TAG_DESIGN, TAG_PRIOR, TAG_DECODE)
+        for tag in (TAG_TRIAL, TAG_DESIGN, TAG_PRIOR)
     }
-    assert len(seeds) == 80
+    assert len(seeds) == 60
     assert trial_seed(7, 3, TAG_DESIGN) == trial_seed(7, 3, TAG_DESIGN)
     assert trial_seed(7, 3, TAG_DESIGN) != trial_seed(8, 3, TAG_DESIGN)
 

@@ -9,7 +9,6 @@ from pooltest.design import TestDesign, bernoulli_design
 from pooltest.errors import ParameterError
 from pooltest.model import (
     DefectiveSet,
-    OutcomeVector,
     PriorSpec,
     generate_outcomes,
     k_from_theta,
@@ -79,16 +78,6 @@ def test_defective_set_validation():
     DefectiveSet(5, ())  # empty is legal
 
 
-def test_outcome_vector_views():
-    y = OutcomeVector([1, 0, 1, 1, 0])
-    assert list(y.positives()) == [1, 3, 4]
-    assert y.as_tuple() == (1, 0, 1, 1, 0)
-    assert y.T == 5
-    assert y == OutcomeVector((True, False, True, True, False))
-    assert y != OutcomeVector([1, 0, 1, 1, 1])
-    assert hash(y) == hash(OutcomeVector([1, 0, 1, 1, 0]))
-
-
 def test_generate_outcomes_matches_naive():
     rng = np.random.default_rng(0)
     for _ in range(50):
@@ -103,7 +92,8 @@ def test_generate_outcomes_matches_naive():
         members = tuple(sorted(int(i) for i in rng.choice(n, size=k, replace=False) + 1))
         s = DefectiveSet(n, members)
         y = generate_outcomes(d, s)
-        assert y.as_tuple() == tuple(naive_outcomes(d, members))
+        assert y.dtype == bool and y.shape == (T,)
+        assert y.astype(int).tolist() == naive_outcomes(d, members)
 
 
 def test_generate_outcomes_checks_ground_set():
