@@ -15,8 +15,9 @@ The notions here drive both decoding and error analysis:
   drawn defective set is uniform over them, which posterior_uniformity_check
   verifies empirically.
 
-Outcomes are a length-T bool array. ExplainScorer holds the clean mask and the
-clean items' test bitmasks that satisfying_sets and the subset search read.
+Outcomes are a length-T bool array. Per-defective counts are bincounts over an
+owner index of the defectives' columns; ExplainScorer is the one place tests
+become integer bitmasks.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import numpy as np
 from .design import TestDesign
 from .errors import CapExceededError, ParameterError
 from .model import DefectiveSet
-from .util import segment_all, segment_sum
 
 DEFAULT_ENUM_CAP = 2_000_000
 # posterior_uniformity_check: bins with fewer than this many samples per
@@ -91,31 +91,30 @@ def explained_tests(design: TestDesign, outcomes, candidate) -> ExplainCount:
     """
     clean = clean_items(design, _bits(outcomes, design.T))
     members = np.asarray(_member_tuple(candidate), dtype=np.int64)
+    if np.any((members < 1) | (members > design.n)):
+        raise ParameterError(f"candidate {tuple(members.tolist())} not contained in [1, {design.n}]")
     tests = np.unique(design.cols_of(members[clean[members - 1]]))
     return ExplainCount(tuple(tests.tolist()), int(tests.size))
 
 
-def _test_mask(design: TestDesign, i: int) -> int:
-    """The tests containing item i as an integer bitmask: bit t - 1 for test t."""
-    m = 0
-    for t in design.col(i):
-        m |= 1 << int(t - 1)
-    return m
-
-
 class ExplainScorer:
-    """Precomputed explain-count evaluation for many candidates on one instance.
+    """Explain counts of many candidates on one instance, from integer test
+    bitmasks (bit t - 1 for test t): the package's one builder of them.
 
-    ``clean`` is the clean-item mask. Each clean item's tests are packed into
-    an integer bitmask, and every other item's mask is 0; a candidate's
-    explained count is the popcount of the OR over its members' masks.
+    ``masks[i - 1]`` holds item i's tests when it is clean (in ``clean``) and
+    is 0 otherwise; ``live`` lists the items with a nonzero mask in order, and
+    ``positive`` is the mask of the positive tests. A candidate's explained
+    count is the popcount of the OR over its members' masks.
     """
 
     def __init__(self, design: TestDesign, outcomes):
-        self.clean = clean_items(design, _bits(outcomes, design.T))
-        self.T = design.T
-        self.n = design.n
-        self.masks = [_test_mask(design, i) if c else 0 for i, c in enumerate(self.clean.tolist(), 1)]
+        positive = _bits(outcomes, design.T)
+        self.clean = clean_items(design, positive)
+        self.masks = [0] * design.n
+        for i in np.flatnonzero(self.clean).tolist():
+            self.masks[i] = sum(1 << t for t in (design.col(i + 1) - 1).tolist())
+        self.live = [i for i, m in enumerate(self.masks, 1) if m]
+        self.positive = sum(1 << t for t in np.flatnonzero(positive).tolist())
 
     def union_mask(self, candidate) -> int:
         m = 0
@@ -127,19 +126,21 @@ class ExplainScorer:
         return self.union_mask(candidate).bit_count()
 
 
-def _defective_columns(design: TestDesign, s: DefectiveSet):
-    """(members, their concatenated columns, CSR pointers splitting those
-    columns by member, per-test defective counts indexed by test)."""
-    idx = np.asarray(s.members, dtype=np.int64)
+def _defective_columns(design: TestDesign, members):
+    """(members of a defective set or of the comp survivors, their concatenated
+    columns, each column entry's owner as a position in the members, per-test
+    member counts indexed by test). A per-member count is a bincount over
+    ``owner``; a member in no test owns no entry and counts 0."""
+    idx = np.asarray(members, dtype=np.int64)
     tests = design.cols_of(idx)
-    ptr = np.concatenate(([0], np.cumsum(design.col_ptr[idx] - design.col_ptr[idx - 1])))
-    return idx, tests, ptr, np.bincount(tests, minlength=design.T + 1)
+    owner = np.repeat(np.arange(idx.size), design.col_ptr[idx] - design.col_ptr[idx - 1])
+    return idx, tests, owner, np.bincount(tests, minlength=design.T + 1)
 
 
 def good_test_counts(design: TestDesign, s: DefectiveSet) -> dict:
     """For each defective, the number of tests containing it and no other defective."""
-    _, tests, ptr, counts = _defective_columns(design, s)
-    return {int(i): g for i, g in zip(s.members, segment_sum(counts[tests] == 1, ptr).tolist())}
+    idx, tests, owner, counts = _defective_columns(design, s.members)
+    return dict(zip(idx.tolist(), np.bincount(owner[counts[tests] == 1], minlength=idx.size).tolist()))
 
 
 @dataclass(frozen=True)
@@ -165,9 +166,9 @@ def masking_report(design: TestDesign, s: DefectiveSet) -> MaskingReport:
     """
     if s.n != design.n:
         raise ParameterError(f"ground sets differ: design n={design.n}, set n={s.n}")
-    idx, tests, ptr, counts = _defective_columns(design, s)
+    idx, tests, owner, counts = _defective_columns(design, s.members)
     masked = clean_items(design, counts[1:] > 0)
-    masked[idx - 1] = segment_all(counts[tests] >= 2, ptr)
+    masked[idx - 1] = np.bincount(owner[counts[tests] < 2], minlength=idx.size) == 0
     masked_defectives = int(masked[idx - 1].sum())
     items = np.flatnonzero(masked) + 1
     return MaskingReport(
@@ -190,11 +191,8 @@ def satisfying_sets(design: TestDesign, outcomes, k: int, cap: int = DEFAULT_ENU
             f"C({design.n}, {k}) = {total} exceeds enumeration cap {cap}", estimate=total
         )
     scorer = ExplainScorer(design, outcomes)
-    target = 0
-    for t in np.flatnonzero(_bits(outcomes, design.T)).tolist():
-        target |= 1 << t
     clean = (np.flatnonzero(scorer.clean) + 1).tolist()
-    return [c for c in itertools.combinations(clean, k) if scorer.union_mask(c) == target]
+    return [c for c in itertools.combinations(clean, k) if scorer.union_mask(c) == scorer.positive]
 
 
 @dataclass(frozen=True)
@@ -245,13 +243,11 @@ def posterior_uniformity_check(
             f"C({design.n}, {k}) = {total} exceeds enumeration cap {UNIFORMITY_ENUM_CAP}",
             estimate=total,
         )
-    masks = [_test_mask(design, i) for i in range(1, design.n + 1)]
+    # under all-positive outcomes every item is clean and keeps its full column
+    scorer = ExplainScorer(design, np.ones(design.T, dtype=bool))
     groups: dict = {}
     for j, combo in enumerate(itertools.combinations(range(1, design.n + 1), k)):
-        m = 0
-        for i in combo:
-            m |= masks[i - 1]
-        groups.setdefault(m, []).append(j)
+        groups.setdefault(scorer.union_mask(combo), []).append(j)
     rng = np.random.default_rng(seed)
     if sampler is None:
         idx = rng.integers(0, total, size=trials)

@@ -9,9 +9,10 @@ Subcommands:
 
 A config file (--config PATH) holds flat ``key = value`` lines using the
 long option names; values given on the command line override it. A key that
-names no option of any subcommand, or a number that does not parse, is a
-parameter error naming the file and line. Exit codes:
-0 success, 1 parameter error, 2 usage error (argparse) or suite failure,
+names no option of any subcommand, a number that does not parse, or a switch
+not set to 1/true/yes/on or 0/false/no/off (any case) is a parameter error
+naming the file and line. Exit codes: 0 success, 1 parameter error or a file
+that cannot be read or written, 2 usage error (argparse) or suite failure,
 3 refusal budget exceeded.
 """
 
@@ -202,6 +203,8 @@ def _apply_config_file(parser, argv):
             line_no, raw = values[key]
             if isinstance(sub_action, argparse._StoreTrueAction):
                 defaults[key] = raw.lower() in ("1", "true", "yes", "on")
+                if not defaults[key] and raw.lower() not in ("0", "false", "no", "off"):
+                    raise ParameterError(f"{path}:{line_no}: {key} wants true or false, got {raw!r}")
             elif sub_action.type in (int, float):
                 try:
                     defaults[key] = sub_action.type(raw)
@@ -213,6 +216,17 @@ def _apply_config_file(parser, argv):
                 defaults[key] = raw
         action.set_defaults(**defaults)
     return parser.parse_args(argv)
+
+
+def _float_list(option: str, text: str) -> list:
+    """The comma-separated numbers given to ``option``; at least one."""
+    try:
+        values = [float(x) for x in text.split(",") if x.strip()]
+        if values:
+            return values
+    except ValueError:
+        pass
+    raise ParameterError(f"{option} wants comma-separated numbers, got {text!r}")
 
 
 def _resolve_n_k_T(args):
@@ -287,8 +301,8 @@ def cmd_simulate(args) -> int:
 def cmd_thresholds(args) -> int:
     if (args.thetas is None) == (args.grid is None):
         raise ParameterError("give exactly one of --thetas and --grid")
-    if args.thetas:
-        thetas = [float(x) for x in args.thetas.split(",") if x.strip()]
+    if args.thetas is not None:
+        thetas = _float_list("--thetas", args.thetas)
     else:
         try:
             start, stop, count = args.grid.split(":")
@@ -301,9 +315,7 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_masking(args) -> int:
-    rates = [float(x) for x in args.rates.split(",") if x.strip()]
-    if not rates:
-        raise ParameterError("--rates must list at least one rate")
+    rates = _float_list("--rates", args.rates)
     rows = masking_sweep(args.n, args.theta, rates, _design_spec(args), args.trials, args.seed)
     write_masking_csv(rows, args.out)
     print(f"wrote {len(rows)} rate points to {args.out}", file=sys.stderr)
@@ -330,7 +342,7 @@ def main(argv=None) -> int:
     try:
         args = _apply_config_file(parser, list(sys.argv[1:] if argv is None else argv))
         return _COMMANDS[args.command](args)
-    except (ParameterError, DesignFormatError, CapExceededError) as err:
+    except (ParameterError, DesignFormatError, CapExceededError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except RefusalBudgetError as err:

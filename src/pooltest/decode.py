@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import DEFAULT_ENUM_CAP, ExplainScorer, clean_items, satisfying_sets, _bits
+from .analysis import DEFAULT_ENUM_CAP, ExplainScorer, clean_items, satisfying_sets
+from .analysis import _bits, _defective_columns
 from .design import DesignSpec, TestDesign, build_design
 from .errors import CapExceededError, ParameterError
 from .model import DefectiveSet, PriorSpec, generate_outcomes, sample_defectives
@@ -41,10 +42,8 @@ def _sole(design: TestDesign, survivors: np.ndarray) -> np.ndarray:
     Survivors sit in positive tests only, so counting over their own columns
     finds every positive test that holds exactly one of them.
     """
-    tests = design.cols_of(survivors)
-    sole = np.bincount(tests, minlength=design.T + 1)[tests] == 1
-    owners = np.repeat(survivors, design.col_ptr[survivors] - design.col_ptr[survivors - 1])
-    return np.unique(owners[sole])
+    _, tests, owner, counts = _defective_columns(design, survivors)
+    return survivors[np.bincount(owner[counts[tests] == 1], minlength=survivors.size) > 0]
 
 
 def comp_decode(design: TestDesign, outcomes) -> tuple:
@@ -76,14 +75,18 @@ def ml_oracle(design: TestDesign, outcomes, k: int, cap: int = DEFAULT_ENUM_CAP)
 # local search for partial recovery
 
 
-def family_size(base_size: int, size: int, radius: float, n: int) -> int:
-    """Number of size-``size`` sets within Hamming ``radius`` of the base set."""
-    total = 0
+def _swaps(base_size: int, size: int, radius: float, n: int) -> range:
+    """The counts j of outside items a size-``size`` set within Hamming ``radius``
+    of the base can hold; its distance is base_size - size + 2j."""
     min_dist = base_size - size
     j_hi = (int(math.floor(radius)) - min_dist) // 2 if radius >= min_dist else -1
-    for j in range(max(0, size - base_size), min(j_hi, size, n - base_size) + 1):
-        total += math.comb(base_size, size - j) * math.comb(n - base_size, j)
-    return total
+    return range(max(0, size - base_size), min(j_hi, size, n - base_size) + 1)
+
+
+def family_size(base_size: int, size: int, radius: float, n: int) -> int:
+    """Number of size-``size`` sets within Hamming ``radius`` of the base set."""
+    js = _swaps(base_size, size, radius, n)
+    return sum(math.comb(base_size, size - j) * math.comb(n - base_size, j) for j in js)
 
 
 @dataclass(frozen=True)
@@ -143,8 +146,7 @@ def _argmax_explained(scorer: ExplainScorer, base, size, radius, n, family_cap, 
     of ``base`` with the most explained tests, or () when none explains any.
 
     Each candidate keeps size - j members of the base and adds j outside
-    items, which pins its distance to |base| - size + 2j; the family is empty
-    when radius < |base| - size. Only outside items with a nonzero test mask
+    items, for j in ``_swaps``. Only outside items with a nonzero test mask
     change a count, so the search enumerates their a-subsets and stands for
     each group by its smallest member, padded with the j - a smallest inert
     items. The family itself is never built; ``family_cap`` bounds its size.
@@ -152,24 +154,19 @@ def _argmax_explained(scorer: ExplainScorer, base, size, radius, n, family_cap, 
     count = family_size(len(base), size, radius, n)
     if family_cap is not None and count > family_cap:
         if hill_climb:
-            return _hill_climb(scorer, base, size, radius, n)
+            return _hill_climb(scorer, base, size, radius)
         raise CapExceededError(
             f"candidate family has {count} members, cap is {family_cap}", estimate=count
         )
     if any(not (1 <= i <= n) for i in base):
         raise ParameterError("base set not contained in the ground set")
-    min_dist = len(base) - size
-    if size == 0 or radius < min_dist:
-        return ()
-    j_hi = min((int(math.floor(radius)) - min_dist) // 2, size, n - len(base))
-    masks = scorer.masks
     base_set = set(base)
-    outside = [i for i in range(1, n + 1) if i not in base_set]
-    live = [i for i in outside if masks[i - 1]]
-    inert = [i for i in outside if not masks[i - 1]]
+    live = [i for i in scorer.live if i not in base_set]
+    skip = base_set.union(scorer.live)
+    inert = [i for i in range(1, n + 1) if i not in skip]
     best = ()
     best_count = 0
-    for j in range(max(0, size - len(base)), j_hi + 1):
+    for j in _swaps(len(base), size, radius, n):
         for kept in itertools.combinations(base, size - j):
             kept_mask = scorer.union_mask(kept)
             for a in range(max(0, j - len(inert)), min(j, len(live)) + 1):
@@ -185,11 +182,10 @@ def _argmax_explained(scorer: ExplainScorer, base, size, radius, n, family_cap, 
     return best
 
 
-def _hill_climb(scorer: ExplainScorer, base, size, radius, n):
+def _hill_climb(scorer: ExplainScorer, base, size, radius):
     """Greedy single-swap ascent; a heuristic stand-in when the family is too
     large to enumerate, not an exact argmax."""
     base_set = set(base)
-    live = [i for i in range(1, n + 1) if scorer.masks[i - 1]]
     current = list(base[:size])
     best_count = scorer.count(current)
     improved = True
@@ -199,7 +195,7 @@ def _hill_climb(scorer: ExplainScorer, base, size, radius, n):
         best_swap = None
         for out in sorted(cur_set):
             # an item with no explained tests never makes a strict improvement
-            for inn in live:
+            for inn in scorer.live:
                 if inn in cur_set:
                     continue
                 trial = cur_set - {out} | {inn}

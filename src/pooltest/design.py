@@ -256,6 +256,8 @@ class DesignSpec:
 
 def build_design(spec: DesignSpec, n: int, T: int, k: int, seed) -> TestDesign:
     """Instantiate a DesignSpec. k sets the density for the random kinds."""
+    if spec.kind != "explicit" and k < 1:
+        raise ParameterError(f"{spec.kind} design needs k >= 1 to set its density, got {k}")
     if spec.kind == "bernoulli":
         p = spec.p_override if spec.p_override is not None else spec.nu / k
         return bernoulli_design(n, T, p, seed)

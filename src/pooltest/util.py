@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 LN2 = math.log(2.0)
 
 _MASK64 = (1 << 64) - 1
@@ -58,27 +56,3 @@ def mix_seed(*parts: int) -> int:
         state = splitmix64((state ^ (p & _MASK64)) & _MASK64)
     return state
 
-
-def segment_all(flags: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-    """Per-segment logical AND of ``flags`` split by CSR pointer ``ptr``.
-
-    Empty segments reduce to True (vacuous conjunction).  reduceat only sees
-    the starts of non-empty segments: feeding it an empty segment's start
-    would merge or truncate a neighbour.
-    """
-    nseg = len(ptr) - 1
-    out = np.ones(nseg, dtype=bool)
-    nonempty = ptr[1:] > ptr[:-1]
-    if flags.size and nonempty.any():
-        out[nonempty] = np.minimum.reduceat(flags.astype(bool), ptr[:-1][nonempty])
-    return out
-
-
-def segment_sum(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-    """Per-segment sum of ``values`` split by CSR pointer ``ptr`` (empty -> 0)."""
-    nseg = len(ptr) - 1
-    out = np.zeros(nseg, dtype=np.int64)
-    nonempty = ptr[1:] > ptr[:-1]
-    if values.size and nonempty.any():
-        out[nonempty] = np.add.reduceat(values.astype(np.int64), ptr[:-1][nonempty])
-    return out

@@ -112,6 +112,15 @@ def test_explained_tests_regression_instance():
     assert explained_tests(REGRESSION_DESIGN, y, REGRESSION_TRUTH).count == 4
 
 
+def test_explained_tests_rejects_items_outside_the_ground_set():
+    # item 0 would read item 3's clean flag through a negative index
+    d = TestDesign.from_rows(3, [(1,), (3,)])
+    y = np.array([True, False])
+    for cand in [(0,), (4,), (1, 4)]:
+        with pytest.raises(ParameterError, match="not contained"):
+            explained_tests(d, y, cand)
+
+
 def test_explain_scorer_agrees_with_explained_tests():
     rng = np.random.default_rng(4)
     for _ in range(50):
@@ -159,6 +168,16 @@ def test_masking_report_matches_naive():
         members = set(s.members)
         assert rep.masked_defectives == sum(1 for i in rep.masked_items if i in members)
         assert rep.masked_nondefectives == sum(1 for i in rep.masked_items if i not in members)
+
+
+def test_defectives_in_no_test():
+    # items 3, 5, 7 and 8 are in no test; the sets put such defectives
+    # between others and last, where each owns no column entry
+    d = TestDesign.from_rows(8, [(1, 2), (2, 4), (4, 6), (1, 6)])
+    for members in [(1, 3, 4, 5, 8), (3, 5, 8), (1, 8), (2, 3), (8,)]:
+        s = DefectiveSet(8, members)
+        assert good_test_counts(d, s) == naive_good_counts(d, s)
+        assert list(masking_report(d, s).masked_items) == naive_masked_items(d, s)
 
 
 def test_masking_report_regression_instance():

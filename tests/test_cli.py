@@ -71,6 +71,13 @@ def test_gen_design_parameter_error_is_exit_1(tmp_path):
     assert "error" in r.stderr.lower()
 
 
+def test_gen_design_rejects_zero_k(tmp_path):
+    r = run_cli("gen-design", "--n", 30, "--k", 0, "--tests", 20, "--out", tmp_path / "x.txt")
+    assert r.returncode == 1
+    assert "error: bernoulli design needs k >= 1" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -222,6 +229,13 @@ def test_thresholds_needs_a_theta_source(tmp_path):
     assert r.returncode != 0
 
 
+def test_thresholds_rejects_a_bad_theta(tmp_path):
+    r = run_cli("thresholds", "--thetas", "0.3,abc", "--out", tmp_path / "x.csv")
+    assert r.returncode == 1
+    assert "error: --thetas wants comma-separated numbers, got '0.3,abc'" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 # ---------------------------------------------------------------------------
 # masking
 
@@ -237,6 +251,29 @@ def test_masking_subcommand(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     assert int(rows[0]["tests"]) > int(rows[1]["tests"])
+
+
+def test_masking_rejects_a_bad_rate(tmp_path):
+    r = run_cli("masking", "--n", 100, "--theta", 0.5, "--rates", "0.5,x", "--out", tmp_path / "m.csv")
+    assert r.returncode == 1
+    assert "error: --rates wants comma-separated numbers, got '0.5,x'" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("case", ["config", "design-file", "out"])
+def test_unusable_files_are_exit_1(case, tmp_path):
+    missing = tmp_path / "missing" / "x"
+    args = ["simulate", "--n", 20, "--k", 2, "--tests", 10, "--trials", 2]
+    if case == "config":
+        args += ["--config", missing]
+    elif case == "design-file":
+        args += ["--design", f"file:{missing}"]
+    else:
+        args += ["--out", missing]
+    r = run_cli(*args)
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: ") and str(missing) in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +364,20 @@ def test_config_file_rejects_bad_numbers(tmp_path):
     assert r.returncode == 1
     assert f"error: {cfg}:4: trials wants int, got 'abc'" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_config_file_switch_values(tmp_path):
+    cfg = tmp_path / "sim.cfg"
+    out = tmp_path / "trials.csv"
+    for raw, columns in [("TRUE", True), ("on", True), ("0", False), ("Off", False)]:
+        cfg.write_text(f"n = 20\nk = 2\ntests = 10\ntrials = 2\nrecord_sets = {raw}\n")
+        r = run_cli("simulate", "--config", cfg, "--out", out)
+        assert r.returncode == 0, r.stderr
+        assert ("true_set" in out.read_text().splitlines()[0]) == columns
+    cfg.write_text("n = 20\nk = 2\ntests = 10\ntrials = 2\nrecord_sets = ture\n")
+    r = run_cli("simulate", "--config", cfg, "--out", out)
+    assert r.returncode == 1
+    assert f"error: {cfg}:5: record_sets wants true or false, got 'ture'" in r.stderr
 
 
 # ---------------------------------------------------------------------------

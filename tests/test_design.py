@@ -273,6 +273,12 @@ def test_build_ncc_l_override():
     assert d.metadata["L"] == 2
 
 
+def test_build_random_kinds_need_positive_k():
+    for spec in (DesignSpec("bernoulli"), DesignSpec("ncc")):
+        with pytest.raises(ParameterError, match="needs k >= 1"):
+            build_design(spec, n=20, T=10, k=0, seed=0)
+
+
 def test_build_explicit_checks_dimensions(tmp_path):
     path = tmp_path / "d.txt"
     save_design(small_design(), path)

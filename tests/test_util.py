@@ -1,7 +1,4 @@
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pooltest.util import (
     LN2,
@@ -9,8 +6,6 @@ from pooltest.util import (
     floor_tol,
     mix_seed,
     round_half_up,
-    segment_all,
-    segment_sum,
     splitmix64,
 )
 
@@ -53,45 +48,6 @@ def test_mix_seed_depends_on_every_part_and_order():
     assert mix_seed(1, 2, 3) != mix_seed(3, 2, 1)
     assert mix_seed(7) == mix_seed(7)
     assert 0 <= mix_seed(123, 456) < 2**64
-
-
-def test_segment_all_handles_empty_segments():
-    flags = np.array([True, False, True, True], dtype=bool)
-    ptr = np.array([0, 1, 1, 2, 4, 4])
-    out = segment_all(flags, ptr)
-    assert out.tolist() == [True, True, False, True, True]
-
-
-def test_segment_all_trailing_empty_does_not_truncate_neighbor():
-    # the last segment is empty; its start index equals flags.size and must
-    # not steal the final element from the preceding segment
-    flags = np.array([1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0], dtype=bool)
-    ptr = np.array([0, 1, 4, 5, 5, 10, 13, 13])
-    assert segment_all(flags, ptr).tolist() == [True, False, True, True, True, False, True]
-    assert segment_sum(flags.astype(np.int64), ptr).tolist() == [1, 2, 1, 0, 5, 2, 0]
-
-
-def test_segment_sum_empty_input():
-    ptr = np.array([0, 0, 0])
-    assert segment_sum(np.empty(0, dtype=np.int64), ptr).tolist() == [0, 0]
-    assert segment_all(np.empty(0, dtype=bool), ptr).tolist() == [True, True]
-
-
-@settings(deadline=None, max_examples=200)
-@given(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=10), st.data())
-def test_segment_reductions_match_python_loops(sizes, data):
-    total = sum(sizes)
-    vals = data.draw(st.lists(st.integers(0, 1), min_size=total, max_size=total))
-    ptr = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-    arr = np.asarray(vals, dtype=np.int64)
-    got_all = segment_all(arr.astype(bool), ptr)
-    got_sum = segment_sum(arr, ptr)
-    lo = 0
-    for i, size in enumerate(sizes):
-        seg = vals[lo : lo + size]
-        assert got_all[i] == all(seg)
-        assert got_sum[i] == sum(seg)
-        lo += size
 
 
 def test_ln2_constant():
