@@ -213,9 +213,6 @@ class UniformityReport:
         ps = [b.p_value for b in self.bins if b.p_value is not None]
         return min(ps) if ps else float("nan")
 
-    def all_above(self, threshold: float) -> bool:
-        return all(b.p_value > threshold for b in self.bins if b.p_value is not None)
-
 
 def posterior_uniformity_check(
     design: TestDesign,

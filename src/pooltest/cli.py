@@ -288,12 +288,8 @@ def cmd_simulate(args) -> int:
         summary = err.summary
         print(f"error: {err}", file=sys.stderr)
         code = 3
-    if args.out:
-        write_trials_csv(summary.records, args.out, record_sets=args.record_sets, timing=args.timing)
-    else:
-        write_trials_csv(
-            summary.records, "/dev/stdout", record_sets=args.record_sets, timing=args.timing
-        )
+    out = args.out or "/dev/stdout"
+    write_trials_csv(summary.records, out, record_sets=args.record_sets, timing=args.timing)
     print(summary.line(), file=sys.stderr)
     return code
 
@@ -308,7 +304,9 @@ def cmd_thresholds(args) -> int:
             start, stop, count = args.grid.split(":")
             thetas = np.linspace(float(start), float(stop), int(count)).tolist()
         except ValueError:
-            raise ParameterError(f"--grid wants START:STOP:COUNT, got {args.grid!r}") from None
+            thetas = []
+        if not thetas:
+            raise ParameterError(f"--grid wants START:STOP:COUNT, COUNT >= 1, got {args.grid!r}")
     write_threshold_csv(thetas, args.out)
     print(f"wrote {len(thetas)} curve points to {args.out}", file=sys.stderr)
     return 0

@@ -5,11 +5,14 @@
 * dd_decode: items that appear as the only possible defective in some
   positive test. Always a subset of the truth, and of the comp estimate.
 * ml_oracle: exhaustive maximum-likelihood over the satisfying sets.
-* subset_decode: local search for a smaller set explaining as many positive
-  tests as possible, for partial ("subset of the truth") recovery.
+* subset_decode: search near a front-end estimate for a smaller set
+  explaining as many positive tests as possible, for partial ("subset of the
+  truth") recovery. It alone decides between the exact search, the hill
+  climb and a refusal.
 * deletion_pipeline: randomly delete a fraction of items up front, then run
   an inner decoder on the reduced instance; trades acceptable false
-  negatives for a shorter test budget.
+  negatives for a shorter test budget. It runs the harness's own pipeline
+  trial.
 """
 
 from __future__ import annotations
@@ -141,7 +144,7 @@ def dd_pad_frontend(design: TestDesign, outcomes, k: int) -> tuple:
     return tuple(sorted(est))
 
 
-def _argmax_explained(scorer: ExplainScorer, base, size, radius, n, family_cap, hill_climb):
+def _argmax_explained(scorer: ExplainScorer, base, size, radius, n):
     """Lexicographically smallest size-``size`` set within Hamming ``radius``
     of ``base`` with the most explained tests, or () when none explains any.
 
@@ -149,17 +152,8 @@ def _argmax_explained(scorer: ExplainScorer, base, size, radius, n, family_cap, 
     items, for j in ``_swaps``. Only outside items with a nonzero test mask
     change a count, so the search enumerates their a-subsets and stands for
     each group by its smallest member, padded with the j - a smallest inert
-    items. The family itself is never built; ``family_cap`` bounds its size.
+    items. The family itself is never built.
     """
-    count = family_size(len(base), size, radius, n)
-    if family_cap is not None and count > family_cap:
-        if hill_climb:
-            return _hill_climb(scorer, base, size, radius)
-        raise CapExceededError(
-            f"candidate family has {count} members, cap is {family_cap}", estimate=count
-        )
-    if any(not (1 <= i <= n) for i in base):
-        raise ParameterError("base set not contained in the ground set")
     base_set = set(base)
     live = [i for i in scorer.live if i not in base_set]
     skip = base_set.union(scorer.live)
@@ -215,11 +209,13 @@ def subset_decode(design: TestDesign, outcomes, k: int, params: SubsetParams) ->
     """Search the neighborhood of a front-end estimate for the reduced-size
     set explaining the most positive tests.
 
-    Scans candidates of size floor((1 - eta_minus) k) within Hamming radius
-    radius_mult * eta_minus * k of the front-end estimate, keeping the first
-    strict improvement over an initial best of (empty, 0 explained): ties go
-    to the lexicographically smallest candidate, and the empty tuple comes
-    back when no candidate explains any test.
+    Candidates have size floor((1 - eta_minus) k) and lie within Hamming
+    radius radius_mult * eta_minus * k of the front-end estimate, whose items
+    must lie in 1..n. A family of at most ``family_cap`` members (no cap when
+    None) gets the exact search: the most explained tests, ties to the
+    lexicographically smallest candidate. A larger one gets the hill climb
+    when ``hill_climb`` is set and a CapExceededError otherwise. The empty
+    tuple comes back when no candidate explains any test.
     """
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
@@ -235,9 +231,19 @@ def subset_decode(design: TestDesign, outcomes, k: int, params: SubsetParams) ->
         base = tuple(sorted(int(i) for i in params.provided))
         if len(base) != k:
             raise ParameterError(f"provided front-end estimate has size {len(base)}, expected {k}")
+    if any(not (1 <= i <= design.n) for i in base):
+        raise ParameterError("base set not contained in the ground set")
     radius = params.radius_mult * params.eta_minus * k
     scorer = ExplainScorer(design, outcomes)
-    est = _argmax_explained(scorer, base, size, radius, design.n, params.family_cap, params.hill_climb)
+    count = family_size(len(base), size, radius, design.n)
+    if params.family_cap is None or count <= params.family_cap:
+        est = _argmax_explained(scorer, base, size, radius, design.n)
+    elif params.hill_climb:
+        est = _hill_climb(scorer, base, size, radius)
+    else:
+        raise CapExceededError(
+            f"candidate family has {count} members, cap is {params.family_cap}", estimate=count
+        )
     if not est:
         warnings.warn("no candidate explained any positive test; returning empty estimate")
     return est
@@ -249,22 +255,33 @@ def subset_decode(design: TestDesign, outcomes, k: int, params: SubsetParams) ->
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """One simulated run of the delete-then-decode pipeline, in original labels.
+    """One run of the delete-then-decode pipeline.
 
-    ``design`` and ``reduced_truth`` are the exceptions: they live on the kept
-    items, relabeled 1..len(kept) in increasing order. ``k_lo`` and ``k_hi``
-    both hold k_mid, the expected retained defective count.
+    ``defectives`` is the truth on the full ground set, and ``estimate`` is in
+    original labels, never holding a deleted item. ``design`` and
+    ``reduced_truth`` live on the kept items, relabeled 1..len(kept) in
+    increasing order. ``k_mid`` is the expected retained defective count, at
+    which the inner decoder runs, and ``k_lo`` and ``k_hi`` read it back for
+    the benchmark replay. ``refused`` marks a subset search over its cap,
+    with an empty estimate.
     """
 
-    estimate: tuple
     defectives: DefectiveSet
     deleted: tuple
     kept: tuple
-    k_lo: int
-    k_hi: int
+    k_mid: int
     design: TestDesign
     reduced_truth: DefectiveSet
-    refused: bool = False
+    estimate: tuple
+    refused: bool
+
+    @property
+    def k_lo(self) -> int:
+        return self.k_mid
+
+    @property
+    def k_hi(self) -> int:
+        return self.k_mid
 
 
 _PIPELINE_INNER = ("comp", "dd", "subset")
@@ -290,40 +307,6 @@ def _pipeline_deletions(n: int, alpha: float, xi: float | None, inner: str) -> i
     return d
 
 
-@dataclass(frozen=True)
-class _Deletion:
-    """One pipeline instance: the truth on the full ground set, the deleted
-    and kept items, and the design and retained truth on the kept items,
-    relabeled 1..len(kept) in increasing order."""
-
-    truth: DefectiveSet
-    deleted: np.ndarray
-    kept: np.ndarray
-    k_mid: int
-    design: TestDesign
-    reduced_truth: DefectiveSet
-
-    def lift(self, est_reduced) -> tuple:
-        """A sorted reduced-label estimate in original labels."""
-        return tuple(self.kept[np.asarray(est_reduced, dtype=np.int64) - 1].tolist())
-
-
-def _delete(spec: DesignSpec, prior: PriorSpec, n: int, k: int, T: int, d: int, seed):
-    """Draw the truth from ``prior``, delete ``d`` uniform items and build a
-    design for k_mid = round(k * kept / n) over the kept ones. Truth, design
-    and deletion use the sub-streams 2, 1 and 3 of ``seed``."""
-    truth = sample_defectives(prior, n, mix_seed(seed, 2))
-    delete_rng = np.random.default_rng(mix_seed(seed, 3))
-    deleted = np.sort(delete_rng.choice(n, size=d, replace=False)) + 1
-    kept = np.setdiff1d(np.arange(1, n + 1), deleted, assume_unique=True)
-    k_mid = max(1, round_half_up(k * kept.size / n))
-    design = build_design(spec, kept.size, T, k_mid, mix_seed(seed, 1))
-    members = np.asarray(truth.members, dtype=np.int64)
-    retained = np.searchsorted(kept, members[np.isin(members, kept, assume_unique=True)]) + 1
-    reduced = DefectiveSet(kept.size, tuple(retained.tolist()))
-    return _Deletion(truth, deleted, kept, k_mid, design, reduced)
-
-
 def _decode(name: str, design: TestDesign, outcomes, k: int, params=None, ml_cap=DEFAULT_ENUM_CAP):
     """(estimate, refused) of decoder ``name``: comp, dd, ml, or subset with
     ``params`` and its warnings silenced. A CapExceededError is a refusal,
@@ -340,6 +323,27 @@ def _decode(name: str, design: TestDesign, outcomes, k: int, params=None, ml_cap
             return subset_decode(design, outcomes, k, params), False
     except CapExceededError:
         return (), True
+
+
+def _pipeline(spec, prior, n, k, T, d, seed, inner, params) -> PipelineResult:
+    """One pipeline trial: draw the truth from ``prior``, delete ``d`` uniform
+    items, build a design for k_mid = round(k * kept / n) over the kept ones,
+    decode it with ``inner`` at k_mid and lift the estimate to original
+    labels. Truth, design and deletion use the sub-streams 2, 1 and 3 of
+    ``seed``."""
+    truth = sample_defectives(prior, n, mix_seed(seed, 2))
+    delete_rng = np.random.default_rng(mix_seed(seed, 3))
+    deleted = np.sort(delete_rng.choice(n, size=d, replace=False)) + 1
+    kept = np.setdiff1d(np.arange(1, n + 1), deleted, assume_unique=True)
+    k_mid = max(1, round_half_up(k * kept.size / n))
+    design = build_design(spec, kept.size, T, k_mid, mix_seed(seed, 1))
+    members = np.asarray(truth.members, dtype=np.int64)
+    retained = np.searchsorted(kept, members[np.isin(members, kept, assume_unique=True)]) + 1
+    reduced = DefectiveSet(kept.size, tuple(retained.tolist()))
+    est, refused = _decode(inner, design, generate_outcomes(design, reduced), k_mid, params)
+    estimate = tuple(kept[np.asarray(est, dtype=np.int64) - 1].tolist())
+    deleted, kept = tuple(deleted.tolist()), tuple(kept.tolist())
+    return PipelineResult(truth, deleted, kept, k_mid, design, reduced, estimate, refused)
 
 
 def deletion_pipeline(
@@ -360,14 +364,13 @@ def deletion_pipeline(
 
     round((alpha - xi) * n) items are deleted outright and declared
     non-defective (xi defaults to alpha / 100). The truth is a uniform size-k
-    set on the full ground set (pipeline trials of the harness draw it from
-    their configured prior instead, through the same deletion step); a design
-    from ``spec`` is built over the remaining ground set and the inner
-    decoder runs on the kept items, through the harness's decoder dispatch. The
-    defective count is taken as k_mid, the expected retained count; the
-    "subset" inner decoder is ``subset_decode`` at k_mid with a dd-pad front
-    end and the given eta_minus, radius_mult, family_cap and hill_climb,
-    without its warnings. The estimate never contains deleted items.
+    set on the full ground set; the rest is the harness's own pipeline trial,
+    which draws its truth from the configured prior instead: a design from
+    ``spec`` over the kept items, and the inner decoder at k_mid, the expected
+    retained count. The "subset" inner decoder is ``subset_decode`` with a
+    dd-pad front end and the given eta_minus, radius_mult, family_cap and
+    hill_climb, without its warnings. The estimate never contains deleted
+    items.
     """
     d = _pipeline_deletions(n, alpha, xi, inner)
     # built before any draw, so bad search knobs fail fast
@@ -376,17 +379,4 @@ def deletion_pipeline(
         if inner == "subset"
         else None
     )
-    cut = _delete(spec, PriorSpec("combinatorial", k=k), n, k, T, d, seed)
-    y = generate_outcomes(cut.design, cut.reduced_truth)
-    est, refused = _decode(inner, cut.design, y, cut.k_mid, params)
-    return PipelineResult(
-        estimate=cut.lift(est),
-        defectives=cut.truth,
-        deleted=tuple(cut.deleted.tolist()),
-        kept=tuple(cut.kept.tolist()),
-        k_lo=cut.k_mid,
-        k_hi=cut.k_mid,
-        design=cut.design,
-        reduced_truth=cut.reduced_truth,
-        refused=refused,
-    )
+    return _pipeline(spec, PriorSpec("combinatorial", k=k), n, k, T, d, seed, inner, params)

@@ -6,11 +6,12 @@ Reproducibility contract: every trial derives its random streams from
 same sequence of defective sets can be replayed against a different design
 family. A pipeline trial draws its truth (from the configured prior), its
 design and its deletion from sub-streams 2, 1 and 3 of the trial's
-TAG_TRIAL seed. Every decoder, the pipeline's inner one included, then runs
-through one decode, masking and scoring path. Results are therefore
-byte-identical for a given config regardless of worker count, and across
-runs. Per-trial wall time is measured but written to CSV as 0 unless timing
-is requested, precisely to keep the file deterministic.
+TAG_TRIAL seed, through the same ``decode._pipeline`` that
+``deletion_pipeline`` returns. Every decoder, the pipeline's inner one
+included, runs through one decode, masking and scoring path. Results are
+therefore byte-identical for a given config regardless of worker count, and
+across runs. Per-trial wall time is measured but written to CSV as 0 unless
+timing is requested, precisely to keep the file deterministic.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .decode import (
     DEFAULT_FAMILY_CAP,
     SubsetParams,
     _decode,
-    _delete,
+    _pipeline,
     _pipeline_deletions,
     comp_decode,
     dd_decode,
@@ -212,6 +213,7 @@ class _Resolved:
     prior: PriorSpec
     subset_params: SubsetParams | None
     explicit_design: TestDesign | None
+    deletions: int | None  # items a pipeline trial deletes
 
 
 def _resolve(cfg: ExperimentConfig) -> _Resolved:
@@ -238,7 +240,9 @@ def _resolve(cfg: ExperimentConfig) -> _Resolved:
             hill_climb=cfg.hill_climb,
         )
     explicit = _explicit_design(cfg.design, cfg.n, T, k)
-    return _Resolved(cfg, k, T, prior, params, explicit)
+    pipeline = cfg.decoder == "pipeline"
+    d = _pipeline_deletions(cfg.n, cfg.alpha, cfg.xi, cfg.inner) if pipeline else None
+    return _Resolved(cfg, k, T, prior, params, explicit, d)
 
 
 def _explicit_design(spec, n, T, k) -> TestDesign | None:
@@ -260,20 +264,21 @@ def _run_trial(res: _Resolved, idx: int) -> TrialRecord:
     base_seed = trial_seed(cfg.master_seed, idx, TAG_TRIAL)
     start = time.perf_counter()
     if cfg.decoder == "pipeline":
-        d = _pipeline_deletions(cfg.n, cfg.alpha, cfg.xi, cfg.inner)
-        cut = _delete(cfg.design, res.prior, cfg.n, res.k, res.T, d, base_seed)
-        design, truth, tested, lift = cut.design, cut.truth, cut.reduced_truth, cut.lift
-        name, k = cfg.inner, cut.k_mid
+        run = _pipeline(
+            cfg.design, res.prior, cfg.n, res.k, res.T, res.deletions, base_seed, cfg.inner,
+            res.subset_params,
+        )
+        design, truth, tested = run.design, run.defectives, run.reduced_truth
+        estimate, refused = run.estimate, run.refused
     else:
         design, truth = _draw_instance(
             cfg.design, res.prior, cfg.n, res.T, res.k, cfg.master_seed, idx, res.explicit_design
         )
-        tested, lift, name = truth, tuple, cfg.decoder
+        tested = truth
         # ml is told the drawn set's size, the other decoders the configured k
-        k = truth.k if name == "ml" else res.k
-    y = generate_outcomes(design, tested)
-    estimate, refused = _decode(name, design, y, k, res.subset_params, cfg.ml_cap)
-    estimate = lift(estimate)
+        k = truth.k if cfg.decoder == "ml" else res.k
+        y = generate_outcomes(design, truth)
+        estimate, refused = _decode(cfg.decoder, design, y, k, res.subset_params, cfg.ml_cap)
     mask = masking_report(design, tested)
     elapsed_us = int((time.perf_counter() - start) * 1e6)
     if refused:
@@ -305,11 +310,6 @@ def _run_trial(res: _Resolved, idx: int) -> TrialRecord:
     )
 
 
-def _worker(args) -> TrialRecord:
-    res, idx = args
-    return _run_trial(res, idx)
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     """Run all trials and summarize; raises RefusalBudgetError (with
     ``summary`` attached) when more than 1% of trials refused."""
@@ -318,7 +318,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     if cfg.workers > 1:
         chunk = max(1, cfg.trials // (cfg.workers * 4))
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(_worker, [(res, i) for i in indices], chunksize=chunk))
+            records = list(pool.map(_run_trial, [res] * cfg.trials, indices, chunksize=chunk))
     else:
         records = [_run_trial(res, i) for i in indices]
 
@@ -390,11 +390,6 @@ def write_trials_csv(records, path, record_sets: bool = False, timing: bool = Fa
             w.writerow(row)
 
 
-def read_trials_csv(path) -> list:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
 # ---------------------------------------------------------------------------
 # masking sweep
 
@@ -423,6 +418,8 @@ def masking_sweep(
     master_seed: int = 0,
 ) -> list:
     """Masked-item statistics as the rate varies, one dict per rate point."""
+    if trials < 1:
+        raise ParameterError(f"need trials >= 1, got {trials}")
     k = k_from_theta(n, theta)
     prior = PriorSpec("combinatorial", k=k)
     rows = []

@@ -224,6 +224,14 @@ def test_thresholds_with_grid(tmp_path):
     assert float(rows[-1]["theta"]) == 0.9
 
 
+@pytest.mark.parametrize("grid", ["0.1:0.9:0", "0.1:0.9:-2"])
+def test_thresholds_rejects_a_grid_without_points(grid, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["thresholds", "--grid", grid, "--out", str(out)]) == 1
+    assert f"error: --grid wants START:STOP:COUNT, COUNT >= 1, got '{grid}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_thresholds_needs_a_theta_source(tmp_path):
     r = run_cli("thresholds", "--out", tmp_path / "x.csv")
     assert r.returncode != 0
@@ -251,6 +259,13 @@ def test_masking_subcommand(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     assert int(rows[0]["tests"]) > int(rows[1]["tests"])
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_masking_rejects_a_trial_count_below_one(trials, tmp_path, capsys):
+    argv = ["masking", "--n", "100", "--theta", "0.5", "--rates", "0.5", "--trials", str(trials)]
+    assert main([*argv, "--out", str(tmp_path / "m.csv")]) == 1
+    assert f"error: need trials >= 1, got {trials}" in capsys.readouterr().err
 
 
 def test_masking_rejects_a_bad_rate(tmp_path):

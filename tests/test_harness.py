@@ -1,9 +1,12 @@
+import csv
 import warnings
 from dataclasses import replace
 
 import pytest
 
 import pooltest.design
+from pooltest.analysis import masking_report
+from pooltest.decode import deletion_pipeline
 from pooltest.design import DesignSpec, ncc_design, save_design
 from pooltest.errors import ParameterError, RefusalBudgetError
 from pooltest.harness import (
@@ -14,16 +17,20 @@ from pooltest.harness import (
     ExperimentConfig,
     masking_sweep,
     oracle_check,
-    read_trials_csv,
     run_experiment,
     trial_seed,
     wilson_interval,
     write_masking_csv,
     write_trials_csv,
 )
-from pooltest.metrics import Criterion
+from pooltest.metrics import Criterion, evaluate
 from pooltest.metrics import tests_for_rate as minimal_tests
 from pooltest.model import k_from_theta
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def small_config(**kw):
@@ -185,6 +192,32 @@ def test_pipeline_decoder_through_harness():
     assert summ.included == 10
 
 
+@pytest.mark.parametrize("inner", ["comp", "dd", "subset"])
+def test_pipeline_trials_match_deletion_pipeline(inner):
+    # a harness pipeline trial is deletion_pipeline at the trial's TAG_TRIAL seed
+    cfg = small_config(
+        n=120, k=6, T=60, decoder="pipeline", alpha=0.2, inner=inner, eta_minus=0.2,
+        trials=5, record_sets=True,
+    )
+    for rec in run_experiment(cfg).records:
+        result = deletion_pipeline(
+            cfg.design, cfg.n, cfg.k, cfg.T, cfg.alpha, inner=inner,
+            seed=trial_seed(cfg.master_seed, rec.trial, TAG_TRIAL), xi=cfg.xi,
+            eta_minus=cfg.eta_minus, radius_mult=cfg.radius_mult, family_cap=cfg.family_cap,
+            hill_climb=cfg.hill_climb,
+        )
+        assert not result.refused
+        out = evaluate(cfg.criterion, result.defectives, result.estimate)
+        mask = masking_report(result.design, result.reduced_truth)
+        assert rec.true_set == result.defectives.members
+        assert rec.est_set == result.estimate
+        assert (rec.false_negatives, rec.false_positives) == (out.false_negatives, out.false_positives)
+        assert (rec.est_size, rec.success) == (len(result.estimate), out.success)
+        assert (rec.masked_def, rec.masked_nondef) == (
+            mask.masked_defectives, mask.masked_nondefectives
+        )
+
+
 def test_pipeline_subset_search_takes_the_criterion_slack():
     # with eta_minus unset the pipeline's search takes the criterion's slack,
     # as the subset decoder does
@@ -220,7 +253,7 @@ def test_trial_csv_round_trip(tmp_path):
     summ = run_experiment(small_config(trials=12))
     p = tmp_path / "trials.csv"
     write_trials_csv(summ.records, p)
-    rows = read_trials_csv(p)
+    rows = read_rows(p)
     assert len(rows) == 12
     assert list(rows[0].keys()) == TRIAL_CSV_HEADER
     for rec, row in zip(summ.records, rows):
@@ -245,7 +278,7 @@ def test_trial_csv_record_sets(tmp_path):
     summ = run_experiment(small_config(trials=5, record_sets=True))
     p = tmp_path / "trials.csv"
     write_trials_csv(summ.records, p, record_sets=True)
-    rows = read_trials_csv(p)
+    rows = read_rows(p)
     assert "true_set" in rows[0] and "est_set" in rows[0]
     for rec, row in zip(summ.records, rows):
         true = tuple(int(x) for x in row["true_set"].split(";") if x)
@@ -257,7 +290,7 @@ def test_trial_csv_timing_column(tmp_path):
     summ = run_experiment(small_config(trials=5))
     p = tmp_path / "trials.csv"
     write_trials_csv(summ.records, p, timing=True)
-    rows = read_trials_csv(p)
+    rows = read_rows(p)
     assert any(int(r["elapsed_us"]) > 0 for r in rows)
 
 
@@ -269,7 +302,7 @@ def test_trial_csv_refused_rows(tmp_path):
             run_experiment(cfg)
     p = tmp_path / "trials.csv"
     write_trials_csv(exc.value.summary.records, p)
-    for row in read_trials_csv(p):
+    for row in read_rows(p):
         assert row["success"] == "refused"
         assert row["fn"] == "" and row["fp"] == "" and row["est_size"] == ""
 
