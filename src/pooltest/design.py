@@ -12,6 +12,7 @@ File format (one design per file):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,23 +178,48 @@ def _pointers(index: np.ndarray, size: int) -> np.ndarray:
 def bernoulli_design(n: int, T: int, p: float, seed) -> TestDesign:
     """Each of the T x n entries is included independently with probability p.
 
-    Rows are materialized as (weight ~ Binomial(n, p), then a uniform subset
-    of that weight), which matches the i.i.d. entry distribution without
-    touching all T*n cells.
+    The cells of the grid are numbered test-major, c = (t - 1) n + (i - 1),
+    and the gaps between consecutive included cells are i.i.d. Geometric(p),
+    which is exactly the i.i.d. Bernoulli(p) entry law. Their running sum,
+    cut at T n, gives the included cells in one vectorised draw whose memory
+    is proportional to the entry count, never to T n.
+
+    The gaps are consumed in order, so the draw does not depend on how many
+    are taken at a time: bernoulli_design(n, T', p, seed) is exactly the
+    first T' rows of bernoulli_design(n, T, p, seed) for T' <= T. A Generator
+    passed as ``seed`` is advanced past the gaps drawn, an amount that
+    depends on (n, T, p).
     """
     if n < 1 or T < 1:
         raise ParameterError(f"need n >= 1 and T >= 1, got n={n}, T={T}")
     if not (0.0 < p < 1.0):
         raise ParameterError(f"p must lie in (0, 1), got {p}")
     rng = np.random.default_rng(seed)
-    weights = rng.binomial(n, p, size=T)
-    tests = np.repeat(np.arange(1, T + 1), weights)
-    chunks = []
-    for w in weights:
-        if w:
-            chunks.append(rng.choice(n, size=int(w), replace=False))
-    items = (np.concatenate(chunks) + 1) if chunks else np.empty(0, dtype=np.int64)
-    return TestDesign._from_pairs(n, T, items, tests, {"kind": "bernoulli", "p": float(p)})
+    cells = T * n
+    # about six standard deviations above the mean entry count, so one chunk
+    # nearly always reaches past the last cell
+    mean = cells * p
+    chunk = int(mean + 6.0 * math.sqrt(mean) + 16.0)
+    parts, last = [], -1  # last: the highest cell drawn so far
+    while last < cells:
+        part = rng.geometric(p, size=chunk)
+        # one gap past the grid ends it, whatever its length; the cap keeps
+        # the running sum from wrapping around int64 when p is tiny
+        np.minimum(part, cells + 1, out=part)
+        np.cumsum(part, out=part)
+        part += last
+        parts.append(part)
+        last = int(part[-1])
+    drawn = np.concatenate(parts) if len(parts) > 1 else parts[0]
+    bt, _, dtype = _key_layout(n, T)
+    # every cell below T n fits the key dtype, since T n <= 2**(bt + bn)
+    key = drawn[: np.searchsorted(drawn, cells)].astype(dtype)
+    test = key // dtype(n)  # with the subtraction, about half the time of np.divmod
+    key -= test * dtype(n)
+    key <<= bt
+    key |= test
+    key.sort()
+    return TestDesign._from_col_keys(n, T, key, {"kind": "bernoulli", "p": float(p)})
 
 
 def ncc_design(n: int, T: int, L: int, seed) -> TestDesign:

@@ -9,6 +9,7 @@ Natural logs are used in the two-step prior densities.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,8 @@ class DefectiveSet:
         return len(self.members)
 
     def __contains__(self, item) -> bool:
-        return item in set(self.members)
+        j = bisect_left(self.members, item)
+        return j < len(self.members) and self.members[j] == item
 
     def __iter__(self):
         return iter(self.members)

@@ -449,14 +449,14 @@ MASKING_ARGS = (
     "--seed", 4,
 )
 CSV_FINGERPRINTS = {
-    "comp-bernoulli": "8af988ce971333fc6187cf885bf85a1752f05af8a2039cc8cd3e788123831605",
-    "dd-iid": "9e21e959f5ec87221e221836c705f1be7b63decc89ebb3ceb552940bbde3dea1",
+    "comp-bernoulli": "1e7e318ebbda394fe34d25c9e14eec31b00e43059136146a4c1a89f363d7a9e8",
+    "dd-iid": "93d24b6b0a298431eb4aabbf5e91157cf28817b861cbb49dcb69f3754baadd67",
     "dd-ncc": "17623ac0bcb84dbe4f179f04200fbda8887910da9274a6ad474864a50e19b437",
     "masking": "b9f8ca1172ab665df3af1e248277fe84a30f37f2ef51f2993548ac0a5b968fc0",
-    "ml-bernoulli": "77c35cca6d7b97cb1e47400fb3fedf2b71205c75fa408003f37b74d0b3808ef9",
+    "ml-bernoulli": "885f7961d661ff6bc535a195300171104ac6269111e9485b86137c6182fcf31c",
     "pipeline-comp-ncc": "2cb0f8a94bacec2d5dcba39975d33673f7b923e0ed6af5b914645fedc7e2dc8f",
-    "pipeline-dd-bernoulli": "e566ebcbb36a85c80e13ce0cce3e908f2be3881256e2fc5372b01abfbb9ec540",
-    "pipeline-subset-hill-climb": "50816573ce1118acc19a0c0fd577e3a93b2483a40805439f81b2f02f00355f9d",
+    "pipeline-dd-bernoulli": "22c74e39cfcba0343b2389bf75ae61444c840219f733b8cd7d18cb2899b381c9",
+    "pipeline-subset-hill-climb": "9b0c712ff462e047b28aac3180466ed157bb9a6b74a3abcd9f6aedb623c46d03",
     "pipeline-subset-ncc": "72e1850488274dc81a3ef4aadd64932e93a40c4984694bc91f6dab571e3c4796",
     "subset-ncc": "2c692f87be4b3191d7d0a5be5b9bc8844a4af49337156ef4dc0d21bce11c5166",
 }

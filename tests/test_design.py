@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +157,102 @@ def test_bernoulli_positive_test_fraction():
     target = 0.5124395609995183
     sd = math.sqrt(target * (1 - target) / T)
     assert abs(frac - target) < 5 * sd
+
+
+def _rows(d):
+    return [d.row(t).tolist() for t in range(1, d.T + 1)]
+
+
+def _assert_mean_and_variance(sample, mean, var):
+    """Sample mean and variance each within 5 of their normal-theory standard
+    errors, sqrt(var / N) and var sqrt(2 / (N - 1))."""
+    N = len(sample)
+    assert abs(np.mean(sample) - mean) < 5 * math.sqrt(var / N)
+    assert abs(np.var(sample, ddof=1) - var) < 5 * var * math.sqrt(2 / (N - 1))
+
+
+@pytest.mark.parametrize(
+    "n, T, p, seed",
+    [
+        (40, 30, 0.1, 0),
+        (500, 98, LN2 / 10, 3),
+        (25, 12, 0.5, 1),  # p >= 1/3: numpy's geometric searches instead of inverting
+        (7, 20, 0.9, 2),
+    ],
+)
+@pytest.mark.parametrize("as_generator", [False, True])
+def test_bernoulli_rows_nest_by_prefix(n, T, p, seed, as_generator):
+    def fresh():
+        return np.random.default_rng(seed) if as_generator else seed
+
+    full = _rows(bernoulli_design(n, T, p, fresh()))
+    for prefix in (1, 2, T // 2, T - 1, T):
+        assert _rows(bernoulli_design(n, prefix, p, fresh())) == full[:prefix]
+
+
+class _ShortDraws(np.random.Generator):
+    """Hands out at most 7 geometric gaps per call, so a build takes many chunks."""
+
+    def geometric(self, p, size=None):
+        return super().geometric(p, size=min(size, 7))
+
+
+def test_bernoulli_draw_does_not_depend_on_the_chunk_size():
+    for n, T, p, seed in ((40, 30, 0.1, 0), (25, 12, 0.5, 1), (3, 2, 0.99, 2)):
+        assert bernoulli_design(n, T, p, _ShortDraws(np.random.PCG64(seed))) == bernoulli_design(
+            n, T, p, seed
+        )
+
+
+@pytest.mark.parametrize("n, T, p", [(50, 40, 0.1), (20, 10, 0.5)])
+def test_bernoulli_entry_count_is_binomial(n, T, p):
+    # over fixed seeds; a builder that fixed the total count would show a variance near 0
+    counts = [bernoulli_design(n, T, p, seed).entry_count for seed in range(2000)]
+    _assert_mean_and_variance(counts, T * n * p, T * n * p * (1 - p))
+
+
+@pytest.mark.parametrize("n, T, p", [(200, 5000, 0.05), (30, 3000, 0.4)])
+def test_bernoulli_row_weights_are_binomial(n, T, p):
+    for seed in (0, 1):
+        weights = np.diff(bernoulli_design(n, T, p, seed).row_ptr)
+        _assert_mean_and_variance(weights, n * p, n * p * (1 - p))
+
+
+@pytest.mark.parametrize(
+    "n, T, p",
+    [
+        (1, 40, 0.3),
+        (60, 1, 0.3),
+        (1, 1, 0.5),
+        (30, 20, 0.99),
+        (1 << 17, 1 << 15, 1e-6),  # keys need bt + bn = 32 bits: the int64 branch
+    ],
+)
+def test_bernoulli_edge_shapes_match_their_rows(n, T, p):
+    for seed in range(3):
+        got = bernoulli_design(n, T, p, seed)
+        want = TestDesign.from_rows(n, _rows(got))
+        for name in ("row_flat", "row_ptr", "col_flat", "col_ptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == np.int64 and np.array_equal(a, b), name
+
+
+def test_bernoulli_with_a_tiny_p_draws_no_entries():
+    # gaps near 2**63: summed uncapped, they wrap around int64 back into the grid
+    for seed in range(4):
+        assert bernoulli_design(100, 10, 1e-20, seed).entry_count == 0
+
+
+def test_bernoulli_memory_follows_the_entries_not_the_grid():
+    # 16.7M cells and about 1,700 entries: a byte per cell would trace 16 MB
+    tracemalloc.start()
+    try:
+        d = bernoulli_design(4096, 4096, 1e-4, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < d.entry_count < 3000
+    assert peak < 1 << 20
 
 
 def test_ncc_column_weights_bounded_by_l():
@@ -366,7 +463,7 @@ def test_load_rejects_wrong_test_count(tmp_path):
 FINGERPRINT_NUMPY = "2.4.6"  # the numpy version the pinned hashes were made with
 FINGERPRINTS = {
     "ncc": "3b06667ade3f59c499b41b792dbc4ae0c6675536904e7c2a00c492e8e2cb9243",
-    "bernoulli": "97496251051c9e1a235912ae1fa8eab4daa3052bf3bf816c751622a6b8ae245d",
+    "bernoulli": "85bbe34e0fd8ac3bcca64b919085d3e3368654513a752d55408feb091387ea4a",
     "from_rows": "93368dea4f33e760561faf5a417b6477caaa41e91252af62b3774efdac7aa6d1",
     "load_design": "f1700fc0a942643a9a2adb806525edb098991c1d112b7a52b4d9c2eaabcd9f16",
 }

@@ -58,6 +58,9 @@ def test_defective_set_basics():
     s = DefectiveSet(10, (2, 5, 7))
     assert s.k == 3
     assert 5 in s and 4 not in s
+    assert [i for i in range(12) if i in s] == [2, 5, 7]  # below, between and past the members
+    assert np.int64(7) in s and 7.5 not in s
+    assert 1 not in DefectiveSet(10, ())
     assert list(s) == [2, 5, 7]
 
 
