@@ -70,10 +70,11 @@ def clean_items(design: TestDesign, positive: np.ndarray) -> np.ndarray:
     clean exactly when it is masked (every test containing it has a
     defective), which masking_report relies on.
     """
-    clean = np.ones(design.n, dtype=bool)
+    clean = np.ones(design.n + 1, dtype=bool)  # indexed by the 1-based items; entry 0 unused
     negative_entries = np.repeat(np.logical_not(positive), np.diff(design.row_ptr))
-    clean[design.row_flat[negative_entries] - 1] = False
-    return clean
+    # intp indices take numpy's fast scatter; int32 ones are cast in buffered chunks
+    clean[design.row_flat[negative_entries].astype(np.intp, copy=False)] = False
+    return clean[1:]
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,8 @@ def _defective_columns(design: TestDesign, members):
     member counts indexed by test). A per-member count is a bincount over
     ``owner``; a member in no test owns no entry and counts 0."""
     idx = np.asarray(members, dtype=np.int64)
-    tests = design.cols_of(idx)
+    # intp once, where bincount and the counts[tests] gathers would each cast the key dtype
+    tests = design.cols_of(idx).astype(np.intp, copy=False)
     owner = np.repeat(np.arange(idx.size), design.col_ptr[idx] - design.col_ptr[idx - 1])
     return idx, tests, owner, np.bincount(tests, minlength=design.T + 1)
 

@@ -26,7 +26,10 @@ class TestDesign:
 
     The two views describe the same matrix: ``row(t)`` lists the items in
     test t, ``col(i)`` lists the tests containing item i, both sorted,
-    both 1-based.
+    both 1-based. The flats ``row_flat`` and ``col_flat`` are stored in the
+    packed-key dtype of _key_layout (int32 whenever the keys fit), which
+    ``row``, ``col`` and ``cols_of`` return; the pointers ``row_ptr`` and
+    ``col_ptr`` are int64.
     """
 
     __slots__ = (
@@ -81,8 +84,8 @@ class TestDesign:
         key = np.array(items, dtype=dtype)
         key -= 1
         key <<= bt
+        key -= 1  # before the tests are added, so no sum passes the largest key
         key += np.asarray(tests, dtype=dtype)
-        key -= 1
         key.sort()
         return cls._from_col_keys(n, T, key, metadata)
 
@@ -92,19 +95,21 @@ class TestDesign:
 
         Item-major order is the column view; the row view sorts the
         test-major keys (t - 1) << bn | (i - 1). See _key_layout for the
-        field widths and the key dtype. ``key`` is overwritten.
+        field widths and the key dtype, which both flats keep: they come
+        from in-place shifts and masks, and ``key``'s buffer becomes
+        ``row_flat``, so no widened copy of the entries is made.
         """
         bt, bn, _ = _key_layout(n, T)
-        row_key = key & ((1 << bt) - 1)
-        col_flat = np.add(row_key, 1, dtype=np.int64)
-        row_key <<= bn
-        row_key |= np.right_shift(key, bt, out=key)
-        row_key.sort()
-        row_key &= (1 << bn) - 1
-        row_flat = np.add(row_key, 1, dtype=np.int64)
-        return cls(
-            n, T, row_flat, _pointers(col_flat, T), col_flat, _pointers(row_flat, n), metadata
-        )
+        col_flat = key & ((1 << bt) - 1)
+        key >>= bt
+        col_ptr = _pointers(key, n)
+        key |= col_flat << bn  # the row keys, built in key's buffer
+        col_flat += 1
+        key.sort()
+        row_ptr = _pointers(key >> bn, T)
+        key &= (1 << bn) - 1
+        key += 1
+        return cls(n, T, key, row_ptr, col_flat, col_ptr, metadata)
 
     # -- access -------------------------------------------------------------
 
@@ -159,16 +164,34 @@ def _key_layout(n: int, T: int):
 
     An (item, test) pair packs into (i - 1) << bt | (t - 1) for the column
     view and into (t - 1) << bn | (i - 1) for the row view. Both fit int32
-    when bt + bn <= 31; int32 keys halve the memory the sorts move.
+    when bt + bn <= 31; int32 keys halve the memory the sorts move. The
+    dtype is also the one ``row_flat`` and ``col_flat`` are stored in.
     """
     bt, bn = (T - 1).bit_length(), (n - 1).bit_length()
     return bt, bn, (np.int32 if bt + bn <= 31 else np.int64)
 
 
-def _pointers(index: np.ndarray, size: int) -> np.ndarray:
-    """CSR pointers of 1-based segment labels: ptr[j] - ptr[j - 1] counts label j."""
-    ptr = np.bincount(index, minlength=size + 1)
-    return np.cumsum(ptr, out=ptr)
+def _pointers(label: np.ndarray, size: int) -> np.ndarray:
+    """CSR pointers of sorted 0-based labels below size: ptr[j] counts the
+    labels below j, as int64.
+
+    One change-point pass, linear in the labels and never copying them (as
+    np.bincount would, to intp): the pointer takes each run's end from just
+    after the run's label up to the next run's label, so labels without a
+    run repeat the previous end.
+    """
+    end = np.empty(label.size, dtype=bool)
+    np.not_equal(label[1:], label[:-1], out=end[:-1])
+    end[-1:] = True
+    last = end.nonzero()[0]  # the last entry of every run
+    ends = np.zeros(last.size + 1, dtype=np.int64)
+    np.add(last, 1, out=ends[1:])
+    if last.size == size:  # every label has a run, so no pointer repeats
+        return ends
+    bounds = np.empty(last.size + 2, dtype=np.intp)  # -1, the run labels, size
+    bounds[0], bounds[-1] = -1, size
+    bounds[1:-1] = label[last]
+    return ends.repeat(np.subtract(bounds[1:], bounds[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +258,8 @@ def ncc_design(n: int, T: int, L: int, seed) -> TestDesign:
     rng = np.random.default_rng(seed)
     bt, _, dtype = _key_layout(n, T)
     # int64 draws keep numpy's stream; the draw is freed once copied to key dtype
-    key = rng.integers(0, T, size=(n, L), dtype=np.int64).astype(dtype, copy=False)
-    key |= (np.arange(n, dtype=dtype) << bt)[:, None]
-    key = key.ravel()
+    key = rng.integers(0, T, size=n * L, dtype=np.int64).astype(dtype, copy=False)
+    key |= np.repeat(np.arange(n, dtype=dtype) << bt, L)
     key.sort()
     distinct = np.empty(key.size, dtype=bool)
     distinct[0] = True

@@ -141,5 +141,5 @@ def generate_outcomes(design: TestDesign, s: DefectiveSet) -> np.ndarray:
     if s.n != design.n:
         raise ParameterError(f"ground sets differ: design n={design.n}, set n={s.n}")
     bits = np.zeros(design.T, dtype=bool)
-    bits[design.cols_of(s.members) - 1] = True
+    bits[design.cols_of(s.members).astype(np.intp) - 1] = True  # intp: numpy's fast scatter
     return bits

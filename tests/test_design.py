@@ -11,6 +11,7 @@ from pooltest import reference
 from pooltest.design import (
     DesignSpec,
     TestDesign,
+    _key_layout,
     bernoulli_design,
     build_design,
     load_design,
@@ -23,6 +24,11 @@ from pooltest.util import LN2, round_half_up
 
 def small_design():
     return TestDesign.from_rows(5, [(1, 3), (2, 3, 5), (), (4,)])
+
+
+def _stored_dtype(name, n, T):
+    """The dtype a design stores: the flats in the key dtype, the pointers in int64."""
+    return _key_layout(n, T)[2] if name.endswith("flat") else np.int64
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +113,7 @@ def test_cols_of_concatenates_columns():
     d = TestDesign.from_rows(6, [(1, 3), (2, 3, 5), (), (4,)])  # item 6 is in no test
     for items in ((), (6,), (3, 6, 1), (5, 3), (6, 6, 2), tuple(range(1, 7))):
         got = d.cols_of(items)
-        assert got.dtype == np.int64
+        assert got.dtype == _key_layout(6, 4)[2]
         assert got.tolist() == [int(t) for i in items for t in d.col(i)]
     big = ncc_design(2000, 150, 4, seed=1)
     items = np.random.default_rng(0).choice(2000, size=300, replace=False) + 1
@@ -115,6 +121,27 @@ def test_cols_of_concatenates_columns():
     for bad in ((0,), (7,), (1, 7)):
         with pytest.raises(ParameterError):
             d.cols_of(bad)
+
+
+def test_widest_int32_layout_holds_its_largest_key():
+    # bt + bn = 15 + 16 = 31: item n in test T packs to 2**31 - 1 in both key orders
+    n, T = 1 << 16, 1 << 15
+    assert _key_layout(n, T) == (15, 16, np.int32)
+    d = TestDesign.from_rows(n, [(1, n)] + [()] * (T - 2) + [(2, n)])
+    assert d.row(T).tolist() == [2, n] and d.row(1).tolist() == [1, n]
+    assert d.col(n).tolist() == [1, T] and d.col(2).tolist() == [T]
+    assert d.cols_of([n, 1, 2]).tolist() == [1, T, 1, T]
+    assert d.row_ptr.tolist()[-2:] == d.col_ptr.tolist()[-2:] == [2, 4]
+    for name in ("row_flat", "row_ptr", "col_flat", "col_ptr"):
+        assert getattr(d, name).dtype == _stored_dtype(name, n, T), name
+
+
+def test_design_memory_is_int32_flats_and_int64_pointers():
+    # the C8 shape at its base budget; int64 flats would store 8 bytes per entry each
+    n, T = 16384, 1293
+    d = ncc_design(n, T, 7, seed=31)
+    stored = sum(a.nbytes for a in (d.row_flat, d.row_ptr, d.col_flat, d.col_ptr))
+    assert stored == 4 * 2 * d.entry_count + 8 * (n + 1) + 8 * (T + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +252,7 @@ def test_bernoulli_row_weights_are_binomial(n, T, p):
         (60, 1, 0.3),
         (1, 1, 0.5),
         (30, 20, 0.99),
+        (1 << 16, 1 << 15, 1e-6),  # keys need bt + bn = 31 bits: the widest int32 layout
         (1 << 17, 1 << 15, 1e-6),  # keys need bt + bn = 32 bits: the int64 branch
     ],
 )
@@ -234,7 +262,7 @@ def test_bernoulli_edge_shapes_match_their_rows(n, T, p):
         want = TestDesign.from_rows(n, _rows(got))
         for name in ("row_flat", "row_ptr", "col_flat", "col_ptr"):
             a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == np.int64 and np.array_equal(a, b), name
+            assert a.dtype == _stored_dtype(name, n, T) and np.array_equal(a, b), name
 
 
 def test_bernoulli_with_a_tiny_p_draws_no_entries():
@@ -303,6 +331,7 @@ def _entries(flat, ptr):
         (9, 1, 1, range(2)),
         (1, 7, 7, range(2)),
         (30, 5, 5, range(2)),  # L = T
+        (1 << 16, 1 << 15, 1, (5,)),  # keys need bt + bn = 31 bits: the widest int32 layout
     ],
 )
 def test_ncc_design_matches_the_test_by_test_oracle(n, T, L, seeds):
@@ -311,7 +340,7 @@ def test_ncc_design_matches_the_test_by_test_oracle(n, T, L, seeds):
         want = reference.ncc_rows(n, T, L, seed)
         for name in ("row_flat", "row_ptr", "col_flat", "col_ptr"):
             a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == np.int64 and np.array_equal(a, b), name
+            assert a.dtype == _stored_dtype(name, n, T) and np.array_equal(a, b), name
         # the column view against the draws themselves, the row view as its transpose
         draws = np.random.default_rng(seed).integers(0, T, size=(n, L), dtype=np.int64)
         cols = _entries(got.col_flat, got.col_ptr)
@@ -462,10 +491,10 @@ def test_load_rejects_wrong_test_count(tmp_path):
 
 FINGERPRINT_NUMPY = "2.4.6"  # the numpy version the pinned hashes were made with
 FINGERPRINTS = {
-    "ncc": "3b06667ade3f59c499b41b792dbc4ae0c6675536904e7c2a00c492e8e2cb9243",
-    "bernoulli": "85bbe34e0fd8ac3bcca64b919085d3e3368654513a752d55408feb091387ea4a",
-    "from_rows": "93368dea4f33e760561faf5a417b6477caaa41e91252af62b3774efdac7aa6d1",
-    "load_design": "f1700fc0a942643a9a2adb806525edb098991c1d112b7a52b4d9c2eaabcd9f16",
+    "ncc": "8fc7a6a082043e2c3f201146881626d2bdf0bb0d0434e62dac2d14bee2d86db5",
+    "bernoulli": "e8c1afbc0b7773638db812a24b4214328262ab2187d3b7781b527825ccc2cbcc",
+    "from_rows": "541466537180a8299307c18f51e731966a28f3af9873470b1595bfbf38254c26",
+    "load_design": "0bf9e1ba1201ccbdb0e828142a10620b56aca44431c9a7390956822af5ad2f50",
 }
 
 
