@@ -231,9 +231,12 @@ def posterior_uniformity_check(
     replace the draw with any distribution over subset indices 0..m-1, e.g.
     to verify that a biased sampler is rejected. Outcome bins with fewer than
     UNIFORMITY_MIN_BIN_FACTOR * |satisfying sets| samples are skipped and
-    counted; C(n, k) above UNIFORMITY_ENUM_CAP raises CapExceededError.
+    counted; k outside 0..n raises ParameterError, and C(n, k) above
+    UNIFORMITY_ENUM_CAP raises CapExceededError.
     Subsets are grouped by Python-int outcome bitmasks, so any T works.
     """
+    if not (0 <= k <= design.n):
+        raise ParameterError(f"need 0 <= k <= n, got k={k}, n={design.n}")
     from scipy import stats  # the package's only scipy use; importing it costs about a second
 
     total = math.comb(design.n, k)

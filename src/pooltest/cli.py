@@ -289,7 +289,7 @@ def cmd_simulate(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         code = 3
     out = args.out or "/dev/stdout"
-    write_trials_csv(summary.records, out, record_sets=args.record_sets, timing=args.timing)
+    write_trials_csv(summary.records, out, timing=args.timing)
     print(summary.line(), file=sys.stderr)
     return code
 

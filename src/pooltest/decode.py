@@ -29,7 +29,7 @@ from .analysis import _bits, _defective_columns
 from .design import DesignSpec, TestDesign, build_design
 from .errors import CapExceededError, ParameterError
 from .model import DefectiveSet, PriorSpec, generate_outcomes, sample_defectives
-from .util import floor_tol, mix_seed, round_half_up
+from .util import floor_tol, mix_seed, require_finite, round_half_up
 
 DEFAULT_FAMILY_CAP = 5_000_000
 
@@ -120,6 +120,7 @@ class SubsetParams:
             raise ParameterError("frontend 'provided' needs the provided estimate")
         if self.provided is not None and len(set(self.provided)) != len(self.provided):
             raise ParameterError(f"provided estimate repeats an item: {tuple(self.provided)}")
+        require_finite("radius_mult", self.radius_mult)
         if self.radius_mult <= 0:
             raise ParameterError(f"radius_mult must be positive, got {self.radius_mult}")
 
@@ -205,6 +206,21 @@ def _hill_climb(scorer: ExplainScorer, base, size, radius):
     return tuple(sorted(current)) if best_count > 0 else ()
 
 
+def _front_end(design: TestDesign, outcomes, k: int, params: SubsetParams) -> tuple:
+    """The size-k estimate of the front end that ``subset_decode`` searches around."""
+    if params.frontend == "ml":
+        base = ml_oracle(design, outcomes, k, cap=params.ml_cap)
+    elif params.frontend == "dd-pad":
+        base = dd_pad_frontend(design, outcomes, k)
+    else:
+        base = tuple(sorted(int(i) for i in params.provided))
+        if len(base) != k:
+            raise ParameterError(f"provided front-end estimate has size {len(base)}, expected {k}")
+    if any(not (1 <= i <= design.n) for i in base):
+        raise ParameterError("base set not contained in the ground set")
+    return base
+
+
 def subset_decode(design: TestDesign, outcomes, k: int, params: SubsetParams) -> tuple:
     """Search the neighborhood of a front-end estimate for the reduced-size
     set explaining the most positive tests.
@@ -223,16 +239,7 @@ def subset_decode(design: TestDesign, outcomes, k: int, params: SubsetParams) ->
     if size == 0:
         warnings.warn("target size (1 - eta_minus) * k rounds to zero; returning empty estimate")
         return ()
-    if params.frontend == "ml":
-        base = ml_oracle(design, outcomes, k, cap=params.ml_cap)
-    elif params.frontend == "dd-pad":
-        base = dd_pad_frontend(design, outcomes, k)
-    else:
-        base = tuple(sorted(int(i) for i in params.provided))
-        if len(base) != k:
-            raise ParameterError(f"provided front-end estimate has size {len(base)}, expected {k}")
-    if any(not (1 <= i <= design.n) for i in base):
-        raise ParameterError("base set not contained in the ground set")
+    base = _front_end(design, outcomes, k, params)
     radius = params.radius_mult * params.eta_minus * k
     scorer = ExplainScorer(design, outcomes)
     count = family_size(len(base), size, radius, design.n)
@@ -299,7 +306,7 @@ def _pipeline_deletions(n: int, alpha: float, xi: float | None, inner: str) -> i
         )
     if xi is None:
         xi = alpha / 100.0
-    if xi < 0 or xi > alpha:
+    if not (0 <= xi <= alpha):
         raise ParameterError(f"xi must lie in [0, alpha], got {xi}")
     d = round_half_up((alpha - xi) * n)
     if d >= n:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DesignFormatError, ParameterError
-from .util import LN2, round_half_up
+from .util import LN2, require_finite, round_half_up
 
 
 class TestDesign:
@@ -289,6 +289,7 @@ class DesignSpec:
             raise ParameterError(f"unknown design kind {self.kind!r}")
         if self.kind == "explicit" and not self.path:
             raise ParameterError("explicit design spec needs a path")
+        require_finite("nu", self.nu)
         if self.kind != "explicit" and self.nu <= 0:
             raise ParameterError(f"nu must be positive, got {self.nu}")
         if self.p_override is not None and self.kind != "bernoulli":

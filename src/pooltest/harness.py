@@ -27,15 +27,16 @@ import numpy as np
 
 from . import reference
 from .analysis import DEFAULT_ENUM_CAP, masking_report, posterior_uniformity_check
+from .analysis import explained_tests, good_test_counts
 from .decode import (
     DEFAULT_FAMILY_CAP,
     SubsetParams,
     _decode,
+    _front_end,
     _pipeline,
     _pipeline_deletions,
     comp_decode,
     dd_decode,
-    dd_pad_frontend,
     ml_oracle,
     subset_decode,
 )
@@ -167,8 +168,8 @@ class TrialRecord:
     masked_def: int
     masked_nondef: int
     elapsed_us: int
-    true_set: tuple = ()
-    est_set: tuple = ()
+    true_set: tuple | None = None  # both None unless the config records sets
+    est_set: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -305,8 +306,8 @@ def _run_trial(res: _Resolved, idx: int) -> TrialRecord:
         masked_def=mask.masked_defectives,
         masked_nondef=mask.masked_nondefectives,
         elapsed_us=elapsed_us,
-        true_set=truth.members if cfg.record_sets else (),
-        est_set=estimate if cfg.record_sets else (),
+        true_set=truth.members if cfg.record_sets else None,
+        est_set=estimate if cfg.record_sets else None,
     )
 
 
@@ -326,7 +327,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     included = len(records) - refused
     failures = sum(1 for r in records if r.success is False)
     p_error = failures / included if included else float("nan")
-    low, high = wilson_interval(failures, included) if included else (0.0, 1.0)
+    low, high = wilson_interval(failures, included)
     summary = ExperimentSummary(
         records=tuple(records),
         trials=cfg.trials,
@@ -351,9 +352,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     return summary
 
 
-def write_trials_csv(records, path, record_sets: bool = False, timing: bool = False) -> None:
+def write_trials_csv(records, path, timing: bool = False) -> None:
     """Write per-trial rows; refused trials leave fn/fp/est_size empty and
-    mark success as "refused". elapsed_us is 0 unless timing was requested."""
+    mark success as "refused". elapsed_us is 0 unless timing was requested,
+    and the true_set and est_set columns appear when the records carry sets."""
+    record_sets = bool(records) and records[0].true_set is not None
     header = list(TRIAL_CSV_HEADER)
     if record_sets:
         header += ["true_set", "est_set"]
@@ -361,12 +364,6 @@ def write_trials_csv(records, path, record_sets: bool = False, timing: bool = Fa
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         for r in records:
-            if r.success is None:
-                fn = fp = est = ""
-                success = "refused"
-            else:
-                fn, fp, est = r.false_negatives, r.false_positives, r.est_size
-                success = int(r.success)
             row = [
                 r.trial,
                 r.seed,
@@ -376,10 +373,10 @@ def write_trials_csv(records, path, record_sets: bool = False, timing: bool = Fa
                 r.design,
                 r.decoder,
                 r.criterion,
-                fn,
-                fp,
-                est,
-                success,
+                r.false_negatives,  # None for a refused trial, which csv writes as ""
+                r.false_positives,
+                r.est_size,
+                "refused" if r.success is None else int(r.success),
                 r.masked_def,
                 r.masked_nondef,
                 r.elapsed_us if timing else 0,
@@ -426,30 +423,16 @@ def masking_sweep(
     for r_idx, target in enumerate(rate_grid):
         T = tests_for_rate(n, k, target)
         sub_master = mix_seed(master_seed, 1000 + r_idx)
-        defect = np.empty(trials, dtype=np.int64)
-        nondef = np.empty(trials, dtype=np.int64)
+        counts = np.empty((2, trials), dtype=np.int64)  # masked defectives, non-defectives
         explicit = _explicit_design(design, n, T, k)
         for t in range(trials):
             rep = masking_report(*_draw_instance(design, prior, n, T, k, sub_master, t, explicit))
-            defect[t] = rep.masked_defectives
-            nondef[t] = rep.masked_nondefectives
-        q_def = np.quantile(defect, [0.1, 0.5, 0.9])
-        q_non = np.quantile(nondef, [0.1, 0.5, 0.9])
-        rows.append(
-            {
-                "rate": float(target),
-                "tests": T,
-                "mean_masked_def": float(defect.mean()),
-                "q10_masked_def": float(q_def[0]),
-                "q50_masked_def": float(q_def[1]),
-                "q90_masked_def": float(q_def[2]),
-                "mean_masked_nondef": float(nondef.mean()),
-                "q10_masked_nondef": float(q_non[0]),
-                "q50_masked_nondef": float(q_non[1]),
-                "q90_masked_nondef": float(q_non[2]),
-                "freq_any_masked_def": float((defect > 0).mean()),
-            }
-        )
+            counts[:, t] = rep.masked_defectives, rep.masked_nondefectives
+        values = [float(target), T]
+        for c in counts:
+            values += [float(c.mean()), *np.quantile(c, [0.1, 0.5, 0.9]).tolist()]
+        values.append(float((counts[0] > 0).mean()))
+        rows.append(dict(zip(MASKING_CSV_HEADER, values, strict=True)))
     return rows
 
 
@@ -470,21 +453,27 @@ def write_masking_csv(rows, path) -> None:
 @dataclass(frozen=True)
 class SuiteResult:
     name: str
-    passed: bool
     checked: int
-    failures: int
-    lines: tuple
+    lines: tuple  # a suite appends one line per failed check, and nothing else
+
+    @property
+    def failures(self) -> int:
+        return len(self.lines)
+
+    @property
+    def passed(self) -> bool:
+        return not self.lines
 
     def report(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        body = "\n".join("  " + ln for ln in self.lines)
+        body = "\n".join("  " + ln for ln in self.lines[:10])
         head = f"[{status}] {self.name}: {self.checked} checks, {self.failures} failures"
         return head + ("\n" + body if body else "")
 
 
-def _random_small_instance(rng, n_lo=4, n_hi=16, k_hi=5):
-    n = int(rng.integers(n_lo, n_hi + 1))
-    k = int(rng.integers(1, min(k_hi, n - 1) + 1))
+def _random_small_instance(rng):
+    n = int(rng.integers(4, 17))
+    k = int(rng.integers(1, min(5, n - 1) + 1))
     T = int(rng.integers(3, 25))
     if rng.random() < 0.5:
         design = bernoulli_design(n, T, min(0.9, LN2 / k), rng)
@@ -495,19 +484,24 @@ def _random_small_instance(rng, n_lo=4, n_hi=16, k_hi=5):
     return design, DefectiveSet(n, tuple(members.tolist()))
 
 
+def _bernoulli_instance(rng, n_range, k_range, T_range):
+    """(design, truth, outcomes), Bernoulli at p = min(0.9, ln 2 / k); n, k, T drawn in order."""
+    n, k, T = (int(rng.integers(*r)) for r in (n_range, k_range, T_range))
+    design = bernoulli_design(n, T, min(0.9, LN2 / k), rng)
+    members = np.sort(rng.choice(n, size=k, replace=False)) + 1
+    truth = DefectiveSet(n, tuple(members.tolist()))
+    return design, truth, generate_outcomes(design, truth)
+
+
 def suite_explained_naive(seed=0, instances: int = 500) -> SuiteResult:
     """explained/comp/dd/good/masked fast paths against the literal double loops."""
     rng = np.random.default_rng(mix_seed(seed, 11))
-    failures = 0
     lines = []
-    from .analysis import explained_tests, good_test_counts
-
     for j in range(instances):
         design, truth = _random_small_instance(rng)
         y = generate_outcomes(design, truth)
         y_list = y.astype(int).tolist()
         if reference.naive_outcomes(design, truth.members) != y_list:
-            failures += 1
             lines.append(f"instance {j}: outcome mismatch")
             continue
         k_cand = int(rng.integers(1, design.n + 1))
@@ -516,24 +510,19 @@ def suite_explained_naive(seed=0, instances: int = 500) -> SuiteResult:
             fast = explained_tests(design, y, candidate)
             slow = reference.naive_explained(design, y_list, candidate)
             if list(fast.explained) != slow or fast.count != len(slow):
-                failures += 1
                 lines.append(f"instance {j}: explained mismatch for {candidate}")
         if list(comp_decode(design, y)) != reference.naive_comp(design, y_list):
-            failures += 1
             lines.append(f"instance {j}: comp mismatch")
         if list(dd_decode(design, y)) != reference.naive_dd(design, y_list):
-            failures += 1
             lines.append(f"instance {j}: dd mismatch")
         fast_good = good_test_counts(design, truth)
         if fast_good != reference.naive_good_counts(design, truth):
-            failures += 1
             lines.append(f"instance {j}: good-test counts mismatch")
         rep = masking_report(design, truth)
         naive_masked = reference.naive_masked_items(design, truth)
         if list(rep.masked_items) != naive_masked:
-            failures += 1
             lines.append(f"instance {j}: masked items mismatch")
-    return SuiteResult("explained-naive", failures == 0, instances, failures, tuple(lines[:10]))
+    return SuiteResult("explained-naive", instances, tuple(lines))
 
 
 def suite_subset_argmax(seed=0, instances: int = 200) -> SuiteResult:
@@ -541,16 +530,10 @@ def suite_subset_argmax(seed=0, instances: int = 200) -> SuiteResult:
     rng = np.random.default_rng(mix_seed(seed, 12))
     etas = (0.2, 0.25, 0.4)
     frontends = ("dd-pad", "ml", "provided")
-    failures = 0
     lines = []
     for j in range(instances):
-        n = int(rng.integers(8, 15))
-        k = int(rng.integers(2, 6))
-        T = int(rng.integers(6, 21))
-        design = bernoulli_design(n, T, min(0.9, LN2 / k), rng)
-        members = np.sort(rng.choice(n, size=k, replace=False)) + 1
-        truth = DefectiveSet(n, tuple(members.tolist()))
-        y = generate_outcomes(design, truth)
+        design, truth, y = _bernoulli_instance(rng, (8, 15), (2, 6), (6, 21))
+        n, k = design.n, truth.k
         eta = etas[j % len(etas)]
         frontend = frontends[j % len(frontends)]
         provided = None
@@ -564,41 +547,27 @@ def suite_subset_argmax(seed=0, instances: int = 200) -> SuiteResult:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fast = subset_decode(design, y, k, params)
-        if frontend == "ml":
-            base = ml_oracle(design, y, k)
-        elif frontend == "dd-pad":
-            base = dd_pad_frontend(design, y, k)
-        else:
-            base = provided
+        base = _front_end(design, y, k, params)
         size = floor_tol((1.0 - eta) * k)
         slow = reference.brute_force_subset_argmax(design, y, base, size, 3.0 * eta * k)
         if fast != slow:
-            failures += 1
             lines.append(f"instance {j}: {fast} != brute {slow} (eta={eta}, frontend={frontend})")
-    return SuiteResult("subset-argmax", failures == 0, instances, failures, tuple(lines[:10]))
+    return SuiteResult("subset-argmax", instances, tuple(lines))
 
 
 def suite_ml_enum(seed=0, instances: int = 150) -> SuiteResult:
     """ml_oracle against naive enumeration, plus determinism and relabeling."""
     rng = np.random.default_rng(mix_seed(seed, 13))
-    failures = 0
     lines = []
     for j in range(instances):
-        n = int(rng.integers(6, 11))
-        k = int(rng.integers(2, 4))
-        T = int(rng.integers(4, 13))
-        design = bernoulli_design(n, T, min(0.9, LN2 / k), rng)
-        members = np.sort(rng.choice(n, size=k, replace=False)) + 1
-        truth = DefectiveSet(n, tuple(members.tolist()))
-        y = generate_outcomes(design, truth)
+        design, truth, y = _bernoulli_instance(rng, (6, 11), (2, 4), (4, 13))
+        n, k = design.n, truth.k
         est = ml_oracle(design, y, k)
         sets = reference.naive_satisfying_sets(design, y, k)
         if est not in sets or est != sets[0]:
-            failures += 1
             lines.append(f"instance {j}: ml estimate {est} not the first of {len(sets)} sets")
             continue
         if ml_oracle(design, y, k) != est:
-            failures += 1
             lines.append(f"instance {j}: ml not deterministic")
         # relabeling: the satisfying family commutes with a permutation and the
         # deterministic pick is the lexicographic minimum of the relabeled family
@@ -608,9 +577,8 @@ def suite_ml_enum(seed=0, instances: int = 150) -> SuiteResult:
         est_m = ml_oracle(mapped, y, k)
         family = {tuple(sorted(int(perm[i - 1]) for i in s)) for s in sets}
         if est_m != min(family):
-            failures += 1
             lines.append(f"instance {j}: relabeled ml {est_m} != min of relabeled family")
-    return SuiteResult("ml-enum", failures == 0, instances, failures, tuple(lines[:10]))
+    return SuiteResult("ml-enum", instances, tuple(lines))
 
 
 UNIFORMITY_DESIGNS = (
@@ -623,7 +591,6 @@ UNIFORMITY_DESIGNS = (
 def suite_posterior_uniformity(seed=0, trials: int = 100_000) -> SuiteResult:
     """Uniform sampling must look uniform over each satisfying family; a
     deliberately biased sampler must be rejected."""
-    failures = 0
     lines = []
     checked = 0
     for d_idx, rows in enumerate(UNIFORMITY_DESIGNS):
@@ -634,7 +601,6 @@ def suite_posterior_uniformity(seed=0, trials: int = 100_000) -> SuiteResult:
                 continue
             checked += 1
             if b.p_value <= 0.01:
-                failures += 1
                 lines.append(f"design {d_idx}: bin {b.outcome} p={b.p_value:.2e}")
 
     def biased(rng, m, count):
@@ -645,9 +611,8 @@ def suite_posterior_uniformity(seed=0, trials: int = 100_000) -> SuiteResult:
     rej = posterior_uniformity_check(design, 2, trials, mix_seed(seed, 15), sampler=biased)
     checked += 1
     if rej.min_p() >= 1e-6:
-        failures += 1
         lines.append(f"negative control not rejected: min p = {rej.min_p():.2e}")
-    return SuiteResult("posterior-uniformity", failures == 0, checked, failures, tuple(lines[:10]))
+    return SuiteResult("posterior-uniformity", checked, tuple(lines))
 
 
 # Grid chosen so that every true tail is resolvable at 10^5 draws and every
@@ -667,7 +632,6 @@ def suite_chernoff_dominance(seed=0, samples: int = 100_000) -> SuiteResult:
     """Closed-form tail bounds must dominate Monte Carlo tail estimates, and
     each strong bound must not exceed its weak companion on (0, 1]."""
     rng = np.random.default_rng(mix_seed(seed, 16))
-    failures = 0
     checked = 0
     lines = []
     for n in CHERNOFF_GRID["n"]:
@@ -678,21 +642,16 @@ def suite_chernoff_dominance(seed=0, samples: int = 100_000) -> SuiteResult:
                 lo_emp = float((draws <= (1 - delta) * n * mu).mean())
                 ub = chernoff_upper(n, mu, delta)
                 lb = chernoff_lower(n, mu, delta)
-                checked += 2
+                checked += 4
                 if up_emp > ub:
-                    failures += 1
                     lines.append(f"upper n={n} mu={mu} d={delta}: emp {up_emp:.4g} > bound {ub:.4g}")
                 if lo_emp > lb:
-                    failures += 1
                     lines.append(f"lower n={n} mu={mu} d={delta}: emp {lo_emp:.4g} > bound {lb:.4g}")
-                checked += 2
                 if ub > chernoff_weak_upper(n, mu, delta) * (1 + 1e-12):
-                    failures += 1
                     lines.append(f"strong upper above weak at n={n} mu={mu} d={delta}")
                 if lb > chernoff_weak_lower(n, mu, delta) * (1 + 1e-12):
-                    failures += 1
                     lines.append(f"strong lower above weak at n={n} mu={mu} d={delta}")
-    return SuiteResult("chernoff-dominance", failures == 0, checked, failures, tuple(lines[:10]))
+    return SuiteResult("chernoff-dominance", checked, tuple(lines))
 
 
 ORACLE_SUITES = {

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .util import LN2, ceil_tol, floor_tol
+from .util import LN2, ceil_tol, floor_tol, require_finite
 
 #: Largest sparsity exponent for which the exact-recovery rate limit equals 1.
 THETA_KNEE = LN2 / (1.0 + LN2)
@@ -53,6 +53,7 @@ def rate(n: int, k: int, T: int) -> float:
 
 def tests_for_rate(n: int, k: int, target_rate: float) -> int:
     """Smallest T whose rate does not exceed ``target_rate``."""
+    require_finite("target_rate", target_rate)
     if target_rate <= 0:
         raise ParameterError(f"target_rate must be positive, got {target_rate}")
     bits = log2_binomial(n, k)
@@ -93,6 +94,8 @@ class Criterion:
         kinds = ("exact", "subset", "superset", "two-sided", "asymmetric")
         if self.kind not in kinds:
             raise ParameterError(f"unknown criterion kind {self.kind!r}")
+        for name in ("eta_minus", "eta_plus", "beta", "alpha_fn", "alpha_fp"):
+            require_finite(name, getattr(self, name))
         checks = {
             "subset": ("eta_minus", self.eta_minus, 0.0, 1.0),
             "superset": ("eta_plus", self.eta_plus, 0.0, None),

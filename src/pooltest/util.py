@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import ParameterError
+
 LN2 = math.log(2.0)
 
 _MASK64 = (1 << 64) - 1
@@ -11,6 +13,12 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 #: tolerance for snapping float products like eta*k to integers before rounding
 _SNAP = 1e-9
+
+
+def require_finite(name: str, value) -> None:
+    """Raise ParameterError when ``value`` is NaN or infinite; None passes."""
+    if value is not None and not math.isfinite(value):
+        raise ParameterError(f"{name} must be finite, got {value}")
 
 
 def round_half_up(x: float) -> int:

@@ -377,6 +377,12 @@ def test_uniformity_check_cap():
         posterior_uniformity_check(d, k=20, trials=100, seed=0)
 
 
+@pytest.mark.parametrize("k", [7, -1])
+def test_uniformity_check_rejects_k_outside_0_to_n(k):
+    with pytest.raises(ParameterError, match=rf"need 0 <= k <= n, got k={k}, n=6"):
+        posterior_uniformity_check(UNIFORM_DESIGN, k=k, trials=100, seed=0)
+
+
 def test_uniformity_outcome_labels_are_consistent():
     rep = posterior_uniformity_check(UNIFORM_DESIGN, k=2, trials=5_000, seed=1)
     seen = set()

@@ -275,6 +275,68 @@ def test_masking_rejects_a_bad_rate(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+_SIM = ("simulate", "--n", "100", "--k", "5", "--tests", "30", "--trials", "20")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(
+            (*_SIM, "--criterion", "two-sided", "--beta", "nan"), "beta must be finite, got nan",
+            id="beta-nan",
+        ),
+        pytest.param(
+            (*_SIM, "--criterion", "asymmetric", "--alpha-fn", "nan"),
+            "alpha_fn must be finite, got nan",
+            id="alpha-fn-nan",
+        ),
+        pytest.param(
+            (*_SIM, "--decoder", "subset", "--criterion", "subset", "--eta-minus", "0.4",
+             "--radius-mult", "nan"),
+            "radius_mult must be finite, got nan",
+            id="radius-mult-nan",
+        ),
+        pytest.param(
+            ("simulate", "--n", "100", "--k", "5", "--rate", "nan"),
+            "target_rate must be finite, got nan",
+            id="rate-nan",
+        ),
+        pytest.param(
+            ("masking", "--n", "100", "--theta", "0.5", "--rates", "nan"),
+            "target_rate must be finite, got nan",
+            id="masking-rates-nan",
+        ),
+        pytest.param(
+            (*_SIM, "--criterion", "subset", "--eta-minus", "nan"),
+            "eta_minus must be finite, got nan",
+            id="eta-minus-nan",
+        ),
+        pytest.param(
+            (*_SIM, "--decoder", "comp", "--criterion", "superset", "--eta-plus", "nan"),
+            "eta_plus must be finite, got nan",
+            id="eta-plus-nan",
+        ),
+        pytest.param(
+            (*_SIM, "--decoder", "pipeline", "--alpha", "0.1", "--xi", "nan"),
+            "xi must lie in [0, alpha], got nan",
+            id="xi-nan",
+        ),
+        pytest.param(
+            (*_SIM, "--decoder", "subset", "--radius-mult", "inf"),
+            "radius_mult must be finite, got inf",
+            id="radius-mult-inf",
+        ),
+        pytest.param(
+            (*_SIM, "--design", "ncc", "--nu", "nan"), "nu must be finite, got nan", id="ncc-nu-nan"
+        ),
+    ],
+)
+def test_non_finite_numbers_are_exit_1(argv, message, tmp_path, capsys):
+    # a range check written as x < lo lets NaN through, to a p_error of 1 or a traceback
+    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("case", ["config", "design-file", "out"])
 def test_unusable_files_are_exit_1(case, tmp_path):
     missing = tmp_path / "missing" / "x"

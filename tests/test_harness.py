@@ -156,9 +156,10 @@ def test_workers_give_identical_csv(tmp_path):
     for decoder in (dict(), dict(decoder="pipeline", alpha=0.1, inner="subset")):
         paths = []
         for idx, workers in enumerate((1, 3)):
-            summ = run_experiment(small_config(workers=workers, **decoder))
+            summ = run_experiment(small_config(workers=workers, record_sets=True, **decoder))
             p = tmp_path / f"w{idx}.csv"
-            write_trials_csv(summ.records, p, record_sets=True)
+            write_trials_csv(summ.records, p)
+            assert all(row["true_set"] for row in read_rows(p))
             paths.append(p.read_bytes())
         assert paths[0] == paths[1]
 
@@ -277,7 +278,7 @@ def test_trial_csv_header_is_stable(tmp_path):
 def test_trial_csv_record_sets(tmp_path):
     summ = run_experiment(small_config(trials=5, record_sets=True))
     p = tmp_path / "trials.csv"
-    write_trials_csv(summ.records, p, record_sets=True)
+    write_trials_csv(summ.records, p)
     rows = read_rows(p)
     assert "true_set" in rows[0] and "est_set" in rows[0]
     for rec, row in zip(summ.records, rows):
