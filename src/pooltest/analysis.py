@@ -102,20 +102,21 @@ class ExplainScorer:
     """Explain counts of many candidates on one instance, from integer test
     bitmasks (bit t - 1 for test t): the package's one builder of them.
 
-    ``masks[i - 1]`` holds item i's tests when it is clean (in ``clean``) and
-    is 0 otherwise; ``live`` lists the items with a nonzero mask in order, and
-    ``positive`` is the mask of the positive tests. A candidate's explained
-    count is the popcount of the OR over its members' masks.
+    ``live`` lists the live items in order: clean ones (in ``clean``) that sit
+    in some test. ``masks[i - 1]`` holds a live item i's tests and is 0 for
+    every other item, and ``positive`` is the mask of the positive tests. A
+    candidate's explained count is the popcount of the OR over its members'
+    masks.
     """
 
     def __init__(self, design: TestDesign, outcomes):
         positive = _bits(outcomes, design.T)
         self.clean = clean_items(design, positive)
+        self.live = (np.flatnonzero(self.clean & (np.diff(design.col_ptr) > 0)) + 1).tolist()
         self.masks = [0] * design.n
-        for i in np.flatnonzero(self.clean).tolist():
-            self.masks[i] = sum(1 << t for t in (design.col(i + 1) - 1).tolist())
-        self.live = [i for i, m in enumerate(self.masks, 1) if m]
-        self.positive = sum(1 << t for t in np.flatnonzero(positive).tolist())
+        for i in self.live:
+            self.masks[i - 1] = sum(1 << t for t in (design.col(i) - 1).tolist())
+        self.positive = int.from_bytes(np.packbits(positive, bitorder="little").tobytes(), "little")
 
     def union_mask(self, candidate) -> int:
         m = 0

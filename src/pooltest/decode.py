@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -80,9 +81,10 @@ def ml_oracle(design: TestDesign, outcomes, k: int, cap: int = DEFAULT_ENUM_CAP)
 
 def _swaps(base_size: int, size: int, radius: float, n: int) -> range:
     """The counts j of outside items a size-``size`` set within Hamming ``radius``
-    of the base can hold; its distance is base_size - size + 2j."""
-    min_dist = base_size - size
-    j_hi = (int(math.floor(radius)) - min_dist) // 2 if radius >= min_dist else -1
+    of the base can hold; its distance is base_size - size + 2j. The radius is
+    floored with ``floor_tol``, as ``subset_decode`` snaps it, so a product
+    one ulp below an integer keeps that integer."""
+    j_hi = (floor_tol(radius) - (base_size - size)) // 2
     return range(max(0, size - base_size), min(j_hi, size, n - base_size) + 1)
 
 
@@ -145,65 +147,118 @@ def dd_pad_frontend(design: TestDesign, outcomes, k: int) -> tuple:
     return tuple(sorted(est))
 
 
+def _best_addition(mask: int, masks: list, a: int, start: int = 0) -> tuple:
+    """(top count, positions) over the a-subsets of ``masks[start:]`` ORed
+    into ``mask``: the most explained tests, and the positions of the first
+    a-subset in lexicographic order that reaches it. Each subset costs one OR
+    and one popcount; a = 1 is a single pass over the masks."""
+    if a == 0:
+        return mask.bit_count(), ()
+    if a == 1:
+        counts = [(mask | m).bit_count() for m in masks[start:]]
+        top = max(counts)
+        return top, (start + counts.index(top),)
+    best = (-1, ())
+    for x in range(start, len(masks) - a + 1):
+        c, rest = _best_addition(mask | masks[x], masks, a - 1, x + 1)
+        if c > best[0]:
+            best = (c, (x,) + rest)
+    return best
+
+
 def _argmax_explained(scorer: ExplainScorer, base, size, radius, n):
     """Lexicographically smallest size-``size`` set within Hamming ``radius``
     of ``base`` with the most explained tests, or () when none explains any.
 
     Each candidate keeps size - j members of the base and adds j outside
-    items, for j in ``_swaps``. Only outside items with a nonzero test mask
-    change a count, so the search enumerates their a-subsets and stands for
-    each group by its smallest member, padded with the j - a smallest inert
-    items. The family itself is never built.
+    items, for j in ``_swaps``. Only live outside items (nonzero test mask)
+    change a count, so the search takes a of them and stands for each group
+    by its smallest member, padded with the j - a smallest inert items. The
+    family itself is never built: each kept set is ORed once, and each
+    addition to it costs one OR and one popcount.
+
+    Within one kept set and one a, the candidates' lexicographic order is
+    that of the added live items, so only the first addition reaching the
+    top count can win there. A kept set is skipped when no addition can
+    reach the best count so far, by either bound: its own count plus j times
+    the widest live mask, or its OR with every live mask (``reach``). Its
+    candidates would all explain fewer tests than the best, so skipping them
+    keeps the tie-break; a tie with the best is never skipped, since it can
+    be lexicographically smaller.
     """
     base_set = set(base)
     live = [i for i in scorer.live if i not in base_set]
-    skip = base_set.union(scorer.live)
-    inert = [i for i in range(1, n + 1) if i not in skip]
+    live_masks = [scorer.masks[i - 1] for i in live]
+    widest = max((m.bit_count() for m in live_masks), default=0)
+    reach = scorer.union_mask(live)
+    js = _swaps(len(base), size, radius, n)
+    skip = base_set.union(live)
+    inert = list(itertools.islice((i for i in range(1, n + 1) if i not in skip), max(js, default=0)))
     best = ()
     best_count = 0
-    for j in _swaps(len(base), size, radius, n):
+    for j in js:
         for kept in itertools.combinations(base, size - j):
             kept_mask = scorer.union_mask(kept)
+            kc = kept_mask.bit_count()
+            if kc + j * widest < best_count or (kept_mask | reach).bit_count() < best_count:
+                continue
             for a in range(max(0, j - len(inert)), min(j, len(live)) + 1):
-                pad = tuple(inert[: j - a])
-                for added in itertools.combinations(live, a):
-                    c = (kept_mask | scorer.union_mask(added)).bit_count()
-                    if c == 0 or c < best_count:
-                        continue
-                    cand = tuple(sorted(kept + added + pad))
-                    if c > best_count or cand < best:
-                        best = cand
-                        best_count = c
+                c, added = _best_addition(kept_mask, live_masks, a)
+                if c == 0 or c < best_count:
+                    continue
+                cand = tuple(sorted(kept + tuple(live[x] for x in added) + tuple(inert[: j - a])))
+                if c > best_count or cand < best:
+                    best = cand
+                    best_count = c
     return best
 
 
 def _hill_climb(scorer: ExplainScorer, base, size, radius):
     """Greedy single-swap ascent; a heuristic stand-in when the family is too
-    large to enumerate, not an exact argmax."""
+    large to enumerate, not an exact argmax.
+
+    From ``base[:size]``, each step takes the first swap, over outgoing
+    members in increasing order and then live incoming items in increasing
+    order, that explains the most tests above the current count, among swaps
+    within ``radius`` of the base. The rest of the set without each outgoing
+    member is one OR of a prefix and a suffix, and a swap's distance is the
+    set's own plus or minus one per item. An outgoing member is skipped when
+    no incoming item can lift the rest past the best count, by the widest
+    live mask or by the OR of all of them; only a strict improvement is
+    taken, so the skip changes no step.
+    """
     base_set = set(base)
+    masks = scorer.masks
+    # (item, mask, change in distance from the base when the item comes in)
+    live = [(i, masks[i - 1], -1 if i in base_set else 1) for i in scorer.live]
+    widest = max((m.bit_count() for _, m, _ in live), default=0)
+    reach = scorer.union_mask(scorer.live)
     current = list(base[:size])
     best_count = scorer.count(current)
-    improved = True
-    while improved:
-        improved = False
+    while True:
         cur_set = set(current)
+        dist = len(base_set ^ cur_set)
         best_swap = None
-        for out in sorted(cur_set):
-            # an item with no explained tests never makes a strict improvement
-            for inn in scorer.live:
-                if inn in cur_set:
+        # ORs of the members before and after each position
+        member_masks = [masks[i - 1] for i in current]
+        before = list(itertools.accumulate(member_masks, operator.or_, initial=0))
+        after = list(itertools.accumulate(reversed(member_masks), operator.or_, initial=0))[::-1]
+        for p, out in enumerate(current):
+            rest = before[p] | after[p + 1]
+            if rest.bit_count() + widest <= best_count or (rest | reach).bit_count() <= best_count:
+                continue
+            out_dist = dist + (1 if out in base_set else -1)
+            for inn, m, step in live:
+                if inn in cur_set or out_dist + step > radius:
                     continue
-                trial = cur_set - {out} | {inn}
-                if len(base_set ^ trial) > radius:
-                    continue
-                c = scorer.count(trial)
+                c = (rest | m).bit_count()
                 if c > best_count:
                     best_count = c
-                    best_swap = trial
-        if best_swap is not None:
-            current = sorted(best_swap)
-            improved = True
-    return tuple(sorted(current)) if best_count > 0 else ()
+                    best_swap = (out, inn)
+        if best_swap is None:
+            return tuple(current) if best_count > 0 else ()
+        out, inn = best_swap
+        current = sorted(cur_set - {out} | {inn})
 
 
 def _front_end(design: TestDesign, outcomes, k: int, params: SubsetParams) -> tuple:
@@ -226,7 +281,8 @@ def subset_decode(design: TestDesign, outcomes, k: int, params: SubsetParams) ->
     set explaining the most positive tests.
 
     Candidates have size floor((1 - eta_minus) k) and lie within Hamming
-    radius radius_mult * eta_minus * k of the front-end estimate, whose items
+    radius floor(radius_mult * eta_minus * k) of the front-end estimate (both
+    floors snap a product within 1e-9 of an integer to it), whose items
     must lie in 1..n. A family of at most ``family_cap`` members (no cap when
     None) gets the exact search: the most explained tests, ties to the
     lexicographically smallest candidate. A larger one gets the hill climb
@@ -240,7 +296,7 @@ def subset_decode(design: TestDesign, outcomes, k: int, params: SubsetParams) ->
         warnings.warn("target size (1 - eta_minus) * k rounds to zero; returning empty estimate")
         return ()
     base = _front_end(design, outcomes, k, params)
-    radius = params.radius_mult * params.eta_minus * k
+    radius = floor_tol(params.radius_mult * params.eta_minus * k)
     scorer = ExplainScorer(design, outcomes)
     count = family_size(len(base), size, radius, design.n)
     if params.family_cap is None or count <= params.family_cap:

@@ -493,6 +493,14 @@ def _bernoulli_instance(rng, n_range, k_range, T_range):
     return design, truth, generate_outcomes(design, truth)
 
 
+def _one_swapped(rng, truth: DefectiveSet) -> tuple:
+    """The truth with one member, drawn first, swapped for a drawn outside item."""
+    s = list(truth.members)
+    outside = sorted(set(range(1, truth.n + 1)) - set(s))
+    s[int(rng.integers(0, len(s)))] = outside[int(rng.integers(0, len(outside)))]
+    return tuple(sorted(s))
+
+
 def suite_explained_naive(seed=0, instances: int = 500) -> SuiteResult:
     """explained/comp/dd/good/masked fast paths against the literal double loops."""
     rng = np.random.default_rng(mix_seed(seed, 11))
@@ -533,26 +541,55 @@ def suite_subset_argmax(seed=0, instances: int = 200) -> SuiteResult:
     lines = []
     for j in range(instances):
         design, truth, y = _bernoulli_instance(rng, (8, 15), (2, 6), (6, 21))
-        n, k = design.n, truth.k
+        k = truth.k
         eta = etas[j % len(etas)]
         frontend = frontends[j % len(frontends)]
-        provided = None
-        if frontend == "provided":
-            # truth with one member swapped for an outside item
-            s = list(truth.members)
-            outside = sorted(set(range(1, n + 1)) - set(s))
-            s[int(rng.integers(0, len(s)))] = outside[int(rng.integers(0, len(outside)))]
-            provided = tuple(sorted(s))
+        provided = _one_swapped(rng, truth) if frontend == "provided" else None
         params = SubsetParams(eta_minus=eta, frontend=frontend, provided=provided)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fast = subset_decode(design, y, k, params)
         base = _front_end(design, y, k, params)
         size = floor_tol((1.0 - eta) * k)
-        slow = reference.brute_force_subset_argmax(design, y, base, size, 3.0 * eta * k)
+        slow = reference.brute_force_subset_argmax(design, y, base, size, floor_tol(3.0 * eta * k))
         if fast != slow:
             lines.append(f"instance {j}: {fast} != brute {slow} (eta={eta}, frontend={frontend})")
     return SuiteResult("subset-argmax", instances, tuple(lines))
+
+
+def suite_hill_climb(seed=0, instances: int = 200) -> SuiteResult:
+    """subset_decode's hill climb against the naive climb, which rescores
+    every swap, at radii that bind and radii that do not."""
+    rng = np.random.default_rng(mix_seed(seed, 17))
+    etas = (0.2, 0.25, 0.4)
+    radius_mults = (2.0, 3.0, 4.0, 12.0)
+    lines = []
+    for j in range(instances):
+        design, truth, y = _bernoulli_instance(rng, (10, 31), (3, 8), (6, 31))
+        k = truth.k
+        eta = etas[j % len(etas)]
+        radius_mult = radius_mults[j % len(radius_mults)]
+        provided = _one_swapped(rng, truth) if j % 2 else None
+        # eta * k >= 0.6 and radius_mult >= 2 put at least k sets of the base's
+        # own members within the radius, so the cap of 1 always sends the call
+        # to the climb
+        params = SubsetParams(
+            eta_minus=eta,
+            radius_mult=radius_mult,
+            frontend="provided" if provided else "dd-pad",
+            provided=provided,
+            family_cap=1,
+            hill_climb=True,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fast = subset_decode(design, y, k, params)
+        base = _front_end(design, y, k, params)
+        size = floor_tol((1.0 - eta) * k)
+        slow = reference.naive_hill_climb(design, y, base, size, floor_tol(radius_mult * eta * k))
+        if fast != slow:
+            lines.append(f"instance {j}: {fast} != naive {slow} (eta={eta}, radius_mult={radius_mult})")
+    return SuiteResult("hill-climb", instances, tuple(lines))
 
 
 def suite_ml_enum(seed=0, instances: int = 150) -> SuiteResult:
@@ -657,6 +694,7 @@ def suite_chernoff_dominance(seed=0, samples: int = 100_000) -> SuiteResult:
 ORACLE_SUITES = {
     "explained-naive": suite_explained_naive,
     "subset-argmax": suite_subset_argmax,
+    "hill-climb": suite_hill_climb,
     "ml-enum": suite_ml_enum,
     "posterior-uniformity": suite_posterior_uniformity,
     "chernoff-dominance": suite_chernoff_dominance,

@@ -147,11 +147,9 @@ def brute_force_subset_argmax(design: TestDesign, y, base, size: int, radius: fl
     return best
 
 
-def family_argmax(design: TestDesign, y, base, size: int, radius: float) -> tuple:
-    """The same argmax as brute_force_subset_argmax, for ground sets too large
-    to scan every size-``size`` set: the candidates within ``radius`` of
-    ``base`` are listed as base members kept plus outside items added, sorted,
-    and scored from per-item explained-test sets read off the dense matrix."""
+def _item_explained(design: TestDesign, y) -> dict:
+    """Each item's explained tests (0-based), read off the dense matrix: its
+    tests when none of them is negative, and the empty set otherwise."""
     y = [int(b) for b in y]
     X = dense(design)
     explained = {}
@@ -159,6 +157,15 @@ def family_argmax(design: TestDesign, y, base, size: int, radius: float) -> tupl
         tests = [t for t in range(design.T) if X[t][i - 1]]
         in_negative = any(not y[t] for t in tests)
         explained[i] = set() if in_negative else set(tests)
+    return explained
+
+
+def family_argmax(design: TestDesign, y, base, size: int, radius: float) -> tuple:
+    """The same argmax as brute_force_subset_argmax, for ground sets too large
+    to scan every size-``size`` set: the candidates within ``radius`` of
+    ``base`` are listed as base members kept plus outside items added, sorted,
+    and scored from per-item explained-test sets read off the dense matrix."""
+    explained = _item_explained(design, y)
     base_set = set(base)
     base = sorted(base)
     outside = [i for i in range(1, design.n + 1) if i not in base_set]
@@ -178,6 +185,44 @@ def family_argmax(design: TestDesign, y, base, size: int, radius: float) -> tupl
             best_count = count
             best = combo
     return best
+
+
+def naive_hill_climb(design: TestDesign, y, base, size: int, radius: float) -> tuple:
+    """The greedy single-swap ascent of the subset decoder, one whole rescore
+    per swap: from ``base[:size]``, each step takes the first swap, over
+    outgoing members and then items with an explained test, both in
+    increasing order, with the most explained tests above the current count,
+    among swaps within ``radius`` of ``base``; () when none explains a test.
+    Counts come from per-item explained-test sets read off the dense matrix."""
+    explained = _item_explained(design, y)
+    live = [i for i in range(1, design.n + 1) if explained[i]]
+
+    def count(candidate):
+        return len(set().union(*(explained[i] for i in candidate)))
+
+    base_set = set(base)
+    current = list(base[:size])
+    best_count = count(current)
+    improved = True
+    while improved:
+        improved = False
+        cur_set = set(current)
+        best_swap = None
+        for out in sorted(cur_set):
+            for inn in live:
+                if inn in cur_set:
+                    continue
+                trial = cur_set - {out} | {inn}
+                if len(base_set ^ trial) > radius:
+                    continue
+                c = count(trial)
+                if c > best_count:
+                    best_count = c
+                    best_swap = trial
+        if best_swap is not None:
+            current = sorted(best_swap)
+            improved = True
+    return tuple(sorted(current)) if best_count > 0 else ()
 
 
 def ncc_rows(n: int, T: int, L: int, seed) -> TestDesign:

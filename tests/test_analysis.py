@@ -123,13 +123,27 @@ def test_explained_tests_rejects_items_outside_the_ground_set():
 
 def test_explain_scorer_agrees_with_explained_tests():
     rng = np.random.default_rng(4)
+    empty_clean = 0
     for _ in range(50):
-        d, s, y = random_instance(rng)
-        scorer = ExplainScorer(d, y)
-        for _ in range(10):
-            k = int(rng.integers(0, min(5, d.n) + 1))
-            cand = tuple(sorted(int(i) for i in rng.choice(d.n, size=k, replace=False) + 1))
-            assert scorer.count(cand) == explained_tests(d, y, cand).count
+        d, s, y_truth = random_instance(rng)
+        # the all-negative outcomes leave no test to explain
+        for y in (y_truth, np.zeros(d.T, dtype=bool)):
+            scorer = ExplainScorer(d, y)
+            for _ in range(10):
+                k = int(rng.integers(0, min(5, d.n) + 1))
+                cand = tuple(sorted(int(i) for i in rng.choice(d.n, size=k, replace=False) + 1))
+                assert scorer.count(cand) == explained_tests(d, y, cand).count
+            # masks, live items and positive mask as built one test at a time
+            clean = set(naive_comp(d, y.astype(int).tolist()))
+            masks = [
+                sum(1 << t for t in (d.col(i) - 1).tolist()) if i in clean else 0 for i in range(1, d.n + 1)
+            ]
+            assert scorer.masks == masks
+            assert scorer.live == [i for i, m in enumerate(masks, 1) if m]
+            assert scorer.positive == sum(1 << t for t in np.flatnonzero(y).tolist())
+            empty_clean += sum(1 for i in clean if d.col(i).size == 0)
+    # clean items in no test are not live
+    assert empty_clean > 0
 
 
 def test_explain_scorer_regression_instance():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,8 @@ def test_candidate_family_empty_when_radius_too_small():
 
 
 def test_subset_argmax_matches_brute_force():
+    # radius_mult 6 reaches j >= 2 outside items, with a >= 2 of them live
+    # and the rest padded with inert ones, past the kept-set skip
     rng = np.random.default_rng(12)
     for _ in range(60):
         d, s, y = random_instance(rng, n_hi=10, k_hi=4)
@@ -133,15 +136,13 @@ def test_subset_argmax_matches_brute_force():
             size = math.floor((1.0 - eta) * s.k + 1e-9)
             if size == 0:
                 continue
-            radius = 3.0 * eta * s.k
-            params = SubsetParams(eta_minus=eta)
-            import warnings as _w
-
-            with _w.catch_warnings():
-                _w.simplefilter("ignore")
-                got = subset_decode(d, y, s.k, params)
-            expect = brute_force_subset_argmax(d, y, base, size, radius)
-            assert got == tuple(expect)
+            for radius_mult in (1.0, 3.0, 6.0):
+                params = SubsetParams(eta_minus=eta, radius_mult=radius_mult)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    got = subset_decode(d, y, s.k, params)
+                expect = brute_force_subset_argmax(d, y, base, size, floor_tol(radius_mult * eta * s.k))
+                assert got == tuple(expect)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +202,16 @@ def test_subset_decode_family_cap_refuses():
     params = SubsetParams(eta_minus=0.34, family_cap=1)
     with pytest.raises(CapExceededError):
         subset_decode(d, y, 3, params)
+
+
+def test_subset_decode_snaps_the_radius_once():
+    # 3.0 * 0.35 * 20 is 20.999999999999996 in floating point; the radius is 21
+    n, k = 60, 20
+    d = bernoulli_design(n, 30, LN2 / k, seed=0)
+    y = generate_outcomes(d, DefectiveSet(n, tuple(range(1, 2 * k, 2))))
+    with pytest.raises(CapExceededError) as err:
+        subset_decode(d, y, k, SubsetParams(eta_minus=0.35, radius_mult=3.0, family_cap=1))
+    assert err.value.estimate == family_size(20, 13, 21, n) == 1_120_376_249_760
 
 
 def test_subset_decode_hill_climb_over_cap():

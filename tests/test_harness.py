@@ -385,6 +385,8 @@ def test_oracle_suites_pass_at_reduced_sizes():
     assert res.passed
     res = oracle_check("ml-enum", seed=3, instances=12)
     assert res.passed
+    res = oracle_check("hill-climb", seed=3, instances=12)
+    assert res.passed and res.checked == 12
     res = oracle_check("posterior-uniformity", seed=3, trials=30_000)
     assert res.passed
     res = oracle_check("chernoff-dominance", seed=3, samples=20_000)
