@@ -17,7 +17,8 @@ The notions here drive both decoding and error analysis:
 
 Outcomes are a length-T bool array. Per-defective counts are bincounts over an
 owner index of the defectives' columns; ExplainScorer is the one place tests
-become integer bitmasks.
+become integer bitmasks. A trial's decoders and masking read one _Instance:
+the design, its outcomes and its clean mask, computed once.
 """
 
 from __future__ import annotations
@@ -65,16 +66,54 @@ def set_hamming(a, b) -> int:
 def clean_items(design: TestDesign, positive: np.ndarray) -> np.ndarray:
     """Boolean mask over items: True when the item is in no negative test.
 
-    Read off the row view: every item of a negative test is marked. When
-    ``positive`` are the outcomes of a defective set, a non-defective is
-    clean exactly when it is masked (every test containing it has a
-    defective), which masking_report relies on.
+    Read off the column view: each column entry looks up whether its test
+    is negative, and a bitwise-or reduceat over the columns flags the items
+    with a negative test. When ``positive`` are the outcomes of a defective
+    set, a non-defective is clean exactly when it is masked (every test
+    containing it has a defective), which masking_report relies on.
     """
-    clean = np.ones(design.n + 1, dtype=bool)  # indexed by the 1-based items; entry 0 unused
-    negative_entries = np.repeat(np.logical_not(positive), np.diff(design.row_ptr))
-    # intp indices take numpy's fast scatter; int32 ones are cast in buffered chunks
-    clean[design.row_flat[negative_entries].astype(np.intp, copy=False)] = False
-    return clean[1:]
+    negative = np.zeros(design.T + 1, dtype=np.uint8)  # indexed by the 1-based tests; entry 0 unused
+    negative[1:] = np.logical_not(positive)
+    # the trailing 0 lets reduceat start a segment at the entry count, where
+    # the empty columns at the end of the view start
+    hits = np.empty(design.col_flat.size + 1, dtype=np.uint8)
+    hits[-1] = 0
+    np.take(negative, design.col_flat, out=hits[:-1])
+    starts, ends = design.col_ptr[:-1], design.col_ptr[1:]
+    flagged = np.bitwise_or.reduceat(hits, starts)
+    flagged[starts == ends] = 0  # reduceat reads one entry past an empty column
+    return flagged == 0
+
+
+@dataclass(frozen=True)
+class _Instance:
+    """A design, its outcomes and its clean mask, built once per trial and
+    read by every decoder and analysis of it.
+
+    ``columns`` is _defective_columns of the defective set the outcomes came
+    from, for an instance built from that set; masking reads it.
+    """
+
+    design: TestDesign
+    positive: np.ndarray
+    clean: np.ndarray
+    columns: tuple | None = None
+
+
+def _instance(design: TestDesign, outcomes) -> _Instance:
+    """The instance of (design, outcomes)."""
+    positive = _bits(outcomes, design.T)
+    return _Instance(design, positive, clean_items(design, positive))
+
+
+def _truth_instance(design: TestDesign, s: DefectiveSet) -> _Instance:
+    """The instance of a defective set's own outcomes, read off the per-test
+    counts of its columns, which it keeps."""
+    if s.n != design.n:
+        raise ParameterError(f"ground sets differ: design n={design.n}, set n={s.n}")
+    columns = _defective_columns(design, s.members)
+    positive = columns[3][1:] > 0
+    return _Instance(design, positive, clean_items(design, positive), columns)
 
 
 @dataclass(frozen=True)
@@ -110,13 +149,22 @@ class ExplainScorer:
     """
 
     def __init__(self, design: TestDesign, outcomes):
-        positive = _bits(outcomes, design.T)
-        self.clean = clean_items(design, positive)
+        self._read(_instance(design, outcomes))
+
+    @classmethod
+    def _of(cls, inst: _Instance) -> "ExplainScorer":
+        scorer = cls.__new__(cls)
+        scorer._read(inst)
+        return scorer
+
+    def _read(self, inst: _Instance) -> None:
+        design = inst.design
+        self.clean = inst.clean
         self.live = (np.flatnonzero(self.clean & (np.diff(design.col_ptr) > 0)) + 1).tolist()
         self.masks = [0] * design.n
         for i in self.live:
             self.masks[i - 1] = sum(1 << t for t in (design.col(i) - 1).tolist())
-        self.positive = int.from_bytes(np.packbits(positive, bitorder="little").tobytes(), "little")
+        self.positive = int.from_bytes(np.packbits(inst.positive, bitorder="little").tobytes(), "little")
 
     def union_mask(self, candidate) -> int:
         m = 0
@@ -167,18 +215,22 @@ def masking_report(design: TestDesign, s: DefectiveSet) -> MaskingReport:
     So the non-defectives come from clean_items, and only the defectives'
     own columns are read for the "another defective in every test" check.
     """
-    if s.n != design.n:
-        raise ParameterError(f"ground sets differ: design n={design.n}, set n={s.n}")
-    idx, tests, owner, counts = _defective_columns(design, s.members)
-    masked = clean_items(design, counts[1:] > 0)
+    return _masking(_truth_instance(design, s))
+
+
+def _masking(inst: _Instance) -> MaskingReport:
+    """masking_report of the defective set an instance was built from."""
+    idx, tests, owner, counts = inst.columns
+    masked = inst.clean.copy()
     masked[idx - 1] = np.bincount(owner[counts[tests] < 2], minlength=idx.size) == 0
     masked_defectives = int(masked[idx - 1].sum())
     items = np.flatnonzero(masked) + 1
+    col_ptr = inst.design.col_ptr
     return MaskingReport(
         masked_defectives=masked_defectives,
         masked_nondefectives=int(items.size) - masked_defectives,
         masked_items=tuple(items.tolist()),
-        zero_test_items=int(np.count_nonzero(design.col_ptr[1:] == design.col_ptr[:-1])),
+        zero_test_items=int(np.count_nonzero(col_ptr[1:] == col_ptr[:-1])),
     )
 
 
@@ -188,12 +240,15 @@ def satisfying_sets(design: TestDesign, outcomes, k: int, cap: int = DEFAULT_ENU
     Only the clean items' k-subsets can, so only they are enumerated; the
     call still refuses when C(n, k) exceeds ``cap``.
     """
-    total = math.comb(design.n, k)
+    return _satisfying_sets(_instance(design, outcomes), k, cap)
+
+
+def _satisfying_sets(inst: _Instance, k: int, cap: int) -> list:
+    n = inst.design.n
+    total = math.comb(n, k)
     if total > cap:
-        raise CapExceededError(
-            f"C({design.n}, {k}) = {total} exceeds enumeration cap {cap}", estimate=total
-        )
-    scorer = ExplainScorer(design, outcomes)
+        raise CapExceededError(f"C({n}, {k}) = {total} exceeds enumeration cap {cap}", estimate=total)
+    scorer = ExplainScorer._of(inst)
     clean = (np.flatnonzero(scorer.clean) + 1).tolist()
     return [c for c in itertools.combinations(clean, k) if scorer.union_mask(c) == scorer.positive]
 

@@ -25,19 +25,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import DEFAULT_ENUM_CAP, ExplainScorer, clean_items, satisfying_sets
-from .analysis import _bits, _defective_columns
+from .analysis import DEFAULT_ENUM_CAP, ExplainScorer, _defective_columns, _instance, _Instance
+from .analysis import _satisfying_sets, _truth_instance
 from .design import DesignSpec, TestDesign, build_design
 from .errors import CapExceededError, ParameterError
-from .model import DefectiveSet, PriorSpec, generate_outcomes, sample_defectives
+from .model import DefectiveSet, PriorSpec, sample_defectives
 from .util import floor_tol, mix_seed, require_finite, round_half_up
 
 DEFAULT_FAMILY_CAP = 5_000_000
 
 
-def _survivors(design: TestDesign, outcomes) -> np.ndarray:
+def _survivors(inst: _Instance) -> np.ndarray:
     """The comp survivors: items in no negative test, as a sorted int64 array."""
-    return np.flatnonzero(clean_items(design, _bits(outcomes, design.T))) + 1
+    return np.flatnonzero(inst.clean) + 1
 
 
 def _sole(design: TestDesign, survivors: np.ndarray) -> np.ndarray:
@@ -52,13 +52,21 @@ def _sole(design: TestDesign, survivors: np.ndarray) -> np.ndarray:
 
 def comp_decode(design: TestDesign, outcomes) -> tuple:
     """Items appearing in no negative test, sorted."""
-    return tuple(_survivors(design, outcomes).tolist())
+    return _comp(_instance(design, outcomes))
+
+
+def _comp(inst: _Instance) -> tuple:
+    return tuple(_survivors(inst).tolist())
 
 
 def dd_decode(design: TestDesign, outcomes) -> tuple:
     """Sole remaining candidates of positive tests: the comp survivors that
     are the only survivor of some positive test, which pins them as defective."""
-    return tuple(_sole(design, _survivors(design, outcomes)).tolist())
+    return _dd(_instance(design, outcomes))
+
+
+def _dd(inst: _Instance) -> tuple:
+    return tuple(_sole(inst.design, _survivors(inst)).tolist())
 
 
 def ml_oracle(design: TestDesign, outcomes, k: int, cap: int = DEFAULT_ENUM_CAP) -> tuple:
@@ -67,7 +75,11 @@ def ml_oracle(design: TestDesign, outcomes, k: int, cap: int = DEFAULT_ENUM_CAP)
     Every satisfying set is equally likely under a uniform size-k prior; the
     lexicographically smallest is returned.
     """
-    sets = satisfying_sets(design, outcomes, k, cap=cap)
+    return _ml(_instance(design, outcomes), k, cap)
+
+
+def _ml(inst: _Instance, k: int, cap: int) -> tuple:
+    sets = _satisfying_sets(inst, k, cap)
     if not sets:
         raise ParameterError(
             "no size-k set reproduces the outcomes; inconsistent (design, outcomes, k)"
@@ -133,12 +145,16 @@ def dd_pad_frontend(design: TestDesign, outcomes, k: int) -> tuple:
     The survivors are derived once; on inconsistent inputs where they run
     out, the lowest-index other items pad the rest.
     """
-    survivors = _survivors(design, outcomes)
-    est = _sole(design, survivors).tolist()
+    return _dd_pad(_instance(design, outcomes), k)
+
+
+def _dd_pad(inst: _Instance, k: int) -> tuple:
+    survivors = _survivors(inst)
+    est = _sole(inst.design, survivors).tolist()
     if len(est) >= k:
         return tuple(est[:k])
     have = set(est)
-    for i in itertools.chain(survivors.tolist(), range(1, design.n + 1)):
+    for i in itertools.chain(survivors.tolist(), range(1, inst.design.n + 1)):
         if len(est) >= k:
             break
         if i not in have:
@@ -261,17 +277,17 @@ def _hill_climb(scorer: ExplainScorer, base, size, radius):
         current = sorted(cur_set - {out} | {inn})
 
 
-def _front_end(design: TestDesign, outcomes, k: int, params: SubsetParams) -> tuple:
+def _front_end(inst: _Instance, k: int, params: SubsetParams) -> tuple:
     """The size-k estimate of the front end that ``subset_decode`` searches around."""
     if params.frontend == "ml":
-        base = ml_oracle(design, outcomes, k, cap=params.ml_cap)
+        base = _ml(inst, k, params.ml_cap)
     elif params.frontend == "dd-pad":
-        base = dd_pad_frontend(design, outcomes, k)
+        base = _dd_pad(inst, k)
     else:
         base = tuple(sorted(int(i) for i in params.provided))
         if len(base) != k:
             raise ParameterError(f"provided front-end estimate has size {len(base)}, expected {k}")
-    if any(not (1 <= i <= design.n) for i in base):
+    if any(not (1 <= i <= inst.design.n) for i in base):
         raise ParameterError("base set not contained in the ground set")
     return base
 
@@ -289,18 +305,23 @@ def subset_decode(design: TestDesign, outcomes, k: int, params: SubsetParams) ->
     when ``hill_climb`` is set and a CapExceededError otherwise. The empty
     tuple comes back when no candidate explains any test.
     """
+    return _subset(_instance(design, outcomes), k, params)
+
+
+def _subset(inst: _Instance, k: int, params: SubsetParams) -> tuple:
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
     size = floor_tol((1.0 - params.eta_minus) * k)
     if size == 0:
         warnings.warn("target size (1 - eta_minus) * k rounds to zero; returning empty estimate")
         return ()
-    base = _front_end(design, outcomes, k, params)
+    base = _front_end(inst, k, params)
     radius = floor_tol(params.radius_mult * params.eta_minus * k)
-    scorer = ExplainScorer(design, outcomes)
-    count = family_size(len(base), size, radius, design.n)
+    scorer = ExplainScorer._of(inst)
+    n = inst.design.n
+    count = family_size(len(base), size, radius, n)
     if params.family_cap is None or count <= params.family_cap:
-        est = _argmax_explained(scorer, base, size, radius, design.n)
+        est = _argmax_explained(scorer, base, size, radius, n)
     elif params.hill_climb:
         est = _hill_climb(scorer, base, size, radius)
     else:
@@ -370,30 +391,31 @@ def _pipeline_deletions(n: int, alpha: float, xi: float | None, inner: str) -> i
     return d
 
 
-def _decode(name: str, design: TestDesign, outcomes, k: int, params=None, ml_cap=DEFAULT_ENUM_CAP):
-    """(estimate, refused) of decoder ``name``: comp, dd, ml, or subset with
-    ``params`` and its warnings silenced. A CapExceededError is a refusal,
-    with an empty estimate."""
+def _decode(name: str, inst: _Instance, k: int, params=None, ml_cap=DEFAULT_ENUM_CAP):
+    """(estimate, refused) of decoder ``name`` on an instance: comp, dd, ml,
+    or subset with ``params`` and its warnings silenced. A CapExceededError
+    is a refusal, with an empty estimate."""
     try:
         if name == "comp":
-            return comp_decode(design, outcomes), False
+            return _comp(inst), False
         if name == "dd":
-            return dd_decode(design, outcomes), False
+            return _dd(inst), False
         if name == "ml":
-            return ml_oracle(design, outcomes, k, cap=ml_cap), False
+            return _ml(inst, k, ml_cap), False
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return subset_decode(design, outcomes, k, params), False
+            return _subset(inst, k, params), False
     except CapExceededError:
         return (), True
 
 
-def _pipeline(spec, prior, n, k, T, d, seed, inner, params) -> PipelineResult:
-    """One pipeline trial: draw the truth from ``prior``, delete ``d`` uniform
-    items, build a design for k_mid = round(k * kept / n) over the kept ones,
-    decode it with ``inner`` at k_mid and lift the estimate to original
-    labels. Truth, design and deletion use the sub-streams 2, 1 and 3 of
-    ``seed``."""
+def _pipeline(spec, prior, n, k, T, d, seed, inner, params) -> tuple:
+    """(PipelineResult, instance) of one pipeline trial: draw the truth from
+    ``prior``, delete ``d`` uniform items, build a design for
+    k_mid = round(k * kept / n) over the kept ones, decode its instance under
+    the retained truth with ``inner`` at k_mid and lift the estimate to
+    original labels. Truth, design and deletion use the sub-streams 2, 1 and
+    3 of ``seed``."""
     truth = sample_defectives(prior, n, mix_seed(seed, 2))
     delete_rng = np.random.default_rng(mix_seed(seed, 3))
     deleted = np.sort(delete_rng.choice(n, size=d, replace=False)) + 1
@@ -403,10 +425,11 @@ def _pipeline(spec, prior, n, k, T, d, seed, inner, params) -> PipelineResult:
     members = np.asarray(truth.members, dtype=np.int64)
     retained = np.searchsorted(kept, members[np.isin(members, kept, assume_unique=True)]) + 1
     reduced = DefectiveSet(kept.size, tuple(retained.tolist()))
-    est, refused = _decode(inner, design, generate_outcomes(design, reduced), k_mid, params)
+    inst = _truth_instance(design, reduced)
+    est, refused = _decode(inner, inst, k_mid, params)
     estimate = tuple(kept[np.asarray(est, dtype=np.int64) - 1].tolist())
     deleted, kept = tuple(deleted.tolist()), tuple(kept.tolist())
-    return PipelineResult(truth, deleted, kept, k_mid, design, reduced, estimate, refused)
+    return PipelineResult(truth, deleted, kept, k_mid, design, reduced, estimate, refused), inst
 
 
 def deletion_pipeline(
@@ -442,4 +465,4 @@ def deletion_pipeline(
         if inner == "subset"
         else None
     )
-    return _pipeline(spec, PriorSpec("combinatorial", k=k), n, k, T, d, seed, inner, params)
+    return _pipeline(spec, PriorSpec("combinatorial", k=k), n, k, T, d, seed, inner, params)[0]

@@ -22,34 +22,46 @@ from .util import LN2, require_finite, round_half_up
 
 
 class TestDesign:
-    """Sparse T x n binary design with both row and column views.
+    """Sparse T x n binary design, stored as its column view.
 
-    The two views describe the same matrix: ``row(t)`` lists the items in
-    test t, ``col(i)`` lists the tests containing item i, both sorted,
-    both 1-based. The flats ``row_flat`` and ``col_flat`` are stored in the
-    packed-key dtype of _key_layout (int32 whenever the keys fit), which
-    ``row``, ``col`` and ``cols_of`` return; the pointers ``row_ptr`` and
-    ``col_ptr`` are int64.
+    ``col(i)`` lists the tests containing item i and ``row(t)`` the items in
+    test t, both sorted, both 1-based. Only the column view (``col_flat``,
+    ``col_ptr``) is stored when a design is built: every decoder and analysis
+    reads it. The row view (``row_flat``, ``row_ptr``) is the same matrix
+    transposed; it is built from the columns on first access, by _row_view,
+    and kept. The flats are stored in the packed-key dtype of _key_layout
+    (int32 whenever the keys fit), which ``row``, ``col`` and ``cols_of``
+    return; the pointers are int64.
+
+    Build designs with ``from_rows``, ``load_design`` or the random
+    constructors; the constructor takes the column view,
+    ``TestDesign(n, T, col_flat, col_ptr, metadata)``.
     """
 
-    __slots__ = (
-        "n",
-        "T",
-        "row_flat",
-        "row_ptr",
-        "col_flat",
-        "col_ptr",
-        "metadata",
-    )
+    __slots__ = ("n", "T", "col_flat", "col_ptr", "metadata", "_rows")
 
-    def __init__(self, n, T, row_flat, row_ptr, col_flat, col_ptr, metadata=None):
+    def __init__(self, n, T, col_flat, col_ptr, metadata=None):
         self.n = int(n)
         self.T = int(T)
-        self.row_flat = row_flat
-        self.row_ptr = row_ptr
         self.col_flat = col_flat
         self.col_ptr = col_ptr
         self.metadata = dict(metadata or {})
+        self._rows = None  # (row_flat, row_ptr) once the row view is read
+
+    @property
+    def row_flat(self) -> np.ndarray:
+        """The items of every test, test after test (the row view's flat)."""
+        return self._row_arrays()[0]
+
+    @property
+    def row_ptr(self) -> np.ndarray:
+        """CSR pointers of ``row_flat``: test t spans [row_ptr[t - 1], row_ptr[t])."""
+        return self._row_arrays()[1]
+
+    def _row_arrays(self) -> tuple:
+        if self._rows is None:
+            self._rows = _row_view(self.n, self.T, self.col_flat, self.col_ptr)
+        return self._rows
 
     # -- construction -------------------------------------------------------
 
@@ -93,23 +105,16 @@ class TestDesign:
     def _from_col_keys(cls, n, T, key, metadata=None) -> "TestDesign":
         """Build from the sorted, distinct item-major keys (i - 1) << bt | (t - 1).
 
-        Item-major order is the column view; the row view sorts the
-        test-major keys (t - 1) << bn | (i - 1). See _key_layout for the
-        field widths and the key dtype, which both flats keep: they come
-        from in-place shifts and masks, and ``key``'s buffer becomes
-        ``row_flat``, so no widened copy of the entries is made.
+        Item-major order is the column view. See _key_layout for the field
+        widths and the key dtype, which ``col_flat`` keeps: it comes from a
+        mask of the keys, so no widened copy of the entries is made.
         """
-        bt, bn, _ = _key_layout(n, T)
+        bt, _, _ = _key_layout(n, T)
         col_flat = key & ((1 << bt) - 1)
         key >>= bt
         col_ptr = _pointers(key, n)
-        key |= col_flat << bn  # the row keys, built in key's buffer
         col_flat += 1
-        key.sort()
-        row_ptr = _pointers(key >> bn, T)
-        key &= (1 << bn) - 1
-        key += 1
-        return cls(n, T, key, row_ptr, col_flat, col_ptr, metadata)
+        return cls(n, T, col_flat, col_ptr, metadata)
 
     # -- access -------------------------------------------------------------
 
@@ -138,7 +143,7 @@ class TestDesign:
 
     @property
     def entry_count(self) -> int:
-        return int(self.row_flat.size)
+        return int(self.col_flat.size)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TestDesign):
@@ -146,8 +151,8 @@ class TestDesign:
         return (
             self.n == other.n
             and self.T == other.T
-            and np.array_equal(self.row_flat, other.row_flat)
-            and np.array_equal(self.row_ptr, other.row_ptr)
+            and np.array_equal(self.col_flat, other.col_flat)
+            and np.array_equal(self.col_ptr, other.col_ptr)
         )
 
     def __hash__(self):
@@ -169,6 +174,23 @@ def _key_layout(n: int, T: int):
     """
     bt, bn = (T - 1).bit_length(), (n - 1).bit_length()
     return bt, bn, (np.int32 if bt + bn <= 31 else np.int64)
+
+
+def _row_view(n: int, T: int, col_flat: np.ndarray, col_ptr: np.ndarray) -> tuple:
+    """(row_flat, row_ptr) of the design whose column view is given.
+
+    Sorts the test-major keys (t - 1) << bn | (i - 1) of the entries, built
+    in the key dtype of _key_layout, which ``row_flat`` keeps: the sorted
+    keys' buffer becomes it after a mask.
+    """
+    _, bn, dtype = _key_layout(n, T)
+    key = np.repeat(np.arange(n, dtype=dtype), np.diff(col_ptr))  # each entry's item - 1
+    key |= (col_flat - 1) << bn
+    key.sort()
+    row_ptr = _pointers(key >> bn, T)
+    key &= (1 << bn) - 1
+    key += 1
+    return key, row_ptr
 
 
 def _pointers(label: np.ndarray, size: int) -> np.ndarray:
@@ -257,9 +279,11 @@ def ncc_design(n: int, T: int, L: int, seed) -> TestDesign:
         raise ParameterError(f"need 1 <= L <= T, got L={L}, T={T}")
     rng = np.random.default_rng(seed)
     bt, _, dtype = _key_layout(n, T)
-    # int64 draws keep numpy's stream; the draw is freed once copied to key dtype
-    key = rng.integers(0, T, size=n * L, dtype=np.int64).astype(dtype, copy=False)
-    key |= np.repeat(np.arange(n, dtype=dtype) << bt, L)
+    # drawn straight in the key dtype: below 2**32, numpy's int32 and int64
+    # draws give the same values and leave the Generator in the same state
+    key = rng.integers(0, T, size=n * L, dtype=dtype)
+    by_item = key.reshape(n, L)  # a view: one line of L draws per item
+    by_item |= (np.arange(n, dtype=dtype) << bt)[:, None]
     key.sort()
     distinct = np.empty(key.size, dtype=bool)
     distinct[0] = True

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reference
-from .analysis import DEFAULT_ENUM_CAP, masking_report, posterior_uniformity_check
-from .analysis import explained_tests, good_test_counts
+from .analysis import DEFAULT_ENUM_CAP, _instance, _masking, _truth_instance
+from .analysis import explained_tests, good_test_counts, masking_report, posterior_uniformity_check
 from .decode import (
     DEFAULT_FAMILY_CAP,
     SubsetParams,
@@ -265,22 +265,20 @@ def _run_trial(res: _Resolved, idx: int) -> TrialRecord:
     base_seed = trial_seed(cfg.master_seed, idx, TAG_TRIAL)
     start = time.perf_counter()
     if cfg.decoder == "pipeline":
-        run = _pipeline(
+        run, inst = _pipeline(
             cfg.design, res.prior, cfg.n, res.k, res.T, res.deletions, base_seed, cfg.inner,
             res.subset_params,
         )
-        design, truth, tested = run.design, run.defectives, run.reduced_truth
-        estimate, refused = run.estimate, run.refused
+        truth, estimate, refused = run.defectives, run.estimate, run.refused
     else:
         design, truth = _draw_instance(
             cfg.design, res.prior, cfg.n, res.T, res.k, cfg.master_seed, idx, res.explicit_design
         )
-        tested = truth
+        inst = _truth_instance(design, truth)
         # ml is told the drawn set's size, the other decoders the configured k
         k = truth.k if cfg.decoder == "ml" else res.k
-        y = generate_outcomes(design, truth)
-        estimate, refused = _decode(cfg.decoder, design, y, k, res.subset_params, cfg.ml_cap)
-    mask = masking_report(design, tested)
+        estimate, refused = _decode(cfg.decoder, inst, k, res.subset_params, cfg.ml_cap)
+    mask = _masking(inst)
     elapsed_us = int((time.perf_counter() - start) * 1e6)
     if refused:
         fn = fp = est_size = None
@@ -549,7 +547,7 @@ def suite_subset_argmax(seed=0, instances: int = 200) -> SuiteResult:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fast = subset_decode(design, y, k, params)
-        base = _front_end(design, y, k, params)
+        base = _front_end(_instance(design, y), k, params)
         size = floor_tol((1.0 - eta) * k)
         slow = reference.brute_force_subset_argmax(design, y, base, size, floor_tol(3.0 * eta * k))
         if fast != slow:
@@ -584,7 +582,7 @@ def suite_hill_climb(seed=0, instances: int = 200) -> SuiteResult:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fast = subset_decode(design, y, k, params)
-        base = _front_end(design, y, k, params)
+        base = _front_end(_instance(design, y), k, params)
         size = floor_tol((1.0 - eta) * k)
         slow = reference.naive_hill_climb(design, y, base, size, floor_tol(radius_mult * eta * k))
         if fast != slow:

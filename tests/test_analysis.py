@@ -15,7 +15,7 @@ from pooltest.analysis import (
     set_hamming,
 )
 from pooltest.decode import comp_decode, dd_decode
-from pooltest.design import DesignSpec, TestDesign, build_design, ncc_design
+from pooltest.design import DesignSpec, TestDesign, bernoulli_design, build_design, ncc_design
 from pooltest.errors import CapExceededError, ParameterError
 from pooltest.model import DefectiveSet, PriorSpec, generate_outcomes, sample_defectives
 from pooltest.reference import (
@@ -77,6 +77,40 @@ def test_clean_items_brute_force():
         # every defective is clean: its tests are all positive
         for i in s.members:
             assert clean[i - 1]
+
+
+EMPTY_COLUMN_DESIGNS = {
+    # items 1, 4 and 6 are in no test: the first, a middle and the last column
+    "first-middle-last": (6, [(2, 3), (3, 5), (2,)]),
+    # runs of empty columns at both ends: items 1-2 and 5-8
+    "runs-at-both-ends": (8, [(3, 4), (4,), (3,)]),
+    "empty-tests": (4, [(), (1, 2), (), (2, 3), ()]),
+    "no-entries": (5, [(), (), ()]),
+    "one-item": (1, [(1,), ()]),
+    "only-the-last-item": (5, [(5,), (5,)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_COLUMN_DESIGNS))
+def test_clean_items_on_empty_columns_and_tests(name):
+    # every outcome vector; an item in no test is clean under all of them
+    n, rows = EMPTY_COLUMN_DESIGNS[name]
+    d = TestDesign.from_rows(n, rows)
+    for y in itertools.product((False, True), repeat=d.T):
+        y = np.array(y)
+        clean = clean_items(d, y)
+        assert clean.dtype == bool and clean.shape == (n,)
+        assert (np.flatnonzero(clean) + 1).tolist() == naive_comp(d, y)
+
+
+def test_clean_items_on_bernoulli_designs():
+    # sparse rows leave many empty columns, in runs, anywhere in the view
+    rng = np.random.default_rng(4)
+    for n, T, p in ((30, 8, 0.05), (40, 12, 0.03), (9, 6, 0.5), (50, 3, 0.01)):
+        for seed in range(5):
+            d = bernoulli_design(n, T, p, seed)
+            for y in (np.zeros(T, bool), np.ones(T, bool), rng.random(T) < 0.5):
+                assert (np.flatnonzero(clean_items(d, y)) + 1).tolist() == naive_comp(d, y)
 
 
 # ---------------------------------------------------------------------------

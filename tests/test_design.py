@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pooltest.design
 from pooltest import reference
 from pooltest.design import (
     DesignSpec,
@@ -142,6 +143,32 @@ def test_design_memory_is_int32_flats_and_int64_pointers():
     d = ncc_design(n, T, 7, seed=31)
     stored = sum(a.nbytes for a in (d.row_flat, d.row_ptr, d.col_flat, d.col_ptr))
     assert stored == 4 * 2 * d.entry_count + 8 * (n + 1) + 8 * (T + 1)
+
+
+def test_row_view_is_built_once_on_demand(tmp_path, monkeypatch):
+    n, T, L, seed = 500, 90, 6, 1
+    want = reference.ncc_rows(n, T, L, seed)
+    want_rows = (want.row_flat, want.row_ptr)
+    save_design(want, tmp_path / "want.txt")
+    builds = []
+
+    def counting(*args):
+        builds.append(args)
+        return real(*args)
+
+    real = pooltest.design._row_view
+    monkeypatch.setattr(pooltest.design, "_row_view", counting)
+    got = ncc_design(n, T, L, seed)
+    assert got._rows is None
+    assert got == want and got.entry_count == want.entry_count  # both read the columns
+    assert not builds
+    assert got.row(3).tolist() == want.row(3).tolist()
+    save_design(got, tmp_path / "got.txt")
+    assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+    assert len(builds) == 1
+    for a, b in zip((got.row_flat, got.row_ptr), want_rows):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert len(builds) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +373,27 @@ def test_ncc_design_matches_the_test_by_test_oracle(n, T, L, seeds):
         cols = _entries(got.col_flat, got.col_ptr)
         assert cols == [(i + 1, t + 1) for i, row in enumerate(draws.tolist()) for t in sorted(set(row))]
         assert _entries(got.row_flat, got.row_ptr) == sorted((t, i) for i, t in cols)
+
+
+@pytest.mark.parametrize(
+    "n, T, L",
+    [
+        (40, 12, 3),  # the fingerprint shapes
+        (500, 90, 6),
+        (2000, 150, 4),
+        (16384, 1293, 7),
+        (7, 5, 3),  # an odd draw count
+        (1 << 17, 1 << 15, 1),  # keys need bt + bn = 32 bits: the int64 branch
+    ],
+)
+def test_ncc_leaves_a_passed_generator_where_the_int64_draw_does(n, T, L):
+    # the oracle suites thread one Generator through many builds, so every
+    # later draw depends on where a build leaves it
+    for seed in range(2):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        ncc_design(n, T, L, rng)
+        ref.integers(0, T, size=n * L, dtype=np.int64)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ import pytest
 
 import pooltest.design
 from pooltest.analysis import masking_report
-from pooltest.decode import deletion_pipeline
-from pooltest.design import DesignSpec, ncc_design, save_design
+from pooltest.decode import SubsetParams, comp_decode, dd_decode, deletion_pipeline, subset_decode
+from pooltest.design import DesignSpec, build_design, ncc_design, save_design
 from pooltest.errors import ParameterError, RefusalBudgetError
 from pooltest.harness import (
     TAG_DESIGN,
@@ -25,7 +25,7 @@ from pooltest.harness import (
 )
 from pooltest.metrics import Criterion, evaluate
 from pooltest.metrics import tests_for_rate as minimal_tests
-from pooltest.model import k_from_theta
+from pooltest.model import DefectiveSet, generate_outcomes, k_from_theta
 
 
 def read_rows(path):
@@ -244,6 +244,33 @@ def test_pipeline_truth_follows_the_prior():
     assert [r.true_set for r in iid] != [r.true_set for r in combinatorial]
     assert len({len(r.true_set) for r in iid}) > 1
     assert all(r.k == len(r.true_set) for r in iid)
+
+
+def _no_row_view(*args):
+    raise AssertionError("the row view was built")
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "ncc"])
+def test_trials_read_the_column_view_only(kind, monkeypatch):
+    # decoding and masking read the columns; building the row view would be
+    # a second sort of the entries in every trial
+    monkeypatch.setattr(pooltest.design, "_row_view", _no_row_view)
+    d = build_design(DesignSpec(kind), 300, 60, 4, seed=2)
+    s = DefectiveSet(300, (3, 50, 120, 299))
+    y = generate_outcomes(d, s)
+    comp_decode(d, y)
+    dd_decode(d, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        subset_decode(d, y, s.k, SubsetParams(eta_minus=0.25))
+    masking_report(d, s)
+    assert d._rows is None
+    for decoder in ("comp", "dd", "subset", "pipeline"):
+        alpha = 0.1 if decoder == "pipeline" else None
+        cfg = small_config(design=DesignSpec(kind), decoder=decoder, trials=4, alpha=alpha, inner="subset")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run_experiment(cfg).trials == 4
 
 
 # ---------------------------------------------------------------------------
