@@ -66,23 +66,14 @@ def set_hamming(a, b) -> int:
 def clean_items(design: TestDesign, positive: np.ndarray) -> np.ndarray:
     """Boolean mask over items: True when the item is in no negative test.
 
-    Read off the column view: each column entry looks up whether its test
-    is negative, and a bitwise-or reduceat over the columns flags the items
-    with a negative test. When ``positive`` are the outcomes of a defective
-    set, a non-defective is clean exactly when it is masked (every test
-    containing it has a defective), which masking_report relies on.
+    Read off each item's tests: an ncc design gathers, for each of its L
+    draw slots, whether the drawn test is negative; any other design looks
+    up each column entry's test and ORs the lookups over each column with
+    one reduceat. When ``positive`` are the outcomes of a defective set, a
+    non-defective is clean exactly when it is masked (every test containing
+    it has a defective), which masking_report relies on.
     """
-    negative = np.zeros(design.T + 1, dtype=np.uint8)  # indexed by the 1-based tests; entry 0 unused
-    negative[1:] = np.logical_not(positive)
-    # the trailing 0 lets reduceat start a segment at the entry count, where
-    # the empty columns at the end of the view start
-    hits = np.empty(design.col_flat.size + 1, dtype=np.uint8)
-    hits[-1] = 0
-    np.take(negative, design.col_flat, out=hits[:-1])
-    starts, ends = design.col_ptr[:-1], design.col_ptr[1:]
-    flagged = np.bitwise_or.reduceat(hits, starts)
-    flagged[starts == ends] = 0  # reduceat reads one entry past an empty column
-    return flagged == 0
+    return design._clean(_bits(positive, design.T))
 
 
 @dataclass(frozen=True)
@@ -103,7 +94,7 @@ class _Instance:
 def _instance(design: TestDesign, outcomes) -> _Instance:
     """The instance of (design, outcomes)."""
     positive = _bits(outcomes, design.T)
-    return _Instance(design, positive, clean_items(design, positive))
+    return _Instance(design, positive, design._clean(positive))
 
 
 def _truth_instance(design: TestDesign, s: DefectiveSet) -> _Instance:
@@ -113,7 +104,7 @@ def _truth_instance(design: TestDesign, s: DefectiveSet) -> _Instance:
         raise ParameterError(f"ground sets differ: design n={design.n}, set n={s.n}")
     columns = _defective_columns(design, s.members)
     positive = columns[3][1:] > 0
-    return _Instance(design, positive, clean_items(design, positive), columns)
+    return _Instance(design, positive, design._clean(positive), columns)
 
 
 @dataclass(frozen=True)
@@ -129,7 +120,7 @@ def explained_tests(design: TestDesign, outcomes, candidate) -> ExplainCount:
     no negative test; the explained set of the candidate is the union of its
     clean members' columns.
     """
-    clean = clean_items(design, _bits(outcomes, design.T))
+    clean = clean_items(design, outcomes)
     members = np.asarray(_member_tuple(candidate), dtype=np.int64)
     if np.any((members < 1) | (members > design.n)):
         raise ParameterError(f"candidate {tuple(members.tolist())} not contained in [1, {design.n}]")
@@ -158,12 +149,18 @@ class ExplainScorer:
         return scorer
 
     def _read(self, inst: _Instance) -> None:
-        design = inst.design
         self.clean = inst.clean
-        self.live = (np.flatnonzero(self.clean & (np.diff(design.col_ptr) > 0)) + 1).tolist()
-        self.masks = [0] * design.n
-        for i in self.live:
-            self.masks[i - 1] = sum(1 << t for t in (design.col(i) - 1).tolist())
+        clean = np.flatnonzero(self.clean) + 1
+        tests, owner = inst.design._columns(clean)
+        lens = np.bincount(owner, minlength=clean.size)
+        in_tests = lens > 0
+        self.live = clean[in_tests].tolist()
+        self.masks = [0] * inst.design.n
+        bits = (tests - 1).tolist()  # the live items' tests, item after item
+        start = 0
+        for i, end in zip(self.live, np.cumsum(lens[in_tests]).tolist()):
+            self.masks[i - 1] = sum(1 << t for t in bits[start:end])
+            start = end
         self.positive = int.from_bytes(np.packbits(inst.positive, bitorder="little").tobytes(), "little")
 
     def union_mask(self, candidate) -> int:
@@ -182,9 +179,9 @@ def _defective_columns(design: TestDesign, members):
     member counts indexed by test). A per-member count is a bincount over
     ``owner``; a member in no test owns no entry and counts 0."""
     idx = np.asarray(members, dtype=np.int64)
+    tests, owner = design._columns(idx)
     # intp once, where bincount and the counts[tests] gathers would each cast the key dtype
-    tests = design.cols_of(idx).astype(np.intp, copy=False)
-    owner = np.repeat(np.arange(idx.size), design.col_ptr[idx] - design.col_ptr[idx - 1])
+    tests = tests.astype(np.intp, copy=False)
     return idx, tests, owner, np.bincount(tests, minlength=design.T + 1)
 
 
@@ -225,12 +222,11 @@ def _masking(inst: _Instance) -> MaskingReport:
     masked[idx - 1] = np.bincount(owner[counts[tests] < 2], minlength=idx.size) == 0
     masked_defectives = int(masked[idx - 1].sum())
     items = np.flatnonzero(masked) + 1
-    col_ptr = inst.design.col_ptr
     return MaskingReport(
         masked_defectives=masked_defectives,
         masked_nondefectives=int(items.size) - masked_defectives,
         masked_items=tuple(items.tolist()),
-        zero_test_items=int(np.count_nonzero(col_ptr[1:] == col_ptr[:-1])),
+        zero_test_items=inst.design._empty_columns(),
     )
 
 

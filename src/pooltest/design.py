@@ -22,31 +22,48 @@ from .util import LN2, require_finite, round_half_up
 
 
 class TestDesign:
-    """Sparse T x n binary design, stored as its column view.
+    """Sparse T x n binary design.
 
     ``col(i)`` lists the tests containing item i and ``row(t)`` the items in
-    test t, both sorted, both 1-based. Only the column view (``col_flat``,
-    ``col_ptr``) is stored when a design is built: every decoder and analysis
-    reads it. The row view (``row_flat``, ``row_ptr``) is the same matrix
-    transposed; it is built from the columns on first access, by _row_view,
-    and kept. The flats are stored in the packed-key dtype of _key_layout
-    (int32 whenever the keys fit), which ``row``, ``col`` and ``cols_of``
-    return; the pointers are int64.
+    test t, both sorted, both 1-based. Each kind of design stores one form.
+    An ncc design stores its raw draws: an (n, L) int32 matrix whose line
+    i - 1 holds item i's L tests, 0-based, repeats included. Every other
+    design stores its column view (``col_flat``, ``col_ptr``). The column
+    view of a design that holds draws is built from them on first read, by
+    _col_view, and kept; the row view (``row_flat``, ``row_ptr``) is the
+    column view transposed, built from it on first read, by _row_view, and
+    kept. Decoders and analyses read a design through ``_columns``,
+    ``_clean`` and ``_empty_columns``, each of which reads the draws when
+    they are held, so no trial builds either view.
+
+    The flats are in the packed-key dtype of _key_layout (int32 whenever the
+    keys fit), which ``row``, ``col`` and ``cols_of`` return; the pointers
+    are int64.
 
     Build designs with ``from_rows``, ``load_design`` or the random
     constructors; the constructor takes the column view,
     ``TestDesign(n, T, col_flat, col_ptr, metadata)``.
     """
 
-    __slots__ = ("n", "T", "col_flat", "col_ptr", "metadata", "_rows")
+    __slots__ = ("n", "T", "metadata", "_draws", "_cols", "_rows")
 
     def __init__(self, n, T, col_flat, col_ptr, metadata=None):
         self.n = int(n)
         self.T = int(T)
-        self.col_flat = col_flat
-        self.col_ptr = col_ptr
         self.metadata = dict(metadata or {})
+        self._draws = None  # an ncc design's (n, L) draws, 0-based
+        self._cols = (col_flat, col_ptr)  # None until first read when draws are held
         self._rows = None  # (row_flat, row_ptr) once the row view is read
+
+    @property
+    def col_flat(self) -> np.ndarray:
+        """The tests of every item, item after item (the column view's flat)."""
+        return self._col_arrays()[0]
+
+    @property
+    def col_ptr(self) -> np.ndarray:
+        """CSR pointers of ``col_flat``: item i spans [col_ptr[i - 1], col_ptr[i])."""
+        return self._col_arrays()[1]
 
     @property
     def row_flat(self) -> np.ndarray:
@@ -57,6 +74,11 @@ class TestDesign:
     def row_ptr(self) -> np.ndarray:
         """CSR pointers of ``row_flat``: test t spans [row_ptr[t - 1], row_ptr[t])."""
         return self._row_arrays()[1]
+
+    def _col_arrays(self) -> tuple:
+        if self._cols is None:
+            self._cols = _col_view(self.n, self.T, self._draws)
+        return self._cols
 
     def _row_arrays(self) -> tuple:
         if self._rows is None:
@@ -99,22 +121,72 @@ class TestDesign:
         key -= 1  # before the tests are added, so no sum passes the largest key
         key += np.asarray(tests, dtype=dtype)
         key.sort()
-        return cls._from_col_keys(n, T, key, metadata)
+        return cls(n, T, *_unpack_col_keys(n, T, key), metadata)
 
     @classmethod
-    def _from_col_keys(cls, n, T, key, metadata=None) -> "TestDesign":
-        """Build from the sorted, distinct item-major keys (i - 1) << bt | (t - 1).
+    def _from_draws(cls, n, T, draws, metadata=None) -> "TestDesign":
+        """Hold an (n, L) matrix of 0-based tests, line i - 1 for item i."""
+        design = cls(n, T, None, None, metadata)
+        design._draws, design._cols = draws, None
+        return design
 
-        Item-major order is the column view. See _key_layout for the field
-        widths and the key dtype, which ``col_flat`` keeps: it comes from a
-        mask of the keys, so no widened copy of the entries is made.
-        """
-        bt, _, _ = _key_layout(n, T)
-        col_flat = key & ((1 << bt) - 1)
-        key >>= bt
-        col_ptr = _pointers(key, n)
-        col_flat += 1
-        return cls(n, T, col_flat, col_ptr, metadata)
+    # -- readers of both stored forms ----------------------------------------
+
+    def _columns(self, items) -> tuple:
+        """(tests, owner): the distinct sorted 1-based tests of each given
+        item in turn, in the flats' dtype, and each entry's owner as a
+        position in ``items``. An item in no test owns no entry."""
+        idx = np.asarray(items, dtype=np.int64) - 1
+        if idx.size and not (0 <= idx.min() and idx.max() < self.n):
+            raise ParameterError(f"item indices must lie in [1, {self.n}]")
+        if self._draws is None:
+            col_flat, col_ptr = self._cols
+            starts = col_ptr[idx]
+            lens = col_ptr[idx + 1] - starts
+            # entry j of the output, in segment s, reads col_flat[starts[s] + j - (where s begins)]
+            offsets = np.repeat(starts - np.cumsum(lens) + lens, lens)
+            return col_flat[offsets + np.arange(offsets.size)], np.repeat(np.arange(idx.size), lens)
+        # the packed-key sort and dedup of _col_view, on these items' draws only,
+        # with each item's position in place of its index
+        bt, _, dtype = _key_layout(max(idx.size, 1), self.T)
+        key = self._draws[idx].astype(dtype, copy=False)
+        key |= (np.arange(idx.size, dtype=dtype) << bt)[:, None]
+        key = _distinct(key.ravel())
+        tests = (key & ((1 << bt) - 1)).astype(_key_layout(self.n, self.T)[2], copy=False)
+        tests += 1
+        return tests, (key >> bt).astype(np.intp, copy=False)
+
+    def _clean(self, positive) -> np.ndarray:
+        """Boolean mask over items: True when the item is in no negative test."""
+        if self._draws is not None:
+            negative = np.logical_not(positive).view(np.uint8)
+            # one gather per draw slot, every index in range; .any(axis=1)
+            # over one (n, L) gather is about three times slower
+            hit = np.take(negative, self._draws[:, 0], mode="wrap")
+            for j in range(1, self._draws.shape[1]):
+                hit |= np.take(negative, self._draws[:, j], mode="wrap")
+            return hit == 0
+        col_flat, col_ptr = self._cols
+        negative = np.zeros(self.T + 1, dtype=np.uint8)  # indexed by the 1-based tests; entry 0 unused
+        negative[1:] = np.logical_not(positive)
+        # the trailing 0 lets reduceat start a segment at the entry count, where
+        # the empty columns at the end of the view start
+        hits = np.empty(col_flat.size + 1, dtype=np.uint8)
+        hits[-1] = 0
+        # every index is in range; mode="raise" would gather into a buffer
+        # and copy it to ``out``, "wrap" writes into ``out`` directly
+        np.take(negative, col_flat, out=hits[:-1], mode="wrap")
+        starts, ends = col_ptr[:-1], col_ptr[1:]
+        flagged = np.bitwise_or.reduceat(hits, starts)
+        flagged[starts == ends] = 0  # reduceat reads one entry past an empty column
+        return flagged == 0
+
+    def _empty_columns(self) -> int:
+        """The number of items in no test; an ncc item draws L >= 1 tests."""
+        if self._draws is not None:
+            return 0
+        col_ptr = self._cols[1]
+        return int(np.count_nonzero(col_ptr[1:] == col_ptr[:-1]))
 
     # -- access -------------------------------------------------------------
 
@@ -132,14 +204,7 @@ class TestDesign:
 
     def cols_of(self, items) -> np.ndarray:
         """The columns of the given items concatenated: col(i) for each i in turn."""
-        idx = np.asarray(items, dtype=np.int64) - 1
-        if idx.size and not (0 <= idx.min() and idx.max() < self.n):
-            raise ParameterError(f"item indices must lie in [1, {self.n}]")
-        starts = self.col_ptr[idx]
-        lens = self.col_ptr[idx + 1] - starts
-        # entry j of the output, in segment s, reads col_flat[starts[s] + j - (where s begins)]
-        offsets = np.repeat(starts - np.cumsum(lens) + lens, lens)
-        return self.col_flat[offsets + np.arange(offsets.size)]
+        return self._columns(items)[0]
 
     @property
     def entry_count(self) -> int:
@@ -170,7 +235,8 @@ def _key_layout(n: int, T: int):
     An (item, test) pair packs into (i - 1) << bt | (t - 1) for the column
     view and into (t - 1) << bn | (i - 1) for the row view. Both fit int32
     when bt + bn <= 31; int32 keys halve the memory the sorts move. The
-    dtype is also the one ``row_flat`` and ``col_flat`` are stored in.
+    dtype is also the one ``row_flat`` and ``col_flat`` are stored in; an
+    ncc design's draws are int32 whatever the key width.
     """
     bt, bn = (T - 1).bit_length(), (n - 1).bit_length()
     return bt, bn, (np.int32 if bt + bn <= 31 else np.int64)
@@ -191,6 +257,43 @@ def _row_view(n: int, T: int, col_flat: np.ndarray, col_ptr: np.ndarray) -> tupl
     key &= (1 << bn) - 1
     key += 1
     return key, row_ptr
+
+
+def _col_view(n: int, T: int, draws: np.ndarray) -> tuple:
+    """(col_flat, col_ptr) of the ncc design with these (n, L) draws.
+
+    Packs each draw with its item into the key dtype of _key_layout, sorts
+    the keys and drops adjacent repeats, so duplicate draws collapse.
+    """
+    bt, _, dtype = _key_layout(n, T)
+    key = draws.astype(dtype)  # a copy either way: the draws stay as drawn
+    key |= (np.arange(n, dtype=dtype) << bt)[:, None]
+    return _unpack_col_keys(n, T, _distinct(key.ravel()))
+
+
+def _distinct(key: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-d array, sorted; sorts it in place."""
+    key.sort()
+    distinct = np.empty(key.size, dtype=bool)
+    distinct[:1] = True
+    np.not_equal(key[1:], key[:-1], out=distinct[1:])
+    return key[distinct]
+
+
+def _unpack_col_keys(n: int, T: int, key: np.ndarray) -> tuple:
+    """(col_flat, col_ptr) from the sorted, distinct item-major keys
+    (i - 1) << bt | (t - 1), which it overwrites.
+
+    Item-major order is the column view. See _key_layout for the field
+    widths and the key dtype, which ``col_flat`` keeps: it comes from a mask
+    of the keys, so no widened copy of the entries is made.
+    """
+    bt, _, _ = _key_layout(n, T)
+    col_flat = key & ((1 << bt) - 1)
+    key >>= bt
+    col_ptr = _pointers(key, n)
+    col_flat += 1
+    return col_flat, col_ptr
 
 
 def _pointers(label: np.ndarray, size: int) -> np.ndarray:
@@ -264,32 +367,28 @@ def bernoulli_design(n: int, T: int, p: float, seed) -> TestDesign:
     key <<= bt
     key |= test
     key.sort()
-    return TestDesign._from_col_keys(n, T, key, {"kind": "bernoulli", "p": float(p)})
+    return TestDesign(n, T, *_unpack_col_keys(n, T, key), {"kind": "bernoulli", "p": float(p)})
 
 
 def ncc_design(n: int, T: int, L: int, seed) -> TestDesign:
     """Near-constant column weight: each item draws L tests with replacement.
 
-    Duplicate draws collapse, so realized column weights sit in [1, L]; the
-    raw draw count L is recorded in metadata for reporting.
+    The design holds the draws themselves, an (n, L) int32 matrix of 0-based
+    tests (int64 only when T exceeds 2**31), and builds its column view from
+    them on first read (see TestDesign). Duplicate draws collapse there, so realized column weights
+    sit in [1, L]; the raw draw count L is recorded in metadata for
+    reporting.
     """
     if n < 1 or T < 1:
         raise ParameterError(f"need n >= 1 and T >= 1, got n={n}, T={T}")
     if not (1 <= L <= T):
         raise ParameterError(f"need 1 <= L <= T, got L={L}, T={T}")
     rng = np.random.default_rng(seed)
-    bt, _, dtype = _key_layout(n, T)
-    # drawn straight in the key dtype: below 2**32, numpy's int32 and int64
-    # draws give the same values and leave the Generator in the same state
-    key = rng.integers(0, T, size=n * L, dtype=dtype)
-    by_item = key.reshape(n, L)  # a view: one line of L draws per item
-    by_item |= (np.arange(n, dtype=dtype) << bt)[:, None]
-    key.sort()
-    distinct = np.empty(key.size, dtype=bool)
-    distinct[0] = True
-    np.not_equal(key[1:], key[:-1], out=distinct[1:])
-    key = key[distinct]  # rebound so the undeduplicated keys are freed before the build
-    return TestDesign._from_col_keys(n, T, key, {"kind": "ncc", "L": int(L)})
+    # for tests below 2**31, numpy's int32 and int64 draws give the same
+    # values and leave the Generator in the same state
+    dtype = np.int32 if T <= 1 << 31 else np.int64
+    draws = rng.integers(0, T, size=(n, L), dtype=dtype)
+    return TestDesign._from_draws(n, T, draws, {"kind": "ncc", "L": int(L)})
 
 
 @dataclass(frozen=True)

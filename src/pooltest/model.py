@@ -9,6 +9,7 @@ Natural logs are used in the two-step prior densities.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -36,8 +37,13 @@ class DefectiveSet:
     members: tuple
 
     def __post_init__(self):
+        m = self.members
+        # strictly increasing with both ends in range puts every member in
+        # range; the loop only words the error for the first offending member
+        if len(m) and (1 <= m[0] and m[-1] <= self.n) and all(map(operator.lt, m, m[1:])):
+            return
         prev = 0
-        for i in self.members:
+        for i in m:
             if not (1 <= i <= self.n):
                 raise ParameterError(f"member {i} out of range [1, {self.n}]")
             if i <= prev:

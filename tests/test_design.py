@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 import pooltest.design
 from pooltest import reference
+from pooltest.analysis import ExplainScorer, _defective_columns, clean_items, masking_report
+from pooltest.decode import comp_decode, dd_decode
 from pooltest.design import (
     DesignSpec,
     TestDesign,
@@ -20,6 +22,7 @@ from pooltest.design import (
     save_design,
 )
 from pooltest.errors import DesignFormatError, ParameterError
+from pooltest.model import DefectiveSet, generate_outcomes
 from pooltest.util import LN2, round_half_up
 
 
@@ -394,6 +397,99 @@ def test_ncc_leaves_a_passed_generator_where_the_int64_draw_does(n, T, L):
         ncc_design(n, T, L, rng)
         ref.integers(0, T, size=n * L, dtype=np.int64)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "n, T, L, dtype",
+    [
+        (1 << 17, 1 << 15, 2, np.int32),  # keys need bt + bn = 32 bits: int64 keys, int32 draws
+        (64, 19000, 13, np.int32),  # T and L about those of n = 2^20 at theta 0.5
+        (3, (1 << 31) - 1, 2, np.int32),
+        (2, 1 << 31, 1, np.int32),  # the largest test, 2**31 - 1, still fits int32
+        (1, (1 << 31) + 1, 1, np.int64),  # past it the draws are int64
+    ],
+)
+def test_ncc_draws_are_int32_whatever_the_key_width(n, T, L, dtype):
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    d = ncc_design(n, T, L, rng)
+    want = ref.integers(0, T, size=(n, L), dtype=np.int64)
+    assert d._draws.dtype == dtype and np.array_equal(d._draws, want)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert d._cols is None  # the column view waits for its first read
+    if n == 1 << 17:
+        oracle = reference.ncc_rows(n, T, L, 4)
+        for name in ("col_flat", "col_ptr"):
+            a, b = getattr(d, name), getattr(oracle, name)
+            assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b), name
+        twin = TestDesign(n, T, d.col_flat, d.col_ptr)
+        items = np.random.default_rng(0).integers(1, n + 1, size=70_000)  # positions need int64 keys
+        assert np.array_equal(d.cols_of(items), twin.cols_of(items))
+        y = np.random.default_rng(1).random(T) < 0.9
+        assert np.array_equal(clean_items(d, y), clean_items(twin, y))
+
+
+def _same(a, b) -> bool:
+    """Deep equality of reader outputs: arrays must agree in dtype too."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+def _readings(d, seed) -> list:
+    """What decoders and analyses read of a design: columns of random items
+    (repeats included), outcomes of random truths, clean masks, comp, dd,
+    explain masks and masking, under the truth's outcomes and random ones."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(4):
+        out.append(d.cols_of(rng.integers(1, d.n + 1, size=int(rng.integers(0, 2 * d.n + 1)))))
+        k = int(rng.integers(0, d.n + 1))
+        s = DefectiveSet(d.n, tuple((np.sort(rng.choice(d.n, size=k, replace=False)) + 1).tolist()))
+        y = generate_outcomes(d, s)
+        out += [y, _defective_columns(d, s.members), masking_report(d, s)]
+        for outcomes in (y, rng.random(d.T) < 0.7):
+            scorer = ExplainScorer(d, outcomes)
+            out += [clean_items(d, outcomes), comp_decode(d, outcomes), dd_decode(d, outcomes)]
+            out += [scorer.live, scorer.masks, scorer.positive]
+    return out
+
+
+_SHAPE_RNG = np.random.default_rng(23)
+
+
+@pytest.mark.parametrize(
+    "n, T, L",
+    [
+        (40, 12, 3),
+        (300, 60, 5),
+        (200, 50, 1),
+        (30, 6, 6),  # L = T: many repeated draws
+        (1, 9, 4),
+        (17, 1, 1),
+        (1, 1, 1),
+    ]
+    + [
+        (int(n), int(T), int(_SHAPE_RNG.integers(1, T + 1)))
+        for n, T in zip(_SHAPE_RNG.integers(1, 600, size=4), _SHAPE_RNG.integers(1, 120, size=4))
+    ],
+)
+def test_ncc_draws_read_like_their_column_view(n, T, L):
+    fresh = ncc_design(n, T, L, seed=n + T + L)
+    got = _readings(fresh, 1)
+    assert fresh._cols is None and fresh._rows is None  # no reader built a view
+    read = ncc_design(n, T, L, seed=n + T + L)
+    twin = TestDesign(n, T, read.col_flat, read.col_ptr)  # read's column view is built first
+    assert _same(_readings(read, 1), got) and _same(_readings(twin, 1), got)
+    # a design holding draws reads them even once its views exist, so a
+    # held column view that disagrees with them changes no reading
+    stale = ncc_design(n, T, L, seed=n + T + L)
+    stale.row_flat
+    stale._cols = (stale.col_flat[:0], np.zeros(n + 1, dtype=np.int64))
+    assert _same(_readings(stale, 1), got)
+    assert all(_same(fresh.col(i), twin.col(i)) for i in range(1, n + 1))
+    assert fresh.entry_count == twin.entry_count and fresh == twin and twin == fresh
 
 
 # ---------------------------------------------------------------------------

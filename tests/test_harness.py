@@ -246,15 +246,18 @@ def test_pipeline_truth_follows_the_prior():
     assert all(r.k == len(r.true_set) for r in iid)
 
 
-def _no_row_view(*args):
-    raise AssertionError("the row view was built")
+def _no_view(*args):
+    raise AssertionError("a design view was built")
 
 
 @pytest.mark.parametrize("kind", ["bernoulli", "ncc"])
 def test_trials_read_the_column_view_only(kind, monkeypatch):
-    # decoding and masking read the columns; building the row view would be
-    # a second sort of the entries in every trial
-    monkeypatch.setattr(pooltest.design, "_row_view", _no_row_view)
+    # decoding and masking read the columns, and an ncc design's own draws;
+    # building the row view would be a second sort of the entries in every
+    # trial, and building an ncc design's column view a first one
+    monkeypatch.setattr(pooltest.design, "_row_view", _no_view)
+    if kind == "ncc":
+        monkeypatch.setattr(pooltest.design, "_col_view", _no_view)
     d = build_design(DesignSpec(kind), 300, 60, 4, seed=2)
     s = DefectiveSet(300, (3, 50, 120, 299))
     y = generate_outcomes(d, s)
@@ -265,6 +268,8 @@ def test_trials_read_the_column_view_only(kind, monkeypatch):
         subset_decode(d, y, s.k, SubsetParams(eta_minus=0.25))
     masking_report(d, s)
     assert d._rows is None
+    assert (d._cols is None) == (kind == "ncc")
+    assert len(masking_sweep(300, 0.3, [0.5, 0.7], DesignSpec(kind), trials=3, master_seed=1)) == 2
     for decoder in ("comp", "dd", "subset", "pipeline"):
         alpha = 0.1 if decoder == "pipeline" else None
         cfg = small_config(design=DesignSpec(kind), decoder=decoder, trials=4, alpha=alpha, inner="subset")

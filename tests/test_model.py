@@ -81,6 +81,22 @@ def test_defective_set_validation():
     DefectiveSet(5, ())  # empty is legal
 
 
+@pytest.mark.parametrize(
+    "members, message",
+    [
+        ((0, 5, 3), "member 0 out of range [1, 10]"),
+        ((3, 3), "members must be strictly increasing"),
+        ((1, 11), "member 11 out of range [1, 10]"),
+        ((2, 7, 5, 12), "members must be strictly increasing"),  # the first offence is worded
+        ((4, 12, 11), "member 12 out of range [1, 10]"),
+    ],
+)
+def test_defective_set_names_the_first_offending_member(members, message):
+    with pytest.raises(ParameterError) as err:
+        DefectiveSet(10, members)
+    assert str(err.value) == message
+
+
 def test_generate_outcomes_matches_naive():
     rng = np.random.default_rng(0)
     for _ in range(50):
