@@ -18,7 +18,9 @@ The notions here drive both decoding and error analysis:
 Outcomes are a length-T bool array. Per-defective counts are bincounts over an
 owner index of the defectives' columns; ExplainScorer is the one place tests
 become integer bitmasks. A trial's decoders and masking read one _Instance:
-the design, its outcomes and its clean mask, computed once.
+the design, its outcomes and its clean mask, computed once from the
+defective set as a sorted int64 array. A trial's masking counts are counts
+over masks; only masking_report lists the masked items.
 """
 
 from __future__ import annotations
@@ -97,12 +99,11 @@ def _instance(design: TestDesign, outcomes) -> _Instance:
     return _Instance(design, positive, design._clean(positive))
 
 
-def _truth_instance(design: TestDesign, s: DefectiveSet) -> _Instance:
+def _truth_instance(design: TestDesign, members: np.ndarray) -> _Instance:
     """The instance of a defective set's own outcomes, read off the per-test
-    counts of its columns, which it keeps."""
-    if s.n != design.n:
-        raise ParameterError(f"ground sets differ: design n={design.n}, set n={s.n}")
-    columns = _defective_columns(design, s.members)
+    counts of its columns, which it keeps. ``members`` is the set as a
+    sorted int64 array of items of the design."""
+    columns = _defective_columns(design, members)
     positive = columns[3][1:] > 0
     return _Instance(design, positive, design._clean(positive), columns)
 
@@ -212,22 +213,38 @@ def masking_report(design: TestDesign, s: DefectiveSet) -> MaskingReport:
     So the non-defectives come from clean_items, and only the defectives'
     own columns are read for the "another defective in every test" check.
     """
-    return _masking(_truth_instance(design, s))
-
-
-def _masking(inst: _Instance) -> MaskingReport:
-    """masking_report of the defective set an instance was built from."""
-    idx, tests, owner, counts = inst.columns
+    if s.n != design.n:
+        raise ParameterError(f"ground sets differ: design n={design.n}, set n={s.n}")
+    inst = _truth_instance(design, np.asarray(s.members, dtype=np.int64))
+    defective = _masked_defectives(inst)
     masked = inst.clean.copy()
-    masked[idx - 1] = np.bincount(owner[counts[tests] < 2], minlength=idx.size) == 0
-    masked_defectives = int(masked[idx - 1].sum())
+    masked[inst.columns[0] - 1] = defective
     items = np.flatnonzero(masked) + 1
+    masked_defectives = int(np.count_nonzero(defective))
     return MaskingReport(
         masked_defectives=masked_defectives,
         masked_nondefectives=int(items.size) - masked_defectives,
         masked_items=tuple(items.tolist()),
-        zero_test_items=inst.design._empty_columns(),
+        zero_test_items=design._empty_columns(),
     )
+
+
+def _masked_defectives(inst: _Instance) -> np.ndarray:
+    """Boolean mask over the members of the defective set an instance was
+    built from: True when each of the member's tests holds another one."""
+    idx, tests, owner, counts = inst.columns
+    return np.bincount(owner[counts[tests] < 2], minlength=idx.size) == 0
+
+
+def _masking_counts(inst: _Instance) -> tuple:
+    """(masked defectives, masked non-defectives) of the defective set an
+    instance was built from, the counts of masking_report.
+
+    A defective sits in positive tests only, so it is clean, and the masked
+    non-defectives are the clean items other than the defectives.
+    """
+    k = inst.columns[0].size
+    return int(np.count_nonzero(_masked_defectives(inst))), int(np.count_nonzero(inst.clean)) - k
 
 
 def satisfying_sets(design: TestDesign, outcomes, k: int, cap: int = DEFAULT_ENUM_CAP) -> list:

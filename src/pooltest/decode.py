@@ -29,7 +29,7 @@ from .analysis import DEFAULT_ENUM_CAP, ExplainScorer, _defective_columns, _inst
 from .analysis import _satisfying_sets, _truth_instance
 from .design import DesignSpec, TestDesign, build_design
 from .errors import CapExceededError, ParameterError
-from .model import DefectiveSet, PriorSpec, sample_defectives
+from .model import DefectiveSet, PriorSpec, _draw
 from .util import floor_tol, mix_seed, require_finite, round_half_up
 
 DEFAULT_FAMILY_CAP = 5_000_000
@@ -52,21 +52,17 @@ def _sole(design: TestDesign, survivors: np.ndarray) -> np.ndarray:
 
 def comp_decode(design: TestDesign, outcomes) -> tuple:
     """Items appearing in no negative test, sorted."""
-    return _comp(_instance(design, outcomes))
-
-
-def _comp(inst: _Instance) -> tuple:
-    return tuple(_survivors(inst).tolist())
+    return tuple(_survivors(_instance(design, outcomes)).tolist())
 
 
 def dd_decode(design: TestDesign, outcomes) -> tuple:
     """Sole remaining candidates of positive tests: the comp survivors that
     are the only survivor of some positive test, which pins them as defective."""
-    return _dd(_instance(design, outcomes))
+    return tuple(_dd(_instance(design, outcomes)).tolist())
 
 
-def _dd(inst: _Instance) -> tuple:
-    return tuple(_sole(inst.design, _survivors(inst)).tolist())
+def _dd(inst: _Instance) -> np.ndarray:
+    return _sole(inst.design, _survivors(inst))
 
 
 def ml_oracle(design: TestDesign, outcomes, k: int, cap: int = DEFAULT_ENUM_CAP) -> tuple:
@@ -393,43 +389,41 @@ def _pipeline_deletions(n: int, alpha: float, xi: float | None, inner: str) -> i
 
 def _decode(name: str, inst: _Instance, k: int, params=None, ml_cap=DEFAULT_ENUM_CAP):
     """(estimate, refused) of decoder ``name`` on an instance: comp, dd, ml,
-    or subset with ``params`` and its warnings silenced. A CapExceededError
-    is a refusal, with an empty estimate."""
+    or subset with ``params`` and its warnings silenced. The estimate is a
+    sorted int64 array; a CapExceededError is a refusal, with an empty one."""
     try:
         if name == "comp":
-            return _comp(inst), False
+            return _survivors(inst), False
         if name == "dd":
             return _dd(inst), False
         if name == "ml":
-            return _ml(inst, k, ml_cap), False
+            return np.array(_ml(inst, k, ml_cap), dtype=np.int64), False
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return _subset(inst, k, params), False
+            return np.array(_subset(inst, k, params), dtype=np.int64), False
     except CapExceededError:
-        return (), True
+        return np.empty(0, dtype=np.int64), True
 
 
 def _pipeline(spec, prior, n, k, T, d, seed, inner, params) -> tuple:
-    """(PipelineResult, instance) of one pipeline trial: draw the truth from
+    """(fields, instance) of one pipeline trial: draw the truth from
     ``prior``, delete ``d`` uniform items, build a design for
     k_mid = round(k * kept / n) over the kept ones, decode its instance under
     the retained truth with ``inner`` at k_mid and lift the estimate to
-    original labels. Truth, design and deletion use the sub-streams 2, 1 and
-    3 of ``seed``."""
-    truth = sample_defectives(prior, n, mix_seed(seed, 2))
+    original labels. ``fields`` are the PipelineResult fields in order, each
+    set (truth, deleted, kept, reduced truth, estimate) a sorted int64
+    array. Truth, design and deletion use the sub-streams 2, 1 and 3 of
+    ``seed``."""
+    truth = _draw(prior, n, mix_seed(seed, 2))
     delete_rng = np.random.default_rng(mix_seed(seed, 3))
     deleted = np.sort(delete_rng.choice(n, size=d, replace=False)) + 1
     kept = np.setdiff1d(np.arange(1, n + 1), deleted, assume_unique=True)
     k_mid = max(1, round_half_up(k * kept.size / n))
     design = build_design(spec, kept.size, T, k_mid, mix_seed(seed, 1))
-    members = np.asarray(truth.members, dtype=np.int64)
-    retained = np.searchsorted(kept, members[np.isin(members, kept, assume_unique=True)]) + 1
-    reduced = DefectiveSet(kept.size, tuple(retained.tolist()))
+    reduced = np.searchsorted(kept, truth[np.isin(truth, kept, assume_unique=True)]) + 1
     inst = _truth_instance(design, reduced)
     est, refused = _decode(inner, inst, k_mid, params)
-    estimate = tuple(kept[np.asarray(est, dtype=np.int64) - 1].tolist())
-    deleted, kept = tuple(deleted.tolist()), tuple(kept.tolist())
-    return PipelineResult(truth, deleted, kept, k_mid, design, reduced, estimate, refused), inst
+    return (truth, deleted, kept, k_mid, design, reduced, kept[est - 1], refused), inst
 
 
 def deletion_pipeline(
@@ -465,4 +459,15 @@ def deletion_pipeline(
         if inner == "subset"
         else None
     )
-    return _pipeline(spec, PriorSpec("combinatorial", k=k), n, k, T, d, seed, inner, params)[0]
+    fields = _pipeline(spec, PriorSpec("combinatorial", k=k), n, k, T, d, seed, inner, params)[0]
+    truth, deleted, kept, k_mid, design, reduced, estimate, refused = fields
+    return PipelineResult(
+        DefectiveSet(n, tuple(truth.tolist())),
+        tuple(deleted.tolist()),
+        tuple(kept.tolist()),
+        k_mid,
+        design,
+        DefectiveSet(kept.size, tuple(reduced.tolist())),
+        tuple(estimate.tolist()),
+        refused,
+    )

@@ -34,7 +34,8 @@ class TestDesign:
     column view transposed, built from it on first read, by _row_view, and
     kept. Decoders and analyses read a design through ``_columns``,
     ``_clean`` and ``_empty_columns``, each of which reads the draws when
-    they are held, so no trial builds either view.
+    they are held, so no trial builds either view; so do ``entry_count``,
+    ``__hash__`` and ``__repr__``.
 
     The flats are in the packed-key dtype of _key_layout (int32 whenever the
     keys fit), which ``row``, ``col`` and ``cols_of`` return; the pointers
@@ -208,7 +209,13 @@ class TestDesign:
 
     @property
     def entry_count(self) -> int:
-        return int(self.col_flat.size)
+        """The number of (test, item) inclusions: each item's distinct draws
+        for a design holding draws, counted on them sorted line by line."""
+        if self._draws is None:
+            return int(self._cols[0].size)
+        line_sorted = np.sort(self._draws, axis=1)
+        repeats = np.count_nonzero(line_sorted[:, 1:] == line_sorted[:, :-1])
+        return int(line_sorted.size - repeats)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TestDesign):

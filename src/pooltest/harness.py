@@ -8,10 +8,14 @@ family. A pipeline trial draws its truth (from the configured prior), its
 design and its deletion from sub-streams 2, 1 and 3 of the trial's
 TAG_TRIAL seed, through the same ``decode._pipeline`` that
 ``deletion_pipeline`` returns. Every decoder, the pipeline's inner one
-included, runs through one decode, masking and scoring path. Results are
-therefore byte-identical for a given config regardless of worker count, and
-across runs. Per-trial wall time is measured but written to CSV as 0 unless
-timing is requested, precisely to keep the file deterministic.
+included, runs through one decode, masking and scoring path. A trial keeps
+its defective set and estimate as sorted int64 arrays and its masking counts
+as counts, from the draw to the score; tuples appear only in the public
+returns and, when the config records sets, in a record's true_set and
+est_set. Results are therefore byte-identical for a given config regardless
+of worker count, and across runs. Per-trial wall time is measured but
+written to CSV as 0 unless timing is requested, precisely to keep the file
+deterministic.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reference
-from .analysis import DEFAULT_ENUM_CAP, _instance, _masking, _truth_instance
+from .analysis import DEFAULT_ENUM_CAP, _instance, _masking_counts, _truth_instance
 from .analysis import explained_tests, good_test_counts, masking_report, posterior_uniformity_check
 from .decode import (
     DEFAULT_FAMILY_CAP,
@@ -44,14 +48,14 @@ from .design import DesignSpec, TestDesign, bernoulli_design, build_design, ncc_
 from .errors import ParameterError, RefusalBudgetError
 from .metrics import (
     Criterion,
+    _score,
     chernoff_lower,
     chernoff_upper,
     chernoff_weak_lower,
     chernoff_weak_upper,
-    evaluate,
     tests_for_rate,
 )
-from .model import DefectiveSet, PriorSpec, generate_outcomes, k_from_theta, sample_defectives
+from .model import DefectiveSet, PriorSpec, _draw, generate_outcomes, k_from_theta
 from .util import LN2, floor_tol, mix_seed
 
 TAG_TRIAL = 0
@@ -253,11 +257,12 @@ def _explicit_design(spec, n, T, k) -> TestDesign | None:
 
 
 def _draw_instance(spec, prior, n, T, k, master_seed, idx, design=None) -> tuple:
-    """(design, defective set) of trial ``idx``, each drawn from its own derived
-    stream; a given ``design`` (a preloaded explicit one) is used as it is."""
+    """(design, defective set as a sorted int64 array) of trial ``idx``, each
+    drawn from its own derived stream; a given ``design`` (a preloaded
+    explicit one) is used as it is."""
     if design is None:
         design = build_design(spec, n, T, k, trial_seed(master_seed, idx, TAG_DESIGN))
-    return design, sample_defectives(prior, n, trial_seed(master_seed, idx, TAG_PRIOR))
+    return design, _draw(prior, n, trial_seed(master_seed, idx, TAG_PRIOR))
 
 
 def _run_trial(res: _Resolved, idx: int) -> TrialRecord:
@@ -265,34 +270,33 @@ def _run_trial(res: _Resolved, idx: int) -> TrialRecord:
     base_seed = trial_seed(cfg.master_seed, idx, TAG_TRIAL)
     start = time.perf_counter()
     if cfg.decoder == "pipeline":
-        run, inst = _pipeline(
+        (truth, *_, estimate, refused), inst = _pipeline(
             cfg.design, res.prior, cfg.n, res.k, res.T, res.deletions, base_seed, cfg.inner,
             res.subset_params,
         )
-        truth, estimate, refused = run.defectives, run.estimate, run.refused
     else:
         design, truth = _draw_instance(
             cfg.design, res.prior, cfg.n, res.T, res.k, cfg.master_seed, idx, res.explicit_design
         )
         inst = _truth_instance(design, truth)
         # ml is told the drawn set's size, the other decoders the configured k
-        k = truth.k if cfg.decoder == "ml" else res.k
+        k = truth.size if cfg.decoder == "ml" else res.k
         estimate, refused = _decode(cfg.decoder, inst, k, res.subset_params, cfg.ml_cap)
-    mask = _masking(inst)
+    masked_def, masked_nondef = _masking_counts(inst)
     elapsed_us = int((time.perf_counter() - start) * 1e6)
     if refused:
         fn = fp = est_size = None
         success = None
     else:
-        out = evaluate(cfg.criterion, truth, estimate)
+        out = _score(cfg.criterion, truth, estimate)
         fn, fp = out.false_negatives, out.false_positives
-        est_size = len(estimate)
+        est_size = estimate.size
         success = out.success
     return TrialRecord(
         trial=idx,
         seed=base_seed,
         n=cfg.n,
-        k=truth.k,
+        k=truth.size,
         T=res.T,
         design=cfg.design.label(),
         decoder=cfg.decoder,
@@ -301,11 +305,11 @@ def _run_trial(res: _Resolved, idx: int) -> TrialRecord:
         false_positives=fp,
         est_size=est_size,
         success=success,
-        masked_def=mask.masked_defectives,
-        masked_nondef=mask.masked_nondefectives,
+        masked_def=masked_def,
+        masked_nondef=masked_nondef,
         elapsed_us=elapsed_us,
-        true_set=truth.members if cfg.record_sets else None,
-        est_set=estimate if cfg.record_sets else None,
+        true_set=tuple(truth.tolist()) if cfg.record_sets else None,
+        est_set=tuple(estimate.tolist()) if cfg.record_sets else None,
     )
 
 
@@ -424,8 +428,8 @@ def masking_sweep(
         counts = np.empty((2, trials), dtype=np.int64)  # masked defectives, non-defectives
         explicit = _explicit_design(design, n, T, k)
         for t in range(trials):
-            rep = masking_report(*_draw_instance(design, prior, n, T, k, sub_master, t, explicit))
-            counts[:, t] = rep.masked_defectives, rep.masked_nondefectives
+            inst = _truth_instance(*_draw_instance(design, prior, n, T, k, sub_master, t, explicit))
+            counts[:, t] = _masking_counts(inst)
         values = [float(target), T]
         for c in counts:
             values += [float(c.mean()), *np.quantile(c, [0.1, 0.5, 0.9]).tolist()]

@@ -12,6 +12,9 @@ import csv
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .design import _distinct
 from .errors import ParameterError
 from .util import LN2, ceil_tol, floor_tol, require_finite
 
@@ -150,25 +153,51 @@ class EvalOutcome:
     false_positives: int
 
 
-def _members(s) -> frozenset:
-    members = getattr(s, "members", None)
-    return frozenset(members if members is not None else s)
+def _item_array(s) -> np.ndarray:
+    """The distinct items of a DefectiveSet or of any collection of item
+    indices, as a sorted int64 array; an item that is not a whole number
+    raises ParameterError."""
+    members = getattr(s, "members", s)
+    if not isinstance(members, (np.ndarray, list, tuple)):
+        members = list(members)
+    items = np.asarray(members)
+    if items.dtype.kind not in "iu":
+        whole = items.astype(np.int64)
+        if not np.array_equal(whole, items):
+            raise ParameterError(f"items must be whole numbers, got {items[whole != items][:3].tolist()}")
+        items = whole
+    return _distinct(np.array(items, dtype=np.int64))  # a copy: _distinct sorts in place
 
 
 def evaluate(criterion: Criterion, truth, estimate) -> EvalOutcome:
-    """Score an estimate against the true defective set under a criterion."""
-    t = _members(truth)
-    e = _members(estimate)
-    k = len(t)
-    fn = len(t - e)
-    fp = len(e - t)
+    """Score an estimate against the true defective set under a criterion.
+
+    Either set may be a DefectiveSet or any collection of item indices, in
+    any order; a repeated item counts once.
+    """
+    return _score(criterion, _item_array(truth), _item_array(estimate))
+
+
+def _score(criterion: Criterion, truth: np.ndarray, estimate: np.ndarray) -> EvalOutcome:
+    """evaluate on a sorted int64 array of distinct true items and an int64
+    array of distinct estimated ones."""
+    k = truth.size
+    hits = 0
+    if k and estimate.size:
+        # each estimated item's slot in the truth, clipped so the last slot
+        # stands for items beyond every member
+        slot = np.searchsorted(truth, estimate)
+        np.minimum(slot, k - 1, out=slot)
+        hits = int(np.count_nonzero(truth[slot] == estimate))
+    fn = k - hits
+    fp = int(estimate.size) - hits
     kind = criterion.kind
     if kind == "exact":
         ok = fn == 0 and fp == 0
     elif kind == "subset":
-        ok = fp == 0 and len(e) >= floor_tol((1.0 - criterion.eta_minus) * k)
+        ok = fp == 0 and estimate.size >= floor_tol((1.0 - criterion.eta_minus) * k)
     elif kind == "superset":
-        ok = fn == 0 and len(e) <= ceil_tol((1.0 + criterion.eta_plus) * k)
+        ok = fn == 0 and estimate.size <= ceil_tol((1.0 + criterion.eta_plus) * k)
     elif kind == "two-sided":
         allow = criterion.beta * k + 1e-9
         ok = fn <= allow and fp <= allow

@@ -112,6 +112,12 @@ def _two_step_q(kind: str, k: int, n: int) -> float:
 
 def sample_defectives(prior: PriorSpec, n: int, seed) -> DefectiveSet:
     """Draw a defective set from the prior."""
+    return DefectiveSet(n, tuple(_draw(prior, n, seed).tolist()))
+
+
+def _draw(prior: PriorSpec, n: int, seed) -> np.ndarray:
+    """The members of a draw from the prior, as a sorted int64 array of
+    distinct items in 1..n; sample_defectives wraps it."""
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
     if prior.kind != "iid" and prior.k > n:
@@ -119,12 +125,13 @@ def sample_defectives(prior: PriorSpec, n: int, seed) -> DefectiveSet:
     rng = np.random.default_rng(seed)
 
     if prior.kind == "combinatorial":
-        members = np.sort(rng.choice(n, size=prior.k, replace=False)) + 1
-        return DefectiveSet(n, tuple(members.tolist()))
+        members = rng.choice(n, size=prior.k, replace=False)
+        members.sort()
+        members += 1
+        return members
 
     if prior.kind == "iid":
-        mask = rng.random(n) < prior.q
-        return DefectiveSet(n, tuple((np.flatnonzero(mask) + 1).tolist()))
+        return np.flatnonzero(rng.random(n) < prior.q) + 1
 
     mask = rng.random(n) < _two_step_q(prior.kind, prior.k, n)
     chosen = np.flatnonzero(mask) + 1
@@ -138,7 +145,7 @@ def sample_defectives(prior: PriorSpec, n: int, seed) -> DefectiveSet:
         outside = np.setdiff1d(np.arange(1, n + 1), chosen, assume_unique=True)
         extra = rng.choice(outside.size, size=prior.k - chosen.size, replace=False)
         chosen = np.sort(np.concatenate([chosen, outside[extra]]))
-    return DefectiveSet(n, tuple(chosen.tolist()))
+    return chosen
 
 
 def generate_outcomes(design: TestDesign, s: DefectiveSet) -> np.ndarray:

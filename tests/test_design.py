@@ -478,9 +478,12 @@ _SHAPE_RNG = np.random.default_rng(23)
 def test_ncc_draws_read_like_their_column_view(n, T, L):
     fresh = ncc_design(n, T, L, seed=n + T + L)
     got = _readings(fresh, 1)
+    counted = fresh.entry_count, hash(fresh), repr(fresh)
     assert fresh._cols is None and fresh._rows is None  # no reader built a view
     read = ncc_design(n, T, L, seed=n + T + L)
     twin = TestDesign(n, T, read.col_flat, read.col_ptr)  # read's column view is built first
+    want = f"TestDesign(T={T}, n={n}, entries={twin.entry_count}, kind=ncc)"
+    assert counted == (twin.entry_count, hash(twin), want)
     assert _same(_readings(read, 1), got) and _same(_readings(twin, 1), got)
     # a design holding draws reads them even once its views exist, so a
     # held column view that disagrees with them changes no reading

@@ -7,7 +7,7 @@ import pytest
 import pooltest.design
 from pooltest.analysis import masking_report
 from pooltest.decode import SubsetParams, comp_decode, dd_decode, deletion_pipeline, subset_decode
-from pooltest.design import DesignSpec, build_design, ncc_design, save_design
+from pooltest.design import DesignSpec, TestDesign, build_design, ncc_design, save_design
 from pooltest.errors import ParameterError, RefusalBudgetError
 from pooltest.harness import (
     TAG_DESIGN,
@@ -24,8 +24,9 @@ from pooltest.harness import (
     write_trials_csv,
 )
 from pooltest.metrics import Criterion, evaluate
+from pooltest.util import mix_seed
 from pooltest.metrics import tests_for_rate as minimal_tests
-from pooltest.model import DefectiveSet, generate_outcomes, k_from_theta
+from pooltest.model import DefectiveSet, PriorSpec, generate_outcomes, k_from_theta, sample_defectives
 
 
 def read_rows(path):
@@ -244,6 +245,93 @@ def test_pipeline_truth_follows_the_prior():
     assert [r.true_set for r in iid] != [r.true_set for r in combinatorial]
     assert len({len(r.true_set) for r in iid}) > 1
     assert all(r.k == len(r.true_set) for r in iid)
+
+
+def _public_trial(cfg, rec, design=None):
+    """(truth, design) of a recorded trial, redrawn through the public API."""
+    if design is None:
+        design = build_design(cfg.design, cfg.n, cfg.T, cfg.k, trial_seed(cfg.master_seed, rec.trial, TAG_DESIGN))
+    truth = sample_defectives(PriorSpec("combinatorial", k=cfg.k), cfg.n, trial_seed(cfg.master_seed, rec.trial, TAG_PRIOR))
+    assert rec.true_set == truth.members
+    return truth, design
+
+
+def _sparse_spec(kind, tmp_path, T):
+    """A Bernoulli spec, or an explicit design file of T tests, over n = 60
+    items with items in no test."""
+    if kind == "bernoulli":
+        return DesignSpec("bernoulli", p_override=0.03)  # about 40% of the columns are empty
+    rows = [[i for i in range(1, 61) if i % 3 and (i * t) % 7 < 2] for t in range(1, T + 1)]
+    design = TestDesign.from_rows(60, rows)  # the multiples of 3 are in no test
+    path = tmp_path / "design.txt"
+    save_design(design, path)
+    return DesignSpec("explicit", path=str(path))
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "explicit"])
+def test_trial_masking_counts_match_masking_report(kind, tmp_path):
+    # a trial counts masked items over masks; masking_report lists them
+    spec = _sparse_spec(kind, tmp_path, 30)
+    cfg = small_config(design=spec, trials=30, record_sets=True)
+    explicit = build_design(spec, cfg.n, cfg.T, cfg.k, None) if kind == "explicit" else None
+    zero_test = 0
+    for rec in run_experiment(cfg).records:
+        truth, design = _public_trial(cfg, rec, explicit)
+        mask = masking_report(design, truth)
+        assert (rec.masked_def, rec.masked_nondef) == (mask.masked_defectives, mask.masked_nondefectives)
+        zero_test += mask.zero_test_items
+    assert zero_test > 0
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "explicit"])
+def test_masking_sweep_counts_match_masking_report(kind, tmp_path):
+    n, theta, trials = 60, 0.35, 12
+    k = k_from_theta(n, theta)
+    # an explicit design fixes T, so its sweep repeats one rate
+    rates = (0.7, 0.7) if kind == "explicit" else (0.7, 1.0)
+    spec = _sparse_spec(kind, tmp_path, minimal_tests(n, k, 0.7))
+    rows = masking_sweep(n, theta, rates, spec, trials, master_seed=6)
+    zero_test = 0
+    for r_idx, (row, rate) in enumerate(zip(rows, rates)):
+        T = minimal_tests(n, k, rate)
+        sub = mix_seed(6, 1000 + r_idx)
+        counts = []
+        for t in range(trials):
+            design = build_design(spec, n, T, k, trial_seed(sub, t, TAG_DESIGN))
+            truth = sample_defectives(PriorSpec("combinatorial", k=k), n, trial_seed(sub, t, TAG_PRIOR))
+            mask = masking_report(design, truth)
+            counts.append((mask.masked_defectives, mask.masked_nondefectives))
+            zero_test += mask.zero_test_items
+        defect, nondef = zip(*counts)
+        assert row["mean_masked_def"] == sum(defect) / trials
+        assert row["mean_masked_nondef"] == sum(nondef) / trials
+        assert row["freq_any_masked_def"] == sum(d > 0 for d in defect) / trials
+    assert zero_test > 0
+
+
+@pytest.mark.parametrize("kind", ["ncc", "bernoulli"])
+@pytest.mark.parametrize("decoder", ["dd", "comp"])
+def test_dense_trials_match_the_public_api(decoder, kind):
+    # at theta 0.9 a trial keeps k = 1783 members as arrays from draw to
+    # score; every record must equal the tuple API's recomputation
+    criterion = Criterion.subset(0.1) if decoder == "dd" else Criterion.superset(0.1)
+    n = 4096
+    k = k_from_theta(n, 0.9)
+    cfg = ExperimentConfig(
+        n=n, k=k, T=minimal_tests(n, k, 0.55), design=DesignSpec(kind), decoder=decoder,
+        criterion=criterion, trials=6, master_seed=8, record_sets=True,
+    )
+    decode = dd_decode if decoder == "dd" else comp_decode
+    for rec in run_experiment(cfg).records:
+        truth, design = _public_trial(cfg, rec)
+        estimate = decode(design, generate_outcomes(design, truth))
+        mask = masking_report(design, truth)
+        out = evaluate(criterion, truth, estimate)
+        assert rec.est_set == estimate and rec.k == truth.k == k
+        assert (rec.false_negatives, rec.false_positives, rec.est_size, rec.success) == (
+            out.false_negatives, out.false_positives, len(estimate), out.success
+        )
+        assert (rec.masked_def, rec.masked_nondef) == (mask.masked_defectives, mask.masked_nondefectives)
 
 
 def _no_view(*args):

@@ -1,6 +1,7 @@
 import csv
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from pooltest.errors import ParameterError
 from pooltest.metrics import (
     THETA_KNEE,
     Criterion,
+    _score,
     chernoff_lower,
     chernoff_upper,
     chernoff_weak_lower,
@@ -22,7 +24,8 @@ from pooltest.metrics import (
     zeta,
 )
 from pooltest.metrics import tests_for_rate as minimal_tests
-from pooltest.util import LN2
+from pooltest.model import DefectiveSet
+from pooltest.util import LN2, ceil_tol, floor_tol
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +160,67 @@ def test_evaluate_accepts_defective_set_objects():
 
     truth = DefectiveSet(10, (1, 5))
     assert evaluate(Criterion.exact(), truth, (1, 5)).success
+
+
+def _frozenset_evaluate(c, truth, estimate):
+    """evaluate's definition over frozensets: (success, fn, fp)."""
+    t, e = frozenset(truth), frozenset(estimate)
+    k, fn, fp = len(t), len(t - e), len(e - t)
+    if c.kind == "exact":
+        ok = fn == 0 and fp == 0
+    elif c.kind == "subset":
+        ok = fp == 0 and len(e) >= floor_tol((1.0 - c.eta_minus) * k)
+    elif c.kind == "superset":
+        ok = fn == 0 and len(e) <= ceil_tol((1.0 + c.eta_plus) * k)
+    elif c.kind == "two-sided":
+        ok = fn <= c.beta * k + 1e-9 and fp <= c.beta * k + 1e-9
+    else:
+        ok = fn <= c.alpha_fn * k + 1e-9 and fp <= c.alpha_fp * k + 1e-9
+    return ok, fn, fp
+
+
+SCORED_CRITERIA = (
+    Criterion.exact(),
+    Criterion.subset(0.2),
+    Criterion.subset(0.0),
+    Criterion.superset(0.5),
+    Criterion.two_sided(0.25),
+    Criterion.asymmetric(0.3, 0.1),
+)
+
+
+def test_array_scorer_agrees_with_the_frozenset_definition():
+    rng = np.random.default_rng(41)
+    for _ in range(400):
+        n = int(rng.integers(1, 40))
+        truth = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)) + 1
+        # estimates near the truth: drop some members, add some outsiders
+        kept = truth[rng.random(truth.size) < 0.8]
+        extra = rng.choice(n, size=int(rng.integers(0, 4)), replace=True) + 1
+        estimate = np.unique(np.concatenate([kept, extra]))
+        t_items, e_items = truth.tolist(), estimate.tolist()
+        for criterion in SCORED_CRITERIA:
+            want = _frozenset_evaluate(criterion, t_items, e_items)
+            out = _score(criterion, truth, rng.permutation(estimate))  # the estimate in any order
+            assert (out.success, out.false_negatives, out.false_positives) == want
+            # public inputs: unsorted lists, sets, DefectiveSets, repeats
+            shuffled = rng.permutation(t_items).tolist()
+            repeated = e_items + e_items[: int(rng.integers(0, len(e_items) + 1))]
+            for t_in, e_in in (
+                (shuffled, repeated),
+                (set(t_items), set(e_items)),
+                (DefectiveSet(n, tuple(t_items)), tuple(e_items)),
+                (tuple(t_items), DefectiveSet(n, tuple(e_items))),
+                (truth, estimate[::-1]),
+            ):
+                public = evaluate(criterion, t_in, e_in)
+                assert (public.success, public.false_negatives, public.false_positives) == want
+                assert type(public.false_negatives) is int and type(public.false_positives) is int
+            assert estimate.tolist() == e_items  # an array argument is left as it was
+    # a whole-valued float is its item, as in a frozenset; a fraction is no item
+    assert evaluate(Criterion.exact(), (1, 2), (2.0, 1.0)).success
+    with pytest.raises(ParameterError, match="whole numbers"):
+        evaluate(Criterion.exact(), (1, 2), (1.5, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -10,6 +11,7 @@ from pooltest.errors import ParameterError
 from pooltest.model import (
     DefectiveSet,
     PriorSpec,
+    _draw,
     generate_outcomes,
     k_from_theta,
     sample_defectives,
@@ -202,3 +204,43 @@ def test_prior_k_cannot_exceed_n():
     prior = PriorSpec("combinatorial", k=6)
     with pytest.raises(ParameterError, match="exceeds"):
         sample_defectives(prior, 5, seed=0)
+
+
+# (n, k) of the draw grid: k = n, tiny and dense sets, and shapes where the
+# two-step densities fall outside (0, 1)
+DRAW_GRID = [(1, 1), (7, 3), (50, 3), (200, 40), (1000, 120), (4096, 1783)]
+DRAW_KINDS = ("combinatorial", "iid", "iid-trim", "iid-pad")
+# sha256 of the grid's draws and refusals, hashed while sample_defectives
+# still built its tuple in each branch; made with numpy 2.4.6
+DRAW_FINGERPRINT = "7fb8dc3df2c39a7f83a3c7d90318e2c5fa0473804558a71e40155497e2da3eae"
+
+
+def _grid_prior(kind, n, k):
+    return PriorSpec("iid", q=k / n if k < n else 0.5) if kind == "iid" else PriorSpec(kind, k=k)
+
+
+def test_array_draw_is_the_public_draw():
+    h = hashlib.sha256()
+    refused = 0
+    for kind in DRAW_KINDS:
+        for n, k in DRAW_GRID:
+            prior = _grid_prior(kind, n, k)
+            for seed in range(5):
+                try:
+                    public = sample_defectives(prior, n, seed).members
+                except ParameterError:
+                    with pytest.raises(ParameterError):
+                        _draw(prior, n, seed)
+                    refused += 1
+                    h.update(b"refused;")
+                    continue
+                draw = _draw(prior, n, seed)
+                assert draw.dtype == np.int64 and draw.ndim == 1
+                assert tuple(draw.tolist()) == public
+                assert (draw.size == 0 or 1 <= draw[0] and draw[-1] <= n) and np.all(np.diff(draw) > 0)
+                h.update(draw.tobytes() + b";")
+    # both two-step kinds at n = 1, where q' = 1, and iid-pad where sqrt(k) < ln n
+    assert refused == 20
+    assert h.hexdigest() == DRAW_FINGERPRINT, (
+        f"prior draws changed: sha256 {h.hexdigest()} (running numpy {np.__version__})"
+    )
