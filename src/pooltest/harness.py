@@ -7,8 +7,10 @@ same sequence of defective sets can be replayed against a different design
 family. A pipeline trial draws its truth (from the configured prior), its
 design and its deletion from sub-streams 2, 1 and 3 of the trial's
 TAG_TRIAL seed, through the same ``decode._pipeline`` that
-``deletion_pipeline`` returns. Every decoder, the pipeline's inner one
-included, runs through one decode, masking and scoring path. A trial keeps
+``deletion_pipeline`` returns. ``run_experiment`` is the one trial loop:
+every decoder, the pipeline's inner one included, runs through one
+decode, masking and scoring path, and each rate point of
+``masking_sweep`` is a comp experiment read off its records. A trial keeps
 its defective set and estimate as sorted int64 arrays and its masking counts
 as counts, from the draw to the score; tuples appear only in the public
 returns and, when the config records sets, in a record's true_set and
@@ -244,25 +246,12 @@ def _resolve(cfg: ExperimentConfig) -> _Resolved:
             family_cap=cfg.family_cap,
             hill_climb=cfg.hill_climb,
         )
-    explicit = _explicit_design(cfg.design, cfg.n, T, k)
+    # an explicit design is loaded and shape-checked once; the random kinds
+    # draw a new design every trial
+    explicit = build_design(cfg.design, cfg.n, T, k, None) if cfg.design.kind == "explicit" else None
     pipeline = cfg.decoder == "pipeline"
     d = _pipeline_deletions(cfg.n, cfg.alpha, cfg.xi, cfg.inner) if pipeline else None
     return _Resolved(cfg, k, T, prior, params, explicit, d)
-
-
-def _explicit_design(spec, n, T, k) -> TestDesign | None:
-    """The design an explicit spec names, loaded and shape-checked; None for
-    the random kinds, which draw a new design every trial."""
-    return build_design(spec, n, T, k, None) if spec.kind == "explicit" else None
-
-
-def _draw_instance(spec, prior, n, T, k, master_seed, idx, design=None) -> tuple:
-    """(design, defective set as a sorted int64 array) of trial ``idx``, each
-    drawn from its own derived stream; a given ``design`` (a preloaded
-    explicit one) is used as it is."""
-    if design is None:
-        design = build_design(spec, n, T, k, trial_seed(master_seed, idx, TAG_DESIGN))
-    return design, _draw(prior, n, trial_seed(master_seed, idx, TAG_PRIOR))
 
 
 def _run_trial(res: _Resolved, idx: int) -> TrialRecord:
@@ -275,9 +264,11 @@ def _run_trial(res: _Resolved, idx: int) -> TrialRecord:
             res.subset_params,
         )
     else:
-        design, truth = _draw_instance(
-            cfg.design, res.prior, cfg.n, res.T, res.k, cfg.master_seed, idx, res.explicit_design
-        )
+        design = res.explicit_design
+        if design is None:
+            seed = trial_seed(cfg.master_seed, idx, TAG_DESIGN)
+            design = build_design(cfg.design, cfg.n, res.T, res.k, seed)
+        truth = _draw(res.prior, cfg.n, trial_seed(cfg.master_seed, idx, TAG_PRIOR))
         inst = _truth_instance(design, truth)
         # ml is told the drawn set's size, the other decoders the configured k
         k = truth.size if cfg.decoder == "ml" else res.k
@@ -288,7 +279,7 @@ def _run_trial(res: _Resolved, idx: int) -> TrialRecord:
         fn = fp = est_size = None
         success = None
     else:
-        out = _score(cfg.criterion, truth, estimate)
+        out = _score(cfg.criterion, truth, estimate, cfg.n)
         fn, fp = out.false_negatives, out.false_positives
         est_size = estimate.size
         success = out.success
@@ -416,21 +407,26 @@ def masking_sweep(
     trials: int,
     master_seed: int = 0,
 ) -> list:
-    """Masked-item statistics as the rate varies, one dict per rate point."""
+    """Masked-item statistics as the rate varies, one dict per rate point.
+
+    Rate point r is the comp ``run_experiment`` at master seed
+    mix_seed(master_seed, 1000 + r) under the exact criterion: its row reads
+    the summary's T and the records' masked_def and masked_nondef, the
+    latter being comp's false positives.
+    """
     if trials < 1:
         raise ParameterError(f"need trials >= 1, got {trials}")
-    k = k_from_theta(n, theta)
-    prior = PriorSpec("combinatorial", k=k)
     rows = []
     for r_idx, target in enumerate(rate_grid):
-        T = tests_for_rate(n, k, target)
-        sub_master = mix_seed(master_seed, 1000 + r_idx)
-        counts = np.empty((2, trials), dtype=np.int64)  # masked defectives, non-defectives
-        explicit = _explicit_design(design, n, T, k)
-        for t in range(trials):
-            inst = _truth_instance(*_draw_instance(design, prior, n, T, k, sub_master, t, explicit))
-            counts[:, t] = _masking_counts(inst)
-        values = [float(target), T]
+        summary = run_experiment(
+            ExperimentConfig(
+                n=n, theta=theta, target_rate=target, design=design, decoder="comp",
+                criterion=Criterion.exact(), trials=trials,
+                master_seed=mix_seed(master_seed, 1000 + r_idx),
+            )
+        )
+        counts = np.array([(r.masked_def, r.masked_nondef) for r in summary.records], dtype=np.int64).T
+        values = [float(target), summary.T]
         for c in counts:
             values += [float(c.mean()), *np.quantile(c, [0.1, 0.5, 0.9]).tolist()]
         values.append(float((counts[0] > 0).mean()))

@@ -9,6 +9,7 @@ base 2.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ THETA_KNEE = LN2 / (1.0 + LN2)
 _EXACT_K_MAX = 64
 
 
+@functools.lru_cache(maxsize=256)
 def log2_binomial(n: int, k: int) -> float:
     """log2 of the binomial coefficient C(n, k).
 
@@ -173,22 +175,28 @@ def evaluate(criterion: Criterion, truth, estimate) -> EvalOutcome:
     """Score an estimate against the true defective set under a criterion.
 
     Either set may be a DefectiveSet or any collection of item indices, in
-    any order; a repeated item counts once.
+    any order; a repeated item counts once. An item below 1 raises
+    ParameterError.
     """
-    return _score(criterion, _item_array(truth), _item_array(estimate))
+    truth, estimate = _item_array(truth), _item_array(estimate)
+    n = 0
+    for items in (truth, estimate):
+        if items.size:
+            if items[0] < 1:
+                raise ParameterError(f"items must be at least 1, got {int(items[0])}")
+            n = max(n, int(items[-1]))
+    return _score(criterion, truth, estimate, n)
 
 
-def _score(criterion: Criterion, truth: np.ndarray, estimate: np.ndarray) -> EvalOutcome:
-    """evaluate on a sorted int64 array of distinct true items and an int64
-    array of distinct estimated ones."""
+def _score(criterion: Criterion, truth: np.ndarray, estimate: np.ndarray, n: int) -> EvalOutcome:
+    """evaluate on int64 arrays of distinct true and distinct estimated
+    items, each item in 1..n."""
     k = truth.size
     hits = 0
     if k and estimate.size:
-        # each estimated item's slot in the truth, clipped so the last slot
-        # stands for items beyond every member
-        slot = np.searchsorted(truth, estimate)
-        np.minimum(slot, k - 1, out=slot)
-        hits = int(np.count_nonzero(truth[slot] == estimate))
+        member = np.zeros(n + 1, dtype=bool)
+        member[truth] = True
+        hits = int(np.count_nonzero(member[estimate]))
     fn = k - hits
     fp = int(estimate.size) - hits
     kind = criterion.kind

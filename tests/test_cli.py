@@ -510,11 +510,17 @@ MASKING_ARGS = (
     "--n", 200, "--theta", 0.5, "--rates", "0.5,0.9", "--design", "ncc", "--trials", 15,
     "--seed", 4,
 )
+MASKING_GRID = {
+    "masking": MASKING_ARGS,
+    "masking-bernoulli": tuple("bernoulli" if a == "ncc" else a for a in MASKING_ARGS),
+}
 CSV_FINGERPRINTS = {
     "comp-bernoulli": "1e7e318ebbda394fe34d25c9e14eec31b00e43059136146a4c1a89f363d7a9e8",
     "dd-iid": "93d24b6b0a298431eb4aabbf5e91157cf28817b861cbb49dcb69f3754baadd67",
     "dd-ncc": "17623ac0bcb84dbe4f179f04200fbda8887910da9274a6ad474864a50e19b437",
     "masking": "b9f8ca1172ab665df3af1e248277fe84a30f37f2ef51f2993548ac0a5b968fc0",
+    # hashed while the sweep still kept a trial loop of its own
+    "masking-bernoulli": "d1cfa4f273c85059a2379f9d45fa3f607b671707f019debcbd3f24e2e488179d",
     "ml-bernoulli": "885f7961d661ff6bc535a195300171104ac6269111e9485b86137c6182fcf31c",
     "pipeline-comp-ncc": "2cb0f8a94bacec2d5dcba39975d33673f7b923e0ed6af5b914645fedc7e2dc8f",
     "pipeline-dd-bernoulli": "22c74e39cfcba0343b2389bf75ae61444c840219f733b8cd7d18cb2899b381c9",
@@ -532,8 +538,8 @@ def _csv_sha256(tmp_path, command, args) -> str:
 
 @pytest.mark.parametrize("name", sorted(CSV_FINGERPRINTS))
 def test_csv_fingerprint(name, tmp_path):
-    if name == "masking":
-        got = _csv_sha256(tmp_path, "masking", MASKING_ARGS)
+    if name in MASKING_GRID:
+        got = _csv_sha256(tmp_path, "masking", MASKING_GRID[name])
     else:
         got = _csv_sha256(tmp_path, "simulate", SIMULATE_GRID[name] + _SIMULATE_COMMON)
     assert got == CSV_FINGERPRINTS[name], (

@@ -23,7 +23,7 @@ from pooltest.harness import (
     write_masking_csv,
     write_trials_csv,
 )
-from pooltest.metrics import Criterion, evaluate
+from pooltest.metrics import Criterion, evaluate, log2_binomial
 from pooltest.util import mix_seed
 from pooltest.metrics import tests_for_rate as minimal_tests
 from pooltest.model import DefectiveSet, PriorSpec, generate_outcomes, k_from_theta, sample_defectives
@@ -456,6 +456,16 @@ def test_masking_sweep_is_deterministic():
     kw = dict(n=80, theta=0.5, rate_grid=(0.5,), design=DesignSpec("ncc"), trials=20,
               master_seed=9)
     assert masking_sweep(**kw) == masking_sweep(**kw)
+
+
+def test_masking_sweep_reuses_cached_binomial_bits():
+    kw = dict(n=97, theta=0.55, rate_grid=(0.5, 0.7), design=DesignSpec("bernoulli"), trials=4,
+              master_seed=5)
+    first = masking_sweep(**kw)
+    hits = log2_binomial.cache_info().hits
+    assert masking_sweep(**kw) == first
+    # each rate point sizes T from log2 C(n, k), which the first sweep cached
+    assert log2_binomial.cache_info().hits >= hits + len(kw["rate_grid"])
 
 
 def test_masking_sweep_loads_explicit_design_once_per_rate_point(tmp_path, monkeypatch):

@@ -189,6 +189,30 @@ SCORED_CRITERIA = (
 )
 
 
+def _assert_scorers_agree(rng, n, truth, estimate):
+    """_score and evaluate against the frozenset definition, on one instance
+    over items 1..n."""
+    t_items, e_items = truth.tolist(), estimate.tolist()
+    for criterion in SCORED_CRITERIA:
+        want = _frozenset_evaluate(criterion, t_items, e_items)
+        out = _score(criterion, truth, rng.permutation(estimate), n)  # the estimate in any order
+        assert (out.success, out.false_negatives, out.false_positives) == want
+        # public inputs: unsorted lists, sets, DefectiveSets, repeats
+        shuffled = rng.permutation(t_items).tolist()
+        repeated = e_items + e_items[: int(rng.integers(0, len(e_items) + 1))]
+        for t_in, e_in in (
+            (shuffled, repeated),
+            (set(t_items), set(e_items)),
+            (DefectiveSet(n, tuple(t_items)), tuple(e_items)),
+            (tuple(t_items), DefectiveSet(n, tuple(e_items))),
+            (truth, estimate[::-1]),
+        ):
+            public = evaluate(criterion, t_in, e_in)
+            assert (public.success, public.false_negatives, public.false_positives) == want
+            assert type(public.false_negatives) is int and type(public.false_positives) is int
+        assert estimate.tolist() == e_items  # an array argument is left as it was
+
+
 def test_array_scorer_agrees_with_the_frozenset_definition():
     rng = np.random.default_rng(41)
     for _ in range(400):
@@ -198,29 +222,31 @@ def test_array_scorer_agrees_with_the_frozenset_definition():
         kept = truth[rng.random(truth.size) < 0.8]
         extra = rng.choice(n, size=int(rng.integers(0, 4)), replace=True) + 1
         estimate = np.unique(np.concatenate([kept, extra]))
-        t_items, e_items = truth.tolist(), estimate.tolist()
-        for criterion in SCORED_CRITERIA:
-            want = _frozenset_evaluate(criterion, t_items, e_items)
-            out = _score(criterion, truth, rng.permutation(estimate))  # the estimate in any order
-            assert (out.success, out.false_negatives, out.false_positives) == want
-            # public inputs: unsorted lists, sets, DefectiveSets, repeats
-            shuffled = rng.permutation(t_items).tolist()
-            repeated = e_items + e_items[: int(rng.integers(0, len(e_items) + 1))]
-            for t_in, e_in in (
-                (shuffled, repeated),
-                (set(t_items), set(e_items)),
-                (DefectiveSet(n, tuple(t_items)), tuple(e_items)),
-                (tuple(t_items), DefectiveSet(n, tuple(e_items))),
-                (truth, estimate[::-1]),
-            ):
-                public = evaluate(criterion, t_in, e_in)
-                assert (public.success, public.false_negatives, public.false_positives) == want
-                assert type(public.false_negatives) is int and type(public.false_positives) is int
-            assert estimate.tolist() == e_items  # an array argument is left as it was
+        _assert_scorers_agree(rng, n, truth, estimate)
+    # estimates reaching past the truth's largest item, up to n, and empty sides
+    for n, truth, estimate in (
+        (9, [1, 2], [2, 9]),
+        (9, [3], [1, 5, 8, 9]),
+        (9, [2, 4], [4, 7]),
+        (5, [], [3, 5]),
+        (5, [4], []),
+        (5, [], []),
+        (1, [1], [1]),
+    ):
+        _assert_scorers_agree(rng, n, np.array(truth, dtype=np.int64), np.array(estimate, dtype=np.int64))
     # a whole-valued float is its item, as in a frozenset; a fraction is no item
     assert evaluate(Criterion.exact(), (1, 2), (2.0, 1.0)).success
     with pytest.raises(ParameterError, match="whole numbers"):
         evaluate(Criterion.exact(), (1, 2), (1.5, 2))
+
+
+@pytest.mark.parametrize("bad", [0, -1, -7])
+def test_evaluate_rejects_items_below_one(bad):
+    # the scorer indexes a mask over 1..n by item, where a negative item
+    # would wrap around to a real one
+    for truth, estimate in (((bad, 2), (2,)), ((1, 2), (bad, 2)), ((), (bad,)), ((bad,), ())):
+        with pytest.raises(ParameterError, match="at least 1"):
+            evaluate(Criterion.exact(), truth, estimate)
 
 
 # ---------------------------------------------------------------------------
