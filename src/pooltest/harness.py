@@ -17,7 +17,9 @@ returns and, when the config records sets, in a record's true_set and
 est_set. Results are therefore byte-identical for a given config regardless
 of worker count, and across runs. Per-trial wall time is measured but
 written to CSV as 0 unless timing is requested, precisely to keep the file
-deterministic.
+deterministic. The process pool is imported only when ``workers > 1``, and
+the slow reference implementations only by the oracle suites that call
+them, so a one-worker run loads neither.
 """
 
 from __future__ import annotations
@@ -26,12 +28,10 @@ import csv
 import math
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import reference
 from .analysis import DEFAULT_ENUM_CAP, _instance, _masking_counts, _truth_instance
 from .analysis import explained_tests, good_test_counts, masking_report, posterior_uniformity_check
 from .decode import (
@@ -310,6 +310,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     res = _resolve(cfg)
     indices = range(cfg.trials)
     if cfg.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, cfg.trials // (cfg.workers * 4))
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             records = list(pool.map(_run_trial, [res] * cfg.trials, indices, chunksize=chunk))
@@ -416,6 +418,7 @@ def masking_sweep(
     """
     if trials < 1:
         raise ParameterError(f"need trials >= 1, got {trials}")
+    k_from_theta(n, theta)  # a bad n or theta raises even when the rate grid is empty
     rows = []
     for r_idx, target in enumerate(rate_grid):
         summary = run_experiment(
@@ -501,6 +504,8 @@ def _one_swapped(rng, truth: DefectiveSet) -> tuple:
 
 def suite_explained_naive(seed=0, instances: int = 500) -> SuiteResult:
     """explained/comp/dd/good/masked fast paths against the literal double loops."""
+    from . import reference
+
     rng = np.random.default_rng(mix_seed(seed, 11))
     lines = []
     for j in range(instances):
@@ -533,6 +538,8 @@ def suite_explained_naive(seed=0, instances: int = 500) -> SuiteResult:
 
 def suite_subset_argmax(seed=0, instances: int = 200) -> SuiteResult:
     """subset_decode against brute-force argmax with the same tie-break."""
+    from . import reference
+
     rng = np.random.default_rng(mix_seed(seed, 12))
     etas = (0.2, 0.25, 0.4)
     frontends = ("dd-pad", "ml", "provided")
@@ -558,6 +565,8 @@ def suite_subset_argmax(seed=0, instances: int = 200) -> SuiteResult:
 def suite_hill_climb(seed=0, instances: int = 200) -> SuiteResult:
     """subset_decode's hill climb against the naive climb, which rescores
     every swap, at radii that bind and radii that do not."""
+    from . import reference
+
     rng = np.random.default_rng(mix_seed(seed, 17))
     etas = (0.2, 0.25, 0.4)
     radius_mults = (2.0, 3.0, 4.0, 12.0)
@@ -592,6 +601,8 @@ def suite_hill_climb(seed=0, instances: int = 200) -> SuiteResult:
 
 def suite_ml_enum(seed=0, instances: int = 150) -> SuiteResult:
     """ml_oracle against naive enumeration, plus determinism and relabeling."""
+    from . import reference
+
     rng = np.random.default_rng(mix_seed(seed, 13))
     lines = []
     for j in range(instances):

@@ -17,6 +17,7 @@ import numpy as np
 
 from .design import _distinct
 from .errors import ParameterError
+from .model import DefectiveSet
 from .util import LN2, ceil_tol, floor_tol, require_finite
 
 #: Largest sparsity exponent for which the exact-recovery rate limit equals 1.
@@ -159,6 +160,10 @@ def _item_array(s) -> np.ndarray:
     """The distinct items of a DefectiveSet or of any collection of item
     indices, as a sorted int64 array; an item that is not a whole number
     raises ParameterError."""
+    if isinstance(s, DefectiveSet):
+        items = np.array(s.members)
+        if items.dtype.kind in "iu":  # sorted, distinct and in range by construction
+            return items.astype(np.int64, copy=False)
     members = getattr(s, "members", s)
     if not isinstance(members, (np.ndarray, list, tuple)):
         members = list(members)

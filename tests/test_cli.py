@@ -470,6 +470,40 @@ def test_cli_import_leaves_scipy_unloaded():
     assert r.stdout.strip() == "False"
 
 
+_LAZY_MODULES = ("multiprocessing", "concurrent.futures.process", "pooltest.reference")
+_ONE_WORKER_RUNS = f"""
+import sys
+from dataclasses import replace
+from pooltest import Criterion, DesignSpec, ExperimentConfig, masking_sweep, oracle_check, run_experiment
+from pooltest.cli import main
+
+lazy = {_LAZY_MODULES!r}
+cfg = ExperimentConfig(
+    n=60, k=4, T=30, design=DesignSpec("bernoulli"), decoder="dd", criterion=Criterion.exact(), trials=5
+)
+one = run_experiment(cfg)
+masking_sweep(80, 0.5, [0.6], DesignSpec("ncc"), 5)
+argv = ["simulate", "--n", "60", "--k", "4", "--tests", "30", "--trials", "5", "--workers", "1"]
+assert main(argv + ["--out", sys.argv[1]]) == 0
+after_one_worker = [m for m in lazy if m in sys.modules]
+assert oracle_check("explained-naive", 0, instances=5).passed
+two = run_experiment(replace(cfg, workers=2))
+assert [replace(r, elapsed_us=0) for r in two.records] == [replace(r, elapsed_us=0) for r in one.records]
+print(after_one_worker)
+print([m for m in lazy if m in sys.modules])
+"""
+
+
+def test_one_worker_runs_leave_the_pool_and_the_references_unloaded(tmp_path):
+    # multiprocessing takes about 2 MB and 20-30 ms to import, and the slow
+    # reference implementations serve only the oracle suites, so neither is
+    # imported until a multi-worker run or an oracle suite needs it
+    out = tmp_path / "one.csv"
+    r = subprocess.run([sys.executable, "-c", _ONE_WORKER_RUNS, str(out)], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-2:] == ["[]", str(list(_LAZY_MODULES))]
+
+
 # ---------------------------------------------------------------------------
 # fingerprints: simulate and masking CSVs, pinned byte for byte
 

@@ -154,7 +154,15 @@ def test_theta_and_rate_resolution():
 
 
 def test_workers_give_identical_csv(tmp_path):
-    for decoder in (dict(), dict(decoder="pipeline", alpha=0.1, inner="subset")):
+    # every decoder's records cross the process pool, which only a
+    # multi-worker run imports
+    for decoder in (
+        dict(decoder="comp"),
+        dict(decoder="dd"),
+        dict(decoder="subset", frontend="dd-pad"),
+        dict(decoder="ml"),
+        dict(decoder="pipeline", alpha=0.1, inner="subset"),
+    ):
         paths = []
         for idx, workers in enumerate((1, 3)):
             summ = run_experiment(small_config(workers=workers, record_sets=True, **decoder))
@@ -450,6 +458,16 @@ def test_masking_sweep_rows(tmp_path):
     text = p.read_text().splitlines()
     assert text[0].split(",")[0] == "rate"
     assert len(text) == 3
+
+
+@pytest.mark.parametrize("n, theta", [(100, 1.5), (0, 0.5)])
+def test_masking_sweep_checks_n_and_theta_with_an_empty_rate_grid(n, theta):
+    # k is resolved at each rate point, so the sweep checks n and theta
+    # itself before a grid with no points can skip them
+    message = "need n >= 1" if n < 1 else "theta must lie in"
+    for grid in ([], [0.5]):
+        with pytest.raises(ParameterError, match=message):
+            masking_sweep(n, theta, grid, DesignSpec("ncc"), 5)
 
 
 def test_masking_sweep_is_deterministic():

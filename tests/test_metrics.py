@@ -205,6 +205,8 @@ def _assert_scorers_agree(rng, n, truth, estimate):
             (set(t_items), set(e_items)),
             (DefectiveSet(n, tuple(t_items)), tuple(e_items)),
             (tuple(t_items), DefectiveSet(n, tuple(e_items))),
+            (DefectiveSet(n, tuple(t_items)), DefectiveSet(n, tuple(e_items))),
+            (DefectiveSet(n, tuple(truth)), DefectiveSet(n, tuple(estimate))),  # numpy integer members
             (truth, estimate[::-1]),
         ):
             public = evaluate(criterion, t_in, e_in)
@@ -238,6 +240,11 @@ def test_array_scorer_agrees_with_the_frozenset_definition():
     assert evaluate(Criterion.exact(), (1, 2), (2.0, 1.0)).success
     with pytest.raises(ParameterError, match="whole numbers"):
         evaluate(Criterion.exact(), (1, 2), (1.5, 2))
+    # the same holds for a DefectiveSet, whose members are read as they are
+    # only when they are integers
+    assert evaluate(Criterion.exact(), DefectiveSet(2, (1, 2)), DefectiveSet(2, (1.0, 2.0))).success
+    with pytest.raises(ParameterError, match="whole numbers"):
+        evaluate(Criterion.exact(), DefectiveSet(2, (1, 2)), DefectiveSet(2, (1.5, 2)))
 
 
 @pytest.mark.parametrize("bad", [0, -1, -7])
