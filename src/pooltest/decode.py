@@ -29,7 +29,7 @@ from .analysis import DEFAULT_ENUM_CAP, ExplainScorer, _defective_columns, _inst
 from .analysis import _satisfying_sets, _truth_instance
 from .design import DesignSpec, TestDesign, build_design
 from .errors import CapExceededError, ParameterError
-from .model import DefectiveSet, PriorSpec, _draw
+from .model import DefectiveSet, PriorSpec, _draw, _sorted_sample
 from .util import floor_tol, mix_seed, require_finite, round_half_up
 
 DEFAULT_FAMILY_CAP = 5_000_000
@@ -415,12 +415,14 @@ def _pipeline(spec, prior, n, k, T, d, seed, inner, params) -> tuple:
     array. Truth, design and deletion use the sub-streams 2, 1 and 3 of
     ``seed``."""
     truth = _draw(prior, n, mix_seed(seed, 2))
-    delete_rng = np.random.default_rng(mix_seed(seed, 3))
-    deleted = np.sort(delete_rng.choice(n, size=d, replace=False)) + 1
-    kept = np.setdiff1d(np.arange(1, n + 1), deleted, assume_unique=True)
+    deleted = _sorted_sample(np.random.default_rng(mix_seed(seed, 3)), n, d) + 1
+    keep = np.ones(n, dtype=bool)
+    keep[deleted - 1] = False
+    kept = np.flatnonzero(keep) + 1
     k_mid = max(1, round_half_up(k * kept.size / n))
     design = build_design(spec, kept.size, T, k_mid, mix_seed(seed, 1))
-    reduced = np.searchsorted(kept, truth[np.isin(truth, kept, assume_unique=True)]) + 1
+    # a kept item's reduced label is the number of kept items up to it
+    reduced = np.cumsum(keep)[truth[keep[truth - 1]] - 1]
     inst = _truth_instance(design, reduced)
     est, refused = _decode(inner, inst, k_mid, params)
     return (truth, deleted, kept, k_mid, design, reduced, kept[est - 1], refused), inst

@@ -110,6 +110,29 @@ def _two_step_q(kind: str, k: int, n: int) -> float:
     return q
 
 
+def _sorted_sample(rng: np.random.Generator, population: int, size: int) -> np.ndarray:
+    """``size`` distinct draws from range(population), sorted: the same array
+    as ``np.sort(rng.choice(population, size, replace=False))``.
+
+    Only for a generator that is dropped right after the draw. choice picks
+    its method from the population, the size and its ``shuffle`` flag:
+    Floyd's algorithm, which draws the set and then shuffles it only when
+    asked, or a partial shuffle of the whole range, whose tail is the set in
+    random order either way. The method is the same for both flags except in
+    the band population > 10000 and population // 50 < size <= population //
+    20, where a shuffled choice takes the partial shuffle and an unshuffled
+    one Floyd's algorithm, and the two draw different sets. Outside the band
+    the flag changes only the order, which the sort discards, so the shuffle
+    is skipped there; inside it the flag stays True. Either way the draws
+    the generator makes differ, so a generator that goes on drawing must
+    call choice itself.
+    """
+    shuffle = population > 10000 and population // 50 < size <= population // 20
+    drawn = rng.choice(population, size, replace=False, shuffle=shuffle)
+    drawn.sort()
+    return drawn
+
+
 def sample_defectives(prior: PriorSpec, n: int, seed) -> DefectiveSet:
     """Draw a defective set from the prior."""
     return DefectiveSet(n, tuple(_draw(prior, n, seed).tolist()))
@@ -125,8 +148,7 @@ def _draw(prior: PriorSpec, n: int, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
 
     if prior.kind == "combinatorial":
-        members = rng.choice(n, size=prior.k, replace=False)
-        members.sort()
+        members = _sorted_sample(rng, n, prior.k)
         members += 1
         return members
 
@@ -137,13 +159,13 @@ def _draw(prior: PriorSpec, n: int, seed) -> np.ndarray:
     chosen = np.flatnonzero(mask) + 1
     if prior.kind == "iid-trim":
         if chosen.size > prior.k:
-            drop = rng.choice(chosen.size, size=chosen.size - prior.k, replace=False)
+            drop = _sorted_sample(rng, chosen.size, chosen.size - prior.k)
             keep = np.ones(chosen.size, dtype=bool)
             keep[drop] = False
             chosen = chosen[keep]
     elif chosen.size < prior.k:
         outside = np.setdiff1d(np.arange(1, n + 1), chosen, assume_unique=True)
-        extra = rng.choice(outside.size, size=prior.k - chosen.size, replace=False)
+        extra = _sorted_sample(rng, outside.size, prior.k - chosen.size)
         chosen = np.sort(np.concatenate([chosen, outside[extra]]))
     return chosen
 

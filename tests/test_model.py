@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pooltest.design import TestDesign, bernoulli_design
+from pooltest import decode, model
+from pooltest.decode import deletion_pipeline
+from pooltest.design import DesignSpec, TestDesign, bernoulli_design
 from pooltest.errors import ParameterError
 from pooltest.model import (
     DefectiveSet,
@@ -244,3 +246,89 @@ def test_array_draw_is_the_public_draw():
     assert h.hexdigest() == DRAW_FINGERPRINT, (
         f"prior draws changed: sha256 {h.hexdigest()} (running numpy {np.__version__})"
     )
+
+
+# Draws whose sorted sample without replacement has a population above 10,000,
+# with sizes below, inside and above numpy's band population // 50 < size <=
+# population // 20 (see model._sorted_sample): (kind, n, k) prior draws, and
+# pipeline deletions of d items out of BAND_PIPELINE_N at xi = 0. The two-step
+# kinds' sample sizes are random; their shapes put every seed on one side.
+BAND_DRAW_GRID = [
+    ("combinatorial", 10001, 200),
+    ("combinatorial", 10001, 201),
+    ("combinatorial", 10001, 500),
+    ("combinatorial", 10001, 501),
+    ("combinatorial", 16384, 327),
+    ("combinatorial", 16384, 328),
+    ("combinatorial", 16384, 819),
+    ("combinatorial", 16384, 820),
+    ("iid-trim", 1 << 20, 600000),
+    ("iid-trim", 65536, 55000),
+    ("iid-trim", 65536, 20000),
+    ("iid-pad", 65536, 5000),
+    ("iid-pad", 65536, 20000),
+    ("iid-pad", 65536, 45000),
+]
+BAND_PIPELINE_N = 16384
+BAND_DELETIONS = (327, 328, 819, 820)
+# sha256 of the band grid's draws and pipeline sets, hashed while every call
+# site still drew with a shuffled rng.choice; made with numpy 2.4.6
+BAND_FINGERPRINT = "8df0c15b9c76ed505cc00ddf72ab9dc3954606fceaa1bdec6e0a53922156d43a"
+
+
+def _band_grid_hash(site=lambda name: None) -> str:
+    """sha256 of the band grid's draws (3 seeds each) and of every set a
+    pipeline trial returns; ``site`` is told which call site draws next."""
+    h = hashlib.sha256()
+    for kind, n, k in BAND_DRAW_GRID:
+        site(kind)
+        for seed in range(3):
+            h.update(_draw(PriorSpec(kind, k=k), n, seed).tobytes() + b";")
+    site("truth")
+    for d in BAND_DELETIONS:
+        r = deletion_pipeline(DesignSpec("ncc"), BAND_PIPELINE_N, 20, 200, d / BAND_PIPELINE_N, seed=d, xi=0.0)
+        for part in (r.defectives.members, r.deleted, r.kept, r.reduced_truth.members, r.estimate):
+            h.update(np.asarray(part, dtype=np.int64).tobytes() + b";")
+        h.update(b"refused;" if r.refused else b"decoded;")
+    return h.hexdigest()
+
+
+def _band_side(population, size):
+    if size <= population // 50:
+        return "below"
+    return "inside" if size <= population // 20 else "above"
+
+
+def test_draws_around_the_shuffle_band_are_pinned(monkeypatch):
+    # every call site of _sorted_sample sees a population above 10,000 and
+    # sizes below, inside and above the band
+    sides = {}
+    current = ["truth"]
+    sample = model._sorted_sample
+
+    def recording(name=None):
+        def draw(rng, population, size):
+            where = name or current[0]
+            if where != "truth":  # the pipeline's k = 20 truth lies outside the grid
+                assert population > 10000
+                sides.setdefault(where, set()).add(_band_side(population, size))
+            return sample(rng, population, size)
+
+        return draw
+
+    monkeypatch.setattr(model, "_sorted_sample", recording())
+    monkeypatch.setattr(decode, "_sorted_sample", recording("deletion"))
+    digest = _band_grid_hash(lambda name: current.__setitem__(0, name))
+    assert sides == {name: {"below", "inside", "above"} for name in ("combinatorial", "iid-trim", "iid-pad", "deletion")}
+    assert digest == BAND_FINGERPRINT, (
+        f"draws around numpy's shuffle band changed: sha256 {digest} (running numpy {np.__version__})"
+    )
+
+
+@pytest.mark.parametrize("n", [10000, 10001, 16384])
+def test_sorted_sample_is_the_sorted_shuffled_choice(n):
+    for size in (n // 50, n // 50 + 1, n // 20, n // 20 + 1):
+        for seed in range(3):
+            want = np.sort(np.random.default_rng(seed).choice(n, size, replace=False, shuffle=True))
+            got = model._sorted_sample(np.random.default_rng(seed), n, size)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (n, size, seed)
