@@ -33,7 +33,7 @@ import numpy as np
 
 from .design import TestDesign
 from .errors import CapExceededError, ParameterError
-from .model import DefectiveSet
+from .model import DefectiveSet, _item_array
 
 DEFAULT_ENUM_CAP = 2_000_000
 # posterior_uniformity_check: bins with fewer than this many samples per
@@ -49,20 +49,14 @@ def _bits(outcomes, T: int) -> np.ndarray:
     return b
 
 
-def _member_tuple(s) -> tuple:
-    members = getattr(s, "members", None)
-    return tuple(sorted(int(i) for i in (members if members is not None else s)))
-
-
 def set_hamming(a, b) -> int:
-    """Hamming distance between two index sets: |a \\ b| + |b \\ a|."""
-    sa = frozenset(_member_tuple(a))
-    sb = frozenset(_member_tuple(b))
+    """Hamming distance |a \\ b| + |b \\ a| between two index sets, each
+    read by model._item_array, which refuses an item that is not whole."""
     na = getattr(a, "n", None)
     nb = getattr(b, "n", None)
     if na is not None and nb is not None and na != nb:
         raise ParameterError(f"ground sets differ: {na} vs {nb}")
-    return len(sa ^ sb)
+    return np.setxor1d(_item_array(a), _item_array(b), assume_unique=True).size
 
 
 def clean_items(design: TestDesign, positive: np.ndarray) -> np.ndarray:
@@ -119,10 +113,11 @@ def explained_tests(design: TestDesign, outcomes, candidate) -> ExplainCount:
 
     A member explains a test when the test contains it and the member sits in
     no negative test; the explained set of the candidate is the union of its
-    clean members' columns.
+    clean members' columns. The candidate is read by model._item_array,
+    which refuses an item that is not whole.
     """
     clean = clean_items(design, outcomes)
-    members = np.asarray(_member_tuple(candidate), dtype=np.int64)
+    members = _item_array(candidate)
     if np.any((members < 1) | (members > design.n)):
         raise ParameterError(f"candidate {tuple(members.tolist())} not contained in [1, {design.n}]")
     tests = np.unique(design.cols_of(members[clean[members - 1]]))

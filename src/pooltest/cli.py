@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .analysis import DEFAULT_ENUM_CAP
-from .decode import DEFAULT_FAMILY_CAP
+from .decode import DEFAULT_FAMILY_CAP, _PIPELINE_INNER
 from .design import DesignSpec, build_design, save_design
 from .errors import (
     CapExceededError,
@@ -34,6 +34,7 @@ from .errors import (
 )
 from .harness import (
     ORACLE_SUITES,
+    _DECODERS,
     ExperimentConfig,
     masking_sweep,
     oracle_check,
@@ -41,8 +42,8 @@ from .harness import (
     write_masking_csv,
     write_trials_csv,
 )
-from .metrics import Criterion, write_threshold_csv
-from .model import k_from_theta
+from .metrics import _CRITERION_KINDS, Criterion, tests_for_rate, write_threshold_csv
+from .model import _PRIOR_KINDS, k_from_theta
 from .util import LN2
 
 
@@ -70,8 +71,8 @@ def _design_spec(args) -> DesignSpec:
     return DesignSpec(
         kind,
         nu=args.nu,
-        p_override=getattr(args, "p", None),
-        L_override=getattr(args, "L", None),
+        p_override=args.p,
+        L_override=args.L,
     )
 
 
@@ -128,20 +129,14 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("simulate", help="Monte Carlo error-rate experiment", parents=[shared])
     _add_size_args(s)
     _add_design_args(s)
-    s.add_argument(
-        "--decoder", default="dd", choices=["comp", "dd", "ml", "subset", "pipeline"]
-    )
-    s.add_argument(
-        "--criterion",
-        default="exact",
-        choices=["exact", "subset", "superset", "two-sided", "asymmetric"],
-    )
+    s.add_argument("--decoder", default="dd", choices=_DECODERS)
+    s.add_argument("--criterion", default="exact", choices=_CRITERION_KINDS)
     s.add_argument("--eta-minus", type=float, default=0.1)
     s.add_argument("--eta-plus", type=float, default=0.1)
     s.add_argument("--beta", type=float, default=0.1)
     s.add_argument("--alpha-fn", type=float, default=0.1)
     s.add_argument("--alpha-fp", type=float, default=0.1)
-    s.add_argument("--prior", default="combinatorial", choices=["combinatorial", "iid", "iid-trim", "iid-pad"])
+    s.add_argument("--prior", default="combinatorial", choices=_PRIOR_KINDS)
     s.add_argument("--q", type=float, default=None, help="iid prior density")
     s.add_argument("--trials", type=int, default=100)
     s.add_argument("--seed", type=int, default=0)
@@ -156,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--hill-climb", action="store_true")
     s.add_argument("--alpha", type=float, default=None, help="pipeline deletion fraction")
     s.add_argument("--xi", type=float, default=None, help="pipeline deletion slack")
-    s.add_argument("--inner", default="dd", choices=["comp", "dd", "subset"])
+    s.add_argument("--inner", default="dd", choices=_PIPELINE_INNER)
 
     t = sub.add_parser("thresholds", help="emit the rate-limit curve as CSV", parents=[shared])
     t.add_argument("--thetas", default=None, help="comma-separated theta values")
@@ -242,8 +237,6 @@ def _resolve_n_k_T(args):
 def cmd_gen_design(args) -> int:
     n = _resolve_n_k_T(args)
     k = args.k if args.k is not None else k_from_theta(n, args.theta)
-    from .metrics import tests_for_rate
-
     T = args.tests if args.tests is not None else tests_for_rate(n, k, args.rate)
     spec = _design_spec(args)
     if spec.kind == "explicit":

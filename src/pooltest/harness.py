@@ -19,7 +19,9 @@ of worker count, and across runs. Per-trial wall time is measured but
 written to CSV as 0 unless timing is requested, precisely to keep the file
 deterministic. The process pool is imported only when ``workers > 1``, and
 the slow reference implementations only by the oracle suites that call
-them, so a one-worker run loads neither.
+them, so a one-worker run loads neither. The oracle suites draw their random
+instances with ``_draw_instance``, and the two subset suites compare
+subset_decode with a reference search through ``_subset_pair``.
 """
 
 from __future__ import annotations
@@ -472,26 +474,33 @@ class SuiteResult:
         return head + ("\n" + body if body else "")
 
 
-def _random_small_instance(rng):
-    n = int(rng.integers(4, 17))
-    k = int(rng.integers(1, min(5, n - 1) + 1))
-    T = int(rng.integers(3, 25))
-    if rng.random() < 0.5:
+def _draw_instance(rng, n_range, k_range, T_range, mixed=False):
+    """(design, truth, outcomes) of an oracle suite's random instance: n, k < n
+    and T drawn in turn from half-open ranges, then a Bernoulli design at
+    p = min(0.9, ln 2 / k), or, when ``mixed``, an ncc one half of the time."""
+    n = int(rng.integers(*n_range))
+    k = int(rng.integers(k_range[0], min(k_range[1], n)))
+    T = int(rng.integers(*T_range))
+    if not mixed or rng.random() < 0.5:
         design = bernoulli_design(n, T, min(0.9, LN2 / k), rng)
     else:
-        L = int(rng.integers(1, min(T, 6) + 1))
-        design = ncc_design(n, T, L, rng)
-    members = np.sort(rng.choice(n, size=k, replace=False)) + 1
-    return design, DefectiveSet(n, tuple(members.tolist()))
-
-
-def _bernoulli_instance(rng, n_range, k_range, T_range):
-    """(design, truth, outcomes), Bernoulli at p = min(0.9, ln 2 / k); n, k, T drawn in order."""
-    n, k, T = (int(rng.integers(*r)) for r in (n_range, k_range, T_range))
-    design = bernoulli_design(n, T, min(0.9, LN2 / k), rng)
+        design = ncc_design(n, T, int(rng.integers(1, min(T, 6) + 1)), rng)
     members = np.sort(rng.choice(n, size=k, replace=False)) + 1
     truth = DefectiveSet(n, tuple(members.tolist()))
     return design, truth, generate_outcomes(design, truth)
+
+
+def _subset_pair(design, y, k, params, naive) -> tuple:
+    """subset_decode's estimate and the ``naive`` reference's, the latter
+    searching from the same front-end estimate at the same size
+    floor((1 - eta) k) and radius floor(radius_mult * eta * k)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fast = subset_decode(design, y, k, params)
+    base = _front_end(_instance(design, y), k, params)
+    eta = params.eta_minus
+    size, radius = floor_tol((1.0 - eta) * k), floor_tol(params.radius_mult * eta * k)
+    return fast, naive(design, y, base, size, radius)
 
 
 def _one_swapped(rng, truth: DefectiveSet) -> tuple:
@@ -509,8 +518,7 @@ def suite_explained_naive(seed=0, instances: int = 500) -> SuiteResult:
     rng = np.random.default_rng(mix_seed(seed, 11))
     lines = []
     for j in range(instances):
-        design, truth = _random_small_instance(rng)
-        y = generate_outcomes(design, truth)
+        design, truth, y = _draw_instance(rng, (4, 17), (1, 6), (3, 25), mixed=True)
         y_list = y.astype(int).tolist()
         if reference.naive_outcomes(design, truth.members) != y_list:
             lines.append(f"instance {j}: outcome mismatch")
@@ -545,18 +553,12 @@ def suite_subset_argmax(seed=0, instances: int = 200) -> SuiteResult:
     frontends = ("dd-pad", "ml", "provided")
     lines = []
     for j in range(instances):
-        design, truth, y = _bernoulli_instance(rng, (8, 15), (2, 6), (6, 21))
-        k = truth.k
+        design, truth, y = _draw_instance(rng, (8, 15), (2, 6), (6, 21))
         eta = etas[j % len(etas)]
         frontend = frontends[j % len(frontends)]
         provided = _one_swapped(rng, truth) if frontend == "provided" else None
         params = SubsetParams(eta_minus=eta, frontend=frontend, provided=provided)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            fast = subset_decode(design, y, k, params)
-        base = _front_end(_instance(design, y), k, params)
-        size = floor_tol((1.0 - eta) * k)
-        slow = reference.brute_force_subset_argmax(design, y, base, size, floor_tol(3.0 * eta * k))
+        fast, slow = _subset_pair(design, y, truth.k, params, reference.brute_force_subset_argmax)
         if fast != slow:
             lines.append(f"instance {j}: {fast} != brute {slow} (eta={eta}, frontend={frontend})")
     return SuiteResult("subset-argmax", instances, tuple(lines))
@@ -572,8 +574,7 @@ def suite_hill_climb(seed=0, instances: int = 200) -> SuiteResult:
     radius_mults = (2.0, 3.0, 4.0, 12.0)
     lines = []
     for j in range(instances):
-        design, truth, y = _bernoulli_instance(rng, (10, 31), (3, 8), (6, 31))
-        k = truth.k
+        design, truth, y = _draw_instance(rng, (10, 31), (3, 8), (6, 31))
         eta = etas[j % len(etas)]
         radius_mult = radius_mults[j % len(radius_mults)]
         provided = _one_swapped(rng, truth) if j % 2 else None
@@ -588,12 +589,7 @@ def suite_hill_climb(seed=0, instances: int = 200) -> SuiteResult:
             family_cap=1,
             hill_climb=True,
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            fast = subset_decode(design, y, k, params)
-        base = _front_end(_instance(design, y), k, params)
-        size = floor_tol((1.0 - eta) * k)
-        slow = reference.naive_hill_climb(design, y, base, size, floor_tol(radius_mult * eta * k))
+        fast, slow = _subset_pair(design, y, truth.k, params, reference.naive_hill_climb)
         if fast != slow:
             lines.append(f"instance {j}: {fast} != naive {slow} (eta={eta}, radius_mult={radius_mult})")
     return SuiteResult("hill-climb", instances, tuple(lines))
@@ -606,7 +602,7 @@ def suite_ml_enum(seed=0, instances: int = 150) -> SuiteResult:
     rng = np.random.default_rng(mix_seed(seed, 13))
     lines = []
     for j in range(instances):
-        design, truth, y = _bernoulli_instance(rng, (6, 11), (2, 4), (4, 13))
+        design, truth, y = _draw_instance(rng, (6, 11), (2, 4), (4, 13))
         n, k = design.n, truth.k
         est = ml_oracle(design, y, k)
         sets = reference.naive_satisfying_sets(design, y, k)

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import _distinct
 from .errors import ParameterError
-from .model import DefectiveSet
+from .model import _item_array
 from .util import LN2, ceil_tol, floor_tol, require_finite
 
 #: Largest sparsity exponent for which the exact-recovery rate limit equals 1.
@@ -77,6 +76,9 @@ def tests_for_rate(n: int, k: int, target_rate: float) -> int:
 # recovery criteria
 
 
+_CRITERION_KINDS = ("exact", "subset", "superset", "two-sided", "asymmetric")
+
+
 @dataclass(frozen=True)
 class Criterion:
     """A success criterion comparing an estimated defective set to the truth.
@@ -97,8 +99,7 @@ class Criterion:
     alpha_fp: float | None = None
 
     def __post_init__(self):
-        kinds = ("exact", "subset", "superset", "two-sided", "asymmetric")
-        if self.kind not in kinds:
+        if self.kind not in _CRITERION_KINDS:
             raise ParameterError(f"unknown criterion kind {self.kind!r}")
         for name in ("eta_minus", "eta_plus", "beta", "alpha_fn", "alpha_fp"):
             require_finite(name, getattr(self, name))
@@ -156,32 +157,12 @@ class EvalOutcome:
     false_positives: int
 
 
-def _item_array(s) -> np.ndarray:
-    """The distinct items of a DefectiveSet or of any collection of item
-    indices, as a sorted int64 array; an item that is not a whole number
-    raises ParameterError."""
-    if isinstance(s, DefectiveSet):
-        items = np.array(s.members)
-        if items.dtype.kind in "iu":  # sorted, distinct and in range by construction
-            return items.astype(np.int64, copy=False)
-    members = getattr(s, "members", s)
-    if not isinstance(members, (np.ndarray, list, tuple)):
-        members = list(members)
-    items = np.asarray(members)
-    if items.dtype.kind not in "iu":
-        whole = items.astype(np.int64)
-        if not np.array_equal(whole, items):
-            raise ParameterError(f"items must be whole numbers, got {items[whole != items][:3].tolist()}")
-        items = whole
-    return _distinct(np.array(items, dtype=np.int64))  # a copy: _distinct sorts in place
-
-
 def evaluate(criterion: Criterion, truth, estimate) -> EvalOutcome:
     """Score an estimate against the true defective set under a criterion.
 
-    Either set may be a DefectiveSet or any collection of item indices, in
-    any order; a repeated item counts once. An item below 1 raises
-    ParameterError.
+    Either set may be a DefectiveSet or any collection of item indices, read
+    by model._item_array, which refuses an item that is not whole; an item
+    below 1 raises ParameterError too.
     """
     truth, estimate = _item_array(truth), _item_array(estimate)
     n = 0

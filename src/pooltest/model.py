@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import TestDesign
+from .design import TestDesign, _distinct
 from .errors import ParameterError
 from .util import round_half_up
 
@@ -52,7 +52,8 @@ class DefectiveSet:
 
     @classmethod
     def of(cls, n: int, items) -> "DefectiveSet":
-        return cls(n, tuple(sorted(int(i) for i in set(items))))
+        """The set of the items, read by _item_array: whole numbers only."""
+        return cls(n, tuple(_item_array(items).tolist()))
 
     @property
     def k(self) -> int:
@@ -64,6 +65,29 @@ class DefectiveSet:
 
     def __iter__(self):
         return iter(self.members)
+
+
+def _item_array(s) -> np.ndarray:
+    """The distinct items of a DefectiveSet or of any collection of item
+    indices, as a sorted int64 array: the one reader of item sets. An item
+    that is not a whole number raises ParameterError."""
+    if isinstance(s, DefectiveSet):
+        items = np.array(s.members)
+        if items.dtype.kind in "iu":  # sorted, distinct and in range by construction
+            return items.astype(np.int64, copy=False)
+    members = getattr(s, "members", s)
+    if not isinstance(members, (np.ndarray, list, tuple)):
+        members = list(members)
+    items = np.asarray(members)
+    if items.dtype.kind not in "iu":
+        whole = items.astype(np.int64)
+        if not np.array_equal(whole, items):
+            raise ParameterError(f"items must be whole numbers, got {items[whole != items][:3].tolist()}")
+        items = whole
+    return _distinct(np.array(items, dtype=np.int64))  # a copy: _distinct sorts in place
+
+
+_PRIOR_KINDS = ("combinatorial", "iid", "iid-trim", "iid-pad")
 
 
 @dataclass(frozen=True)
@@ -84,7 +108,7 @@ class PriorSpec:
     q: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("combinatorial", "iid", "iid-trim", "iid-pad"):
+        if self.kind not in _PRIOR_KINDS:
             raise ParameterError(f"unknown prior kind {self.kind!r}")
         if self.kind == "iid":
             if self.q is None or not (0.0 < self.q < 1.0):

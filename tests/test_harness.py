@@ -1,10 +1,16 @@
 import csv
+import dataclasses
+import hashlib
+import inspect
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import pooltest.design
+import pooltest.harness
+import pooltest.reference
 from pooltest.analysis import masking_report
 from pooltest.decode import SubsetParams, comp_decode, dd_decode, deletion_pipeline, subset_decode
 from pooltest.design import DesignSpec, TestDesign, build_design, ncc_design, save_design
@@ -540,3 +546,90 @@ def test_oracle_suites_pass_at_reduced_sizes():
     res = oracle_check("chernoff-dominance", seed=3, samples=20_000)
     assert res.checked == 500
     assert res.passed == (res.failures == 0)
+
+
+# every fast path a suite checks, by the name it has in pooltest.harness
+ORACLE_FAST_PATHS = (
+    "explained_tests", "comp_decode", "dd_decode", "good_test_counts", "masking_report",
+    "subset_decode", "_front_end", "ml_oracle", "posterior_uniformity_check",
+    "chernoff_upper", "chernoff_lower", "chernoff_weak_upper", "chernoff_weak_lower",
+)
+ORACLE_ARG_SIZES = {
+    "explained-naive": {"instances": 120},
+    "subset-argmax": {"instances": 60},
+    "hill-climb": {"instances": 60},
+    "ml-enum": {"instances": 40},
+    "posterior-uniformity": {"trials": 2_000},
+    "chernoff-dominance": {"samples": 1_000},
+}
+# sha256 of every call below at seeds 0 and 1, computed before the suites
+# shared _draw_instance and _subset_pair
+ORACLE_ARG_FINGERPRINT = "e457e0c08e0ae220ed8485a0c1355a77d585fee4cd44477b2193f1fcb9f4983c"
+
+
+def _canon(x):
+    """A form of a suite's argument whose repr pins its value."""
+    if isinstance(x, TestDesign):
+        return ("design", x.n, x.T, tuple(tuple(x.col(i).tolist()) for i in range(1, x.n + 1)))
+    if isinstance(x, DefectiveSet):
+        return ("set", x.n, x.members)
+    if isinstance(x, np.ndarray):
+        return tuple(x.tolist())
+    if isinstance(x, (tuple, list)):
+        return tuple(_canon(v) for v in x)
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__,) + tuple(_canon(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if callable(x):
+        return x.__name__
+    if isinstance(x, np.generic):
+        return x.item()
+    return x
+
+
+def test_oracle_suite_arguments_are_pinned(monkeypatch):
+    # every argument the six suites hand a reference or a fast path, in call
+    # order, with each suite's report: the suites must visit the same
+    # instances, which passing reports alone cannot show
+    calls = []
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(repr((name, _canon(args), sorted((k, _canon(v)) for k, v in kwargs.items()))))
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ORACLE_FAST_PATHS:
+        monkeypatch.setattr(pooltest.harness, name, recording(name, getattr(pooltest.harness, name)))
+    for name, fn in inspect.getmembers(pooltest.reference, inspect.isfunction):
+        if fn.__module__ == "pooltest.reference":
+            monkeypatch.setattr(pooltest.reference, name, recording("reference." + name, fn))
+    for seed in (0, 1):
+        for suite, sizes in ORACLE_ARG_SIZES.items():
+            calls.append(oracle_check(suite, seed=seed, **sizes).report())
+    assert len(calls) == 22046
+    assert hashlib.sha256("\n".join(calls).encode()).hexdigest() == ORACLE_ARG_FINGERPRINT
+
+
+def _drop_last(fn):
+    return lambda *args, **kwargs: fn(*args, **kwargs)[:-1]
+
+
+def _shifted(fn):
+    return lambda *args, **kwargs: tuple(i + 1 for i in fn(*args, **kwargs))
+
+
+@pytest.mark.parametrize(
+    "suite, name, break_it",
+    [
+        ("explained-naive", "comp_decode", _drop_last),
+        ("subset-argmax", "subset_decode", _shifted),
+        ("hill-climb", "subset_decode", _shifted),
+        ("ml-enum", "ml_oracle", _shifted),
+    ],
+)
+def test_oracle_suites_fail_a_broken_fast_path(monkeypatch, suite, name, break_it):
+    assert oracle_check(suite, seed=3, instances=12).passed
+    monkeypatch.setattr(pooltest.harness, name, break_it(getattr(pooltest.harness, name)))
+    res = oracle_check(suite, seed=3, instances=12)
+    assert res.report().startswith(f"[FAIL] {suite}: 12 checks, 12 failures")

@@ -7,9 +7,11 @@ import pytest
 from scipy import stats
 
 from pooltest import decode, model
+from pooltest.analysis import explained_tests, set_hamming
 from pooltest.decode import deletion_pipeline
 from pooltest.design import DesignSpec, TestDesign, bernoulli_design
 from pooltest.errors import ParameterError
+from pooltest.metrics import Criterion, evaluate
 from pooltest.model import (
     DefectiveSet,
     PriorSpec,
@@ -71,6 +73,50 @@ def test_defective_set_basics():
 def test_defective_set_of_sorts_and_dedups():
     s = DefectiveSet.of(10, [7, 2, 5, 2])
     assert s.members == (2, 5, 7)
+
+
+# the four public readers of an item collection, each as a function of the
+# collection; every one reads it through model._item_array
+_EXPLAIN_DESIGN = TestDesign.from_rows(4, [(1,), (2,), (3, 4)])
+ITEM_READERS = {
+    "DefectiveSet.of": lambda items: DefectiveSet.of(4, items),
+    "evaluate": lambda items: evaluate(Criterion.exact(), (1, 2), items),
+    "set_hamming": lambda items: set_hamming((1, 3), items),
+    "explained_tests": lambda items: explained_tests(_EXPLAIN_DESIGN, [1, 1, 0], items),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(ITEM_READERS))
+def test_item_readers_reject_non_whole_items(reader):
+    for items in ([1.5], (2, 1.7), np.array([1.0, 2.5]), DefectiveSet(4, (1.5, 2))):
+        with pytest.raises(ParameterError, match="items must be whole numbers"):
+            ITEM_READERS[reader](items)
+
+
+@pytest.mark.parametrize("reader", sorted(ITEM_READERS))
+def test_item_readers_read_every_collection_of_items_alike(reader):
+    # each is the set {1, 2}: repeats, order, whole floats and container type
+    # change nothing
+    collections = (
+        lambda: (2, 1, 2),
+        lambda: [2.0, 1.0],
+        lambda: {2, 1},
+        lambda: frozenset({1, 2}),
+        lambda: (i for i in (2, 1)),
+        lambda: np.array([2, 1, 2], dtype=np.int32),
+        lambda: np.array([1.0, 2.0]),
+        lambda: DefectiveSet(4, (1, 2)),
+        lambda: DefectiveSet(4, (1.0, 2.0)),
+    )
+    want = {
+        "DefectiveSet.of": DefectiveSet(4, (1, 2)),
+        "evaluate": evaluate(Criterion.exact(), (1, 2), (1, 2)),
+        "set_hamming": 2,
+        "explained_tests": explained_tests(_EXPLAIN_DESIGN, [1, 1, 0], (1, 2)),
+    }[reader]
+    assert want != ITEM_READERS[reader]((1, 3))  # the readers tell {1, 2} from {1, 3}
+    for make in collections:
+        assert ITEM_READERS[reader](make()) == want
 
 
 def test_defective_set_validation():
