@@ -181,10 +181,18 @@ def _defective_columns(design: TestDesign, members):
     return idx, tests, owner, np.bincount(tests, minlength=design.T + 1)
 
 
+def _good_counts(columns) -> np.ndarray:
+    """For each member of a _defective_columns tuple, the number of its tests
+    that hold no other member: dd's and masking's one count. A member's own
+    entry counts it in its test, so a count of 1 leaves no other."""
+    idx, tests, owner, counts = columns
+    return np.bincount(owner[counts[tests] == 1], minlength=idx.size)
+
+
 def good_test_counts(design: TestDesign, s: DefectiveSet) -> dict:
     """For each defective, the number of tests containing it and no other defective."""
-    idx, tests, owner, counts = _defective_columns(design, s.members)
-    return dict(zip(idx.tolist(), np.bincount(owner[counts[tests] == 1], minlength=idx.size).tolist()))
+    columns = _defective_columns(design, s.members)
+    return dict(zip(columns[0].tolist(), _good_counts(columns).tolist()))
 
 
 @dataclass(frozen=True)
@@ -227,8 +235,7 @@ def masking_report(design: TestDesign, s: DefectiveSet) -> MaskingReport:
 def _masked_defectives(inst: _Instance) -> np.ndarray:
     """Boolean mask over the members of the defective set an instance was
     built from: True when each of the member's tests holds another one."""
-    idx, tests, owner, counts = inst.columns
-    return np.bincount(owner[counts[tests] < 2], minlength=idx.size) == 0
+    return _good_counts(inst.columns) == 0
 
 
 def _masking_counts(inst: _Instance) -> tuple:

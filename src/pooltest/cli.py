@@ -42,7 +42,7 @@ from .harness import (
     write_masking_csv,
     write_trials_csv,
 )
-from .metrics import _CRITERION_KINDS, Criterion, tests_for_rate, write_threshold_csv
+from .metrics import _CRITERION_KINDS, _CRITERION_SLACK, Criterion, tests_for_rate, write_threshold_csv
 from .model import _PRIOR_KINDS, k_from_theta
 from .util import LN2
 
@@ -74,21 +74,6 @@ def _design_spec(args) -> DesignSpec:
         p_override=args.p,
         L_override=args.L,
     )
-
-
-def _criterion(args) -> Criterion:
-    name = args.criterion
-    if name == "exact":
-        return Criterion.exact()
-    if name == "subset":
-        return Criterion.subset(args.eta_minus)
-    if name == "superset":
-        return Criterion.superset(args.eta_plus)
-    if name == "two-sided":
-        return Criterion.two_sided(args.beta)
-    if name == "asymmetric":
-        return Criterion.asymmetric(args.alpha_fn, args.alpha_fp)
-    raise ParameterError(f"unknown criterion {name!r}")
 
 
 def _add_size_args(p: argparse.ArgumentParser) -> None:
@@ -249,11 +234,13 @@ def cmd_gen_design(args) -> int:
 
 def cmd_simulate(args) -> int:
     n = _resolve_n_k_T(args)
+    # a kind from a config file skips --criterion's choices; Criterion refuses an unknown one
+    slack = _CRITERION_SLACK.get(args.criterion, ())
     cfg = ExperimentConfig(
         n=n,
         design=_design_spec(args),
         decoder=args.decoder,
-        criterion=_criterion(args),
+        criterion=Criterion(args.criterion, **{f: getattr(args, f) for f in slack}),
         trials=args.trials,
         master_seed=args.seed,
         k=args.k,

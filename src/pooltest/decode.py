@@ -25,11 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import DEFAULT_ENUM_CAP, ExplainScorer, _defective_columns, _instance, _Instance
-from .analysis import _satisfying_sets, _truth_instance
+from .analysis import DEFAULT_ENUM_CAP, ExplainScorer, _defective_columns, _good_counts, _instance
+from .analysis import _Instance, _satisfying_sets, _truth_instance
 from .design import DesignSpec, TestDesign, build_design
 from .errors import CapExceededError, ParameterError
-from .model import DefectiveSet, PriorSpec, _draw, _sorted_sample
+from .model import DefectiveSet, PriorSpec, _draw, _item_array, _sorted_sample
 from .util import floor_tol, mix_seed, require_finite, round_half_up
 
 DEFAULT_FAMILY_CAP = 5_000_000
@@ -46,8 +46,7 @@ def _sole(design: TestDesign, survivors: np.ndarray) -> np.ndarray:
     Survivors sit in positive tests only, so counting over their own columns
     finds every positive test that holds exactly one of them.
     """
-    _, tests, owner, counts = _defective_columns(design, survivors)
-    return survivors[np.bincount(owner[counts[tests] == 1], minlength=survivors.size) > 0]
+    return survivors[_good_counts(_defective_columns(design, survivors)) > 0]
 
 
 def comp_decode(design: TestDesign, outcomes) -> tuple:
@@ -128,7 +127,7 @@ class SubsetParams:
             raise ParameterError(f"unknown frontend {self.frontend!r}")
         if self.frontend == "provided" and self.provided is None:
             raise ParameterError("frontend 'provided' needs the provided estimate")
-        if self.provided is not None and len(set(self.provided)) != len(self.provided):
+        if self.provided is not None and _item_array(self.provided).size != len(self.provided):
             raise ParameterError(f"provided estimate repeats an item: {tuple(self.provided)}")
         require_finite("radius_mult", self.radius_mult)
         if self.radius_mult <= 0:
@@ -280,7 +279,7 @@ def _front_end(inst: _Instance, k: int, params: SubsetParams) -> tuple:
     elif params.frontend == "dd-pad":
         base = _dd_pad(inst, k)
     else:
-        base = tuple(sorted(int(i) for i in params.provided))
+        base = tuple(_item_array(params.provided).tolist())
         if len(base) != k:
             raise ParameterError(f"provided front-end estimate has size {len(base)}, expected {k}")
     if any(not (1 <= i <= inst.design.n) for i in base):

@@ -255,18 +255,16 @@ def _key_layout(n: int, T: int):
 def _row_view(n: int, T: int, col_flat: np.ndarray, col_ptr: np.ndarray) -> tuple:
     """(row_flat, row_ptr) of the design whose column view is given.
 
-    Sorts the test-major keys (t - 1) << bn | (i - 1) of the entries, built
-    in the key dtype of _key_layout, which ``row_flat`` keeps: the sorted
-    keys' buffer becomes it after a mask.
+    It is the column view of the transpose: the entries' test-major keys
+    (t - 1) << bn | (i - 1) are the transpose's item-major keys, in the same
+    key dtype, since _key_layout is symmetric in (n, T). So, once sorted,
+    _unpack_col_keys unpacks them with n and T swapped.
     """
     _, bn, dtype = _key_layout(n, T)
     key = np.repeat(np.arange(n, dtype=dtype), np.diff(col_ptr))  # each entry's item - 1
     key |= (col_flat - 1) << bn
     key.sort()
-    row_ptr = _pointers(key >> bn, T)
-    key &= (1 << bn) - 1
-    key += 1
-    return key, row_ptr
+    return _unpack_col_keys(T, n, key)
 
 
 def _col_view(n: int, T: int, draws: np.ndarray) -> tuple:

@@ -76,7 +76,16 @@ def tests_for_rate(n: int, k: int, target_rate: float) -> int:
 # recovery criteria
 
 
-_CRITERION_KINDS = ("exact", "subset", "superset", "two-sided", "asymmetric")
+# each kind's slack fields, in the order its label prints them; a field must
+# be given and nonnegative, and eta_minus below 1
+_CRITERION_SLACK = {
+    "exact": (),
+    "subset": ("eta_minus",),
+    "superset": ("eta_plus",),
+    "two-sided": ("beta",),
+    "asymmetric": ("alpha_fn", "alpha_fp"),
+}
+_CRITERION_KINDS = tuple(_CRITERION_SLACK)
 
 
 @dataclass(frozen=True)
@@ -99,24 +108,14 @@ class Criterion:
     alpha_fp: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _CRITERION_KINDS:
+        if self.kind not in _CRITERION_SLACK:
             raise ParameterError(f"unknown criterion kind {self.kind!r}")
         for name in ("eta_minus", "eta_plus", "beta", "alpha_fn", "alpha_fp"):
             require_finite(name, getattr(self, name))
-        checks = {
-            "subset": ("eta_minus", self.eta_minus, 0.0, 1.0),
-            "superset": ("eta_plus", self.eta_plus, 0.0, None),
-            "two-sided": ("beta", self.beta, 0.0, None),
-        }
-        if self.kind in checks:
-            name, val, lo, hi = checks[self.kind]
-            if val is None or val < lo or (hi is not None and val >= hi):
+        for name in _CRITERION_SLACK[self.kind]:
+            val = getattr(self, name)
+            if val is None or val < 0 or (name == "eta_minus" and val >= 1):
                 raise ParameterError(f"{name} out of range for {self.kind}: {val}")
-        if self.kind == "asymmetric":
-            if self.alpha_fn is None or self.alpha_fp is None:
-                raise ParameterError("asymmetric criterion needs alpha_fn and alpha_fp")
-            if self.alpha_fn < 0 or self.alpha_fp < 0:
-                raise ParameterError("alpha_fn and alpha_fp must be nonnegative")
 
     @classmethod
     def exact(cls) -> "Criterion":
@@ -139,15 +138,11 @@ class Criterion:
         return cls("asymmetric", alpha_fn=alpha_fn, alpha_fp=alpha_fp)
 
     def label(self) -> str:
-        if self.kind == "exact":
-            return "exact"
-        if self.kind == "subset":
-            return f"subset({self.eta_minus:g})"
-        if self.kind == "superset":
-            return f"superset({self.eta_plus:g})"
-        if self.kind == "two-sided":
-            return f"two-sided({self.beta:g})"
-        return f"asymmetric({self.alpha_fn:g},{self.alpha_fp:g})"
+        """The kind, then its slack values in parentheses when it has any."""
+        slack = _CRITERION_SLACK[self.kind]
+        if not slack:
+            return self.kind
+        return f"{self.kind}({','.join(f'{getattr(self, name):g}' for name in slack)})"
 
 
 @dataclass(frozen=True)

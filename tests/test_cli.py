@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import hashlib
+import re
 import subprocess
 import sys
 
@@ -9,7 +11,8 @@ import pytest
 from pooltest.cli import main
 from pooltest.design import DesignSpec, load_design, ncc_design, save_design
 from pooltest.harness import ExperimentConfig, run_experiment, write_trials_csv
-from pooltest.metrics import Criterion
+from pooltest.errors import ParameterError
+from pooltest.metrics import _CRITERION_KINDS, Criterion
 from pooltest.metrics import tests_for_rate as minimal_tests
 from pooltest.model import k_from_theta
 
@@ -337,6 +340,51 @@ def test_non_finite_numbers_are_exit_1(argv, message, tmp_path, capsys):
     assert f"error: {message}" in capsys.readouterr().err
 
 
+# one value per slack field, each given to simulate by its own option
+_SLACK = {"eta_minus": 0.2, "eta_plus": 0.3, "beta": 0.25, "alpha_fn": 0.4, "alpha_fp": 0.05}
+_FACTORIES = {
+    "exact": lambda s: Criterion.exact(),
+    "subset": lambda s: Criterion.subset(s["eta_minus"]),
+    "superset": lambda s: Criterion.superset(s["eta_plus"]),
+    "two-sided": lambda s: Criterion.two_sided(s["beta"]),
+    "asymmetric": lambda s: Criterion.asymmetric(s["alpha_fn"], s["alpha_fp"]),
+}
+
+
+@pytest.mark.parametrize("kind", _CRITERION_KINDS)
+def test_simulate_builds_the_factory_criterion(kind, tmp_path, monkeypatch):
+    built = []
+
+    def spy(cfg):
+        built.append(cfg.criterion)
+        return run_experiment(cfg)
+
+    monkeypatch.setattr("pooltest.cli.run_experiment", spy)
+    flags = [x for f, v in _SLACK.items() for x in ("--" + f.replace("_", "-"), str(v))]
+    out = tmp_path / "t.csv"
+    assert main([*_SIM, "--criterion", kind, *flags, "--out", str(out)]) == 0
+    want = _FACTORIES[kind](_SLACK)
+    assert built == [want]
+    with open(out, newline="") as fh:
+        assert {row["criterion"] for row in csv.DictReader(fh)} == {want.label()}
+
+
+@pytest.mark.parametrize("kind", _CRITERION_KINDS)
+def test_criterion_refuses_a_missing_or_negative_slack(kind, tmp_path, capsys):
+    want = _FACTORIES[kind](_SLACK)
+    fields = [f for f in _SLACK if getattr(want, f) is not None]
+    for field in fields:
+        for bad in (None, -0.5):
+            message = f"{field} out of range for {kind}: {bad}"
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                dataclasses.replace(want, **{field: bad})
+        argv = [*_SIM, "--criterion", kind, "--" + field.replace("_", "-"), "-0.5"]
+        assert main([*argv, "--out", str(tmp_path / "t.csv")]) == 1
+        assert f"error: {field} out of range for {kind}: -0.5" in capsys.readouterr().err
+    if not fields:
+        assert Criterion(kind) == want
+
+
 @pytest.mark.parametrize("case", ["config", "design-file", "out"])
 def test_unusable_files_are_exit_1(case, tmp_path):
     missing = tmp_path / "missing" / "x"
@@ -424,6 +472,16 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     r = run_cli("simulate", "--config", cfg)
     assert r.returncode == 1
     assert f"error: {cfg}:5: unknown key 'eta_minsu'" in r.stderr
+
+
+def test_config_file_rejects_an_unknown_criterion(tmp_path):
+    # a config value is not checked against --criterion's choices; Criterion refuses it
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("criterion = foo\n")
+    r = run_cli(*_SIM, "--config", cfg, "--out", tmp_path / "t.csv")
+    assert r.returncode == 1
+    assert "error: unknown criterion" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_config_file_keeps_keys_of_other_subcommands(tmp_path):

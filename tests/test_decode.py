@@ -312,6 +312,17 @@ def test_subset_params_validation():
         SubsetParams(eta_minus=0.2, frontend="provided", provided=(2, 2, 5), radius_mult=1.7)
 
 
+def test_subset_params_read_provided_items_as_whole_numbers():
+    # a non-whole item is refused, not truncated: (2.7, 5, 9) is not (2, 5, 9)
+    d = bernoulli_design(20, 12, 0.2, seed=1)
+    y = generate_outcomes(d, DefectiveSet(20, (2, 5, 9)))
+    with pytest.raises(ParameterError, match="items must be whole numbers"):
+        SubsetParams(eta_minus=0.34, frontend="provided", provided=(2.7, 5, 9))
+    whole = SubsetParams(eta_minus=0.34, frontend="provided", provided=(2.0, 5, 9))
+    ints = SubsetParams(eta_minus=0.34, frontend="provided", provided=(2, 5, 9))
+    assert subset_decode(d, y, 3, whole) == subset_decode(d, y, 3, ints)
+
+
 # ---------------------------------------------------------------------------
 # the deletion pipeline
 
