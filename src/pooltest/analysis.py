@@ -33,7 +33,7 @@ import numpy as np
 
 from .design import TestDesign
 from .errors import CapExceededError, ParameterError
-from .model import DefectiveSet, _item_array
+from .model import DefectiveSet, _item_array, _members_on
 
 DEFAULT_ENUM_CAP = 2_000_000
 # posterior_uniformity_check: bins with fewer than this many samples per
@@ -191,7 +191,7 @@ def _good_counts(columns) -> np.ndarray:
 
 def good_test_counts(design: TestDesign, s: DefectiveSet) -> dict:
     """For each defective, the number of tests containing it and no other defective."""
-    columns = _defective_columns(design, s.members)
+    columns = _defective_columns(design, _members_on(design, s))
     return dict(zip(columns[0].tolist(), _good_counts(columns).tolist()))
 
 
@@ -216,9 +216,7 @@ def masking_report(design: TestDesign, s: DefectiveSet) -> MaskingReport:
     So the non-defectives come from clean_items, and only the defectives'
     own columns are read for the "another defective in every test" check.
     """
-    if s.n != design.n:
-        raise ParameterError(f"ground sets differ: design n={design.n}, set n={s.n}")
-    inst = _truth_instance(design, np.asarray(s.members, dtype=np.int64))
+    inst = _truth_instance(design, _members_on(design, s))
     defective = _masked_defectives(inst)
     masked = inst.clean.copy()
     masked[inst.columns[0] - 1] = defective

@@ -33,17 +33,16 @@ from .errors import (
     RefusalBudgetError,
 )
 from .harness import (
-    ORACLE_SUITES,
     _DECODERS,
     ExperimentConfig,
     masking_sweep,
-    oracle_check,
     run_experiment,
     write_masking_csv,
     write_trials_csv,
 )
 from .metrics import _CRITERION_KINDS, _CRITERION_SLACK, Criterion, tests_for_rate, write_threshold_csv
 from .model import _PRIOR_KINDS, k_from_theta
+from .oracle import ORACLE_SUITES, oracle_check
 from .util import LN2
 
 

@@ -78,7 +78,7 @@ class TestDesign:
 
     def _col_arrays(self) -> tuple:
         if self._cols is None:
-            self._cols = _col_view(self.n, self.T, self._draws)
+            self._cols = _col_view(self)
         return self._cols
 
     def _row_arrays(self) -> tuple:
@@ -147,8 +147,7 @@ class TestDesign:
             # entry j of the output, in segment s, reads col_flat[starts[s] + j - (where s begins)]
             offsets = np.repeat(starts - np.cumsum(lens) + lens, lens)
             return col_flat[offsets + np.arange(offsets.size)], np.repeat(np.arange(idx.size), lens)
-        # the packed-key sort and dedup of _col_view, on these items' draws only,
-        # with each item's position in place of its index
+        # pack each draw with its item's position, sort, and drop repeated draws
         bt, _, dtype = _key_layout(max(idx.size, 1), self.T)
         # np.take copies each (n, L) draw row as one block; draws[idx] goes through
         # numpy's general fancy-index loop, about 8x slower at n = 4096, k = 1783,
@@ -267,16 +266,11 @@ def _row_view(n: int, T: int, col_flat: np.ndarray, col_ptr: np.ndarray) -> tupl
     return _unpack_col_keys(T, n, key)
 
 
-def _col_view(n: int, T: int, draws: np.ndarray) -> tuple:
-    """(col_flat, col_ptr) of the ncc design with these (n, L) draws.
-
-    Packs each draw with its item into the key dtype of _key_layout, sorts
-    the keys and drops adjacent repeats, so duplicate draws collapse.
-    """
-    bt, _, dtype = _key_layout(n, T)
-    key = draws.astype(dtype)  # a copy either way: the draws stay as drawn
-    key |= (np.arange(n, dtype=dtype) << bt)[:, None]
-    return _unpack_col_keys(n, T, _distinct(key.ravel()))
+def _col_view(design: TestDesign) -> tuple:
+    """(col_flat, col_ptr) of a design that holds draws: the columns of all
+    its items by ``_columns``, whose owners are then the items - 1."""
+    tests, owner = design._columns(np.arange(1, design.n + 1))
+    return tests, _pointers(owner, design.n)
 
 
 def _distinct(key: np.ndarray) -> np.ndarray:

@@ -194,11 +194,17 @@ def _draw(prior: PriorSpec, n: int, seed) -> np.ndarray:
     return chosen
 
 
+def _members_on(design: TestDesign, s: DefectiveSet) -> np.ndarray:
+    """The set's members as an int64 array, once the set is checked to lie
+    on the design's ground set."""
+    if s.n != design.n:
+        raise ParameterError(f"ground sets differ: design n={design.n}, set n={s.n}")
+    return np.asarray(s.members, dtype=np.int64)
+
+
 def generate_outcomes(design: TestDesign, s: DefectiveSet) -> np.ndarray:
     """OR-channel outcomes as a length-T bool array: entry t - 1 is True iff
     test t contains a defective."""
-    if s.n != design.n:
-        raise ParameterError(f"ground sets differ: design n={design.n}, set n={s.n}")
     bits = np.zeros(design.T, dtype=bool)
-    bits[design.cols_of(s.members).astype(np.intp) - 1] = True  # intp: numpy's fast scatter
+    bits[design.cols_of(_members_on(design, s)).astype(np.intp) - 1] = True  # intp: numpy's fast scatter
     return bits

@@ -14,10 +14,11 @@ import pytest
 
 from pooltest.decode import comp_decode, dd_decode
 from pooltest.design import DesignSpec, build_design
-from pooltest.harness import ExperimentConfig, masking_sweep, oracle_check, run_experiment
+from pooltest.harness import ExperimentConfig, masking_sweep, run_experiment
 from pooltest.metrics import THETA_KNEE, Criterion, log2_binomial, r_star, zeta
 from pooltest.metrics import tests_for_rate as minimal_tests
 from pooltest.model import PriorSpec, generate_outcomes, k_from_theta, sample_defectives
+from pooltest.oracle import oracle_check
 from pooltest.util import LN2, mix_seed, round_half_up
 
 

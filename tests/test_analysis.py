@@ -259,6 +259,14 @@ def test_masking_report_checks_ground_set():
         masking_report(REGRESSION_DESIGN, DefectiveSet(9, (1,)))
 
 
+@pytest.mark.parametrize("analysis", [good_test_counts, masking_report, generate_outcomes])
+def test_defective_set_readers_check_the_ground_set(analysis):
+    # all three refuse a set over 4 items on a design over 5, with one message
+    design = TestDesign.from_rows(5, [(1, 2), (3,), (4, 5)])
+    with pytest.raises(ParameterError, match=r"^ground sets differ: design n=5, set n=4$"):
+        analysis(design, DefectiveSet(4, (1,)))
+
+
 # ---------------------------------------------------------------------------
 # the gathered tests of a defective set: outcomes, good tests and masking
 

@@ -10,6 +10,7 @@ import pytest
 
 import pooltest.design
 import pooltest.harness
+import pooltest.oracle
 import pooltest.reference
 from pooltest.analysis import masking_report
 from pooltest.decode import SubsetParams, comp_decode, dd_decode, deletion_pipeline, subset_decode
@@ -22,7 +23,6 @@ from pooltest.harness import (
     TRIAL_CSV_HEADER,
     ExperimentConfig,
     masking_sweep,
-    oracle_check,
     run_experiment,
     trial_seed,
     wilson_interval,
@@ -33,6 +33,7 @@ from pooltest.metrics import Criterion, evaluate, log2_binomial
 from pooltest.util import mix_seed
 from pooltest.metrics import tests_for_rate as minimal_tests
 from pooltest.model import DefectiveSet, PriorSpec, generate_outcomes, k_from_theta, sample_defectives
+from pooltest.oracle import ORACLE_SUITES, oracle_check
 
 
 def read_rows(path):
@@ -85,6 +86,12 @@ def test_wilson_interval_brackets_the_estimate():
         lo, hi = wilson_interval(s, t)
         assert 0.0 <= lo <= s / t + 1e-12
         assert s / t - 1e-12 <= hi <= 1.0
+
+
+@pytest.mark.parametrize("successes, total", [(5, 3), (1, -3), (-1, 3), (1, 0)])
+def test_wilson_interval_refuses_impossible_counts(successes, total):
+    with pytest.raises(ParameterError, match=rf"got {successes} of {total}$"):
+        wilson_interval(successes, total)
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +538,39 @@ def test_oracle_check_dispatch():
         oracle_check("never-heard-of-it")
 
 
+def test_oracle_suites_live_in_the_oracle_module():
+    assert all(fn.__module__ == "pooltest.oracle" for fn in ORACLE_SUITES.values())
+    harness_names = vars(pooltest.harness)
+    assert not [name for name in harness_names if name.startswith("suite_")]
+    assert not {"SuiteResult", "ORACLE_SUITES", "oracle_check"} & harness_names.keys()
+
+
+@pytest.mark.parametrize(
+    "suite, key, size",
+    [
+        ("explained-naive", "instances", 0),
+        ("subset-argmax", "instances", -3),
+        ("hill-climb", "instances", 0),
+        ("ml-enum", "instances", 0),
+        ("posterior-uniformity", "trials", 0),
+        ("chernoff-dominance", "samples", 0),
+    ],
+)
+def test_oracle_check_refuses_a_size_below_one(suite, key, size):
+    # a suite that checks nothing must not report PASS
+    with pytest.raises(ParameterError, match=rf"^need {key} >= 1, got {size}$"):
+        oracle_check(suite, **{key: size})
+
+
+def test_posterior_uniformity_fails_when_its_control_checks_nothing():
+    # at 10 trials every bin is skipped, so the biased sampler's min_p is NaN,
+    # which must not count as a rejection
+    res = oracle_check("posterior-uniformity", seed=0, trials=10)
+    assert res.report() == (
+        "[FAIL] posterior-uniformity: 1 checks, 1 failures\n  negative control not rejected: min p = nan"
+    )
+
+
 def test_oracle_suites_pass_at_reduced_sizes():
     res = oracle_check("explained-naive", seed=3, instances=40)
     assert res.passed and res.failures == 0 and res.checked == 40
@@ -548,7 +588,7 @@ def test_oracle_suites_pass_at_reduced_sizes():
     assert res.passed == (res.failures == 0)
 
 
-# every fast path a suite checks, by the name it has in pooltest.harness
+# every fast path a suite checks, by the name it has in pooltest.oracle
 ORACLE_FAST_PATHS = (
     "explained_tests", "comp_decode", "dd_decode", "good_test_counts", "masking_report",
     "subset_decode", "_front_end", "ml_oracle", "posterior_uniformity_check",
@@ -600,7 +640,7 @@ def test_oracle_suite_arguments_are_pinned(monkeypatch):
         return wrapped
 
     for name in ORACLE_FAST_PATHS:
-        monkeypatch.setattr(pooltest.harness, name, recording(name, getattr(pooltest.harness, name)))
+        monkeypatch.setattr(pooltest.oracle, name, recording(name, getattr(pooltest.oracle, name)))
     for name, fn in inspect.getmembers(pooltest.reference, inspect.isfunction):
         if fn.__module__ == "pooltest.reference":
             monkeypatch.setattr(pooltest.reference, name, recording("reference." + name, fn))
@@ -630,6 +670,6 @@ def _shifted(fn):
 )
 def test_oracle_suites_fail_a_broken_fast_path(monkeypatch, suite, name, break_it):
     assert oracle_check(suite, seed=3, instances=12).passed
-    monkeypatch.setattr(pooltest.harness, name, break_it(getattr(pooltest.harness, name)))
+    monkeypatch.setattr(pooltest.oracle, name, break_it(getattr(pooltest.oracle, name)))
     res = oracle_check(suite, seed=3, instances=12)
     assert res.report().startswith(f"[FAIL] {suite}: 12 checks, 12 failures")
