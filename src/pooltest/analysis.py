@@ -43,10 +43,15 @@ UNIFORMITY_ENUM_CAP = 100_000
 
 
 def _bits(outcomes, T: int) -> np.ndarray:
-    b = np.asarray(outcomes, dtype=bool)
-    if b.size != T:
-        raise ParameterError(f"outcome length {b.size} does not match T={T}")
-    return b
+    """The outcomes as a length-T bool array; they must be one-dimensional
+    and hold only 0 and 1, which a bool array does without a scan."""
+    b = np.asarray(outcomes)
+    if b.shape != (T,):
+        raise ParameterError(f"outcomes must have shape ({T},), got {b.shape}")
+    bits = b.astype(bool, copy=False)
+    if b.dtype != bool and not np.array_equal(bits, b):
+        raise ParameterError(f"outcomes must be 0 or 1, got {b[bits != b][:3].tolist()}")
+    return bits
 
 
 def set_hamming(a, b) -> int:

@@ -30,7 +30,7 @@ from .analysis import _Instance, _satisfying_sets, _truth_instance
 from .design import DesignSpec, TestDesign, build_design
 from .errors import CapExceededError, ParameterError
 from .model import DefectiveSet, PriorSpec, _draw, _item_array, _sorted_sample
-from .util import floor_tol, mix_seed, require_finite, round_half_up
+from .util import floor_tol, mix_seed, require_count, require_finite, round_half_up
 
 DEFAULT_FAMILY_CAP = 5_000_000
 
@@ -138,24 +138,22 @@ def dd_pad_frontend(design: TestDesign, outcomes, k: int) -> tuple:
     """dd estimate padded to size k with the lowest-index comp survivors.
 
     The survivors are derived once; on inconsistent inputs where they run
-    out, the lowest-index other items pad the rest.
+    out, the lowest-index other items pad the rest. k must lie in 0..n.
     """
     return _dd_pad(_instance(design, outcomes), k)
 
 
 def _dd_pad(inst: _Instance, k: int) -> tuple:
+    n, k = inst.design.n, require_count("k", k, low=0)
+    if k > n:
+        raise ParameterError(f"need k <= n, got k={k}, n={n}")
     survivors = _survivors(inst)
-    est = _sole(inst.design, survivors).tolist()
-    if len(est) >= k:
-        return tuple(est[:k])
-    have = set(est)
-    for i in itertools.chain(survivors.tolist(), range(1, inst.design.n + 1)):
-        if len(est) >= k:
+    chosen = set(_sole(inst.design, survivors).tolist()[:k])
+    for i in itertools.chain(survivors.tolist(), range(1, n + 1)):
+        if len(chosen) == k:
             break
-        if i not in have:
-            est.append(i)
-            have.add(i)
-    return tuple(sorted(est))
+        chosen.add(i)
+    return tuple(sorted(chosen))
 
 
 def _best_addition(mask: int, masks: list, a: int, start: int = 0) -> tuple:
@@ -304,8 +302,7 @@ def subset_decode(design: TestDesign, outcomes, k: int, params: SubsetParams) ->
 
 
 def _subset(inst: _Instance, k: int, params: SubsetParams) -> tuple:
-    if k < 1:
-        raise ParameterError(f"need k >= 1, got {k}")
+    k = require_count("k", k)
     size = floor_tol((1.0 - params.eta_minus) * k)
     if size == 0:
         warnings.warn("target size (1 - eta_minus) * k rounds to zero; returning empty estimate")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DesignFormatError, ParameterError
-from .util import LN2, require_finite, round_half_up
+from .util import LN2, require_count, require_finite, round_half_up
 
 
 class TestDesign:
@@ -91,15 +91,16 @@ class TestDesign:
     @classmethod
     def from_rows(cls, n: int, rows, metadata=None) -> "TestDesign":
         """Build from per-test item lists, validating the contents."""
-        if n < 1:
-            raise ParameterError(f"need n >= 1, got {n}")
+        n = require_count("n", n)
         rows = list(rows)
         tests = []
         items = []
         for t, row in enumerate(rows, start=1):
             prev = 0
-            for idx in row:
-                idx = int(idx)
+            for raw in row:
+                idx = int(raw)
+                if idx != raw:
+                    raise ParameterError(f"test {t}: item index {raw} is not a whole number")
                 if not (1 <= idx <= n):
                     raise ParameterError(f"test {t}: item index {idx} out of range [1, {n}]")
                 if idx <= prev:
@@ -114,15 +115,10 @@ class TestDesign:
 
     @classmethod
     def _from_pairs(cls, n, T, items, tests, metadata=None) -> "TestDesign":
-        """Build from parallel (item, test) index arrays; no duplicate pairs."""
-        bt, _, dtype = _key_layout(n, T)
-        key = np.array(items, dtype=dtype)
-        key -= 1
-        key <<= bt
-        key -= 1  # before the tests are added, so no sum passes the largest key
-        key += np.asarray(tests, dtype=dtype)
-        key.sort()
-        return cls(n, T, *_unpack_col_keys(n, T, key), metadata)
+        """Build from parallel 1-based (item, test) index arrays; no duplicate pairs."""
+        dtype = _key_layout(n, T)[2]
+        item, test = np.array(items, dtype=dtype) - 1, np.array(tests, dtype=dtype) - 1
+        return cls(n, T, *_col_view_of(n, T, item, test), metadata)
 
     @classmethod
     def _from_draws(cls, n, T, draws, metadata=None) -> "TestDesign":
@@ -252,18 +248,12 @@ def _key_layout(n: int, T: int):
 
 
 def _row_view(n: int, T: int, col_flat: np.ndarray, col_ptr: np.ndarray) -> tuple:
-    """(row_flat, row_ptr) of the design whose column view is given.
-
-    It is the column view of the transpose: the entries' test-major keys
-    (t - 1) << bn | (i - 1) are the transpose's item-major keys, in the same
-    key dtype, since _key_layout is symmetric in (n, T). So, once sorted,
-    _unpack_col_keys unpacks them with n and T swapped.
-    """
-    _, bn, dtype = _key_layout(n, T)
-    key = np.repeat(np.arange(n, dtype=dtype), np.diff(col_ptr))  # each entry's item - 1
-    key |= (col_flat - 1) << bn
-    key.sort()
-    return _unpack_col_keys(T, n, key)
+    """(row_flat, row_ptr) of the design whose column view is given: the
+    column view of the transpose, packed by _col_view_of with n and T
+    swapped, in the flats' dtype, since _key_layout is symmetric in (n, T)."""
+    dtype = _key_layout(n, T)[2]
+    item = np.repeat(np.arange(n, dtype=dtype), np.diff(col_ptr))  # each entry's item - 1
+    return _col_view_of(T, n, np.subtract(col_flat, 1, dtype=dtype), item)
 
 
 def _col_view(design: TestDesign) -> tuple:
@@ -282,18 +272,22 @@ def _distinct(key: np.ndarray) -> np.ndarray:
     return key[distinct]
 
 
-def _unpack_col_keys(n: int, T: int, key: np.ndarray) -> tuple:
-    """(col_flat, col_ptr) from the sorted, distinct item-major keys
-    (i - 1) << bt | (t - 1), which it overwrites.
+def _col_view_of(n: int, T: int, item: np.ndarray, test: np.ndarray) -> tuple:
+    """(col_flat, col_ptr) of the distinct (item, test) pairs given as
+    0-based index arrays in the key dtype of _key_layout.
 
-    Item-major order is the column view. See _key_layout for the field
-    widths and the key dtype, which ``col_flat`` keeps: it comes from a mask
-    of the keys, so no widened copy of the entries is made.
+    It packs the item-major keys item << bt | test into ``item``, sorts them
+    into the column view's order and unpacks them. ``col_flat`` keeps the
+    key dtype: it comes from a mask of the keys, so no widened copy of the
+    entries is made.
     """
     bt, _, _ = _key_layout(n, T)
-    col_flat = key & ((1 << bt) - 1)
-    key >>= bt
-    col_ptr = _pointers(key, n)
+    item <<= bt
+    item |= test
+    item.sort()
+    col_flat = item & ((1 << bt) - 1)
+    item >>= bt
+    col_ptr = _pointers(item, n)
     col_flat += 1
     return col_flat, col_ptr
 
@@ -340,8 +334,7 @@ def bernoulli_design(n: int, T: int, p: float, seed) -> TestDesign:
     passed as ``seed`` is advanced past the gaps drawn, an amount that
     depends on (n, T, p).
     """
-    if n < 1 or T < 1:
-        raise ParameterError(f"need n >= 1 and T >= 1, got n={n}, T={T}")
+    n, T = require_count("n", n), require_count("T", T)
     if not (0.0 < p < 1.0):
         raise ParameterError(f"p must lie in (0, 1), got {p}")
     rng = np.random.default_rng(seed)
@@ -361,15 +354,12 @@ def bernoulli_design(n: int, T: int, p: float, seed) -> TestDesign:
         parts.append(part)
         last = int(part[-1])
     drawn = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    bt, _, dtype = _key_layout(n, T)
+    dtype = _key_layout(n, T)[2]
     # every cell below T n fits the key dtype, since T n <= 2**(bt + bn)
-    key = drawn[: np.searchsorted(drawn, cells)].astype(dtype)
-    test = key // dtype(n)  # with the subtraction, about half the time of np.divmod
-    key -= test * dtype(n)
-    key <<= bt
-    key |= test
-    key.sort()
-    return TestDesign(n, T, *_unpack_col_keys(n, T, key), {"kind": "bernoulli", "p": float(p)})
+    item = drawn[: np.searchsorted(drawn, cells)].astype(dtype)
+    test = item // dtype(n)  # with the subtraction, about half the time of np.divmod
+    item -= test * dtype(n)
+    return TestDesign(n, T, *_col_view_of(n, T, item, test), {"kind": "bernoulli", "p": float(p)})
 
 
 def ncc_design(n: int, T: int, L: int, seed) -> TestDesign:
@@ -381,16 +371,15 @@ def ncc_design(n: int, T: int, L: int, seed) -> TestDesign:
     sit in [1, L]; the raw draw count L is recorded in metadata for
     reporting.
     """
-    if n < 1 or T < 1:
-        raise ParameterError(f"need n >= 1 and T >= 1, got n={n}, T={T}")
-    if not (1 <= L <= T):
+    n, T, L = require_count("n", n), require_count("T", T), require_count("L", L)
+    if L > T:
         raise ParameterError(f"need 1 <= L <= T, got L={L}, T={T}")
     rng = np.random.default_rng(seed)
     # for tests below 2**31, numpy's int32 and int64 draws give the same
     # values and leave the Generator in the same state
     dtype = np.int32 if T <= 1 << 31 else np.int64
     draws = rng.integers(0, T, size=(n, L), dtype=dtype)
-    return TestDesign._from_draws(n, T, draws, {"kind": "ncc", "L": int(L)})
+    return TestDesign._from_draws(n, T, draws, {"kind": "ncc", "L": L})
 
 
 @dataclass(frozen=True)
@@ -419,8 +408,12 @@ class DesignSpec:
             raise ParameterError(f"nu must be positive, got {self.nu}")
         if self.p_override is not None and self.kind != "bernoulli":
             raise ParameterError("p_override only applies to bernoulli designs")
+        if self.p_override is not None and not (0.0 < self.p_override < 1.0):  # NaN fails too
+            raise ParameterError(f"p_override must lie in (0, 1), got {self.p_override}")
         if self.L_override is not None and self.kind != "ncc":
             raise ParameterError("L_override only applies to ncc designs")
+        if self.L_override is not None:
+            require_count("L_override", self.L_override)
 
     def label(self) -> str:
         if self.kind == "explicit":

@@ -37,7 +37,7 @@ from .design import DesignSpec, TestDesign, build_design
 from .errors import ParameterError, RefusalBudgetError
 from .metrics import Criterion, _score, tests_for_rate
 from .model import PriorSpec, _draw, k_from_theta
-from .util import mix_seed
+from .util import mix_seed, require_count
 
 TAG_TRIAL = 0
 TAG_DESIGN = 1
@@ -107,18 +107,18 @@ class ExperimentConfig:
     inner: str = "dd"
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError(f"need n >= 1, got {self.n}")
+        require_count("n", self.n)
         if (self.k is None) == (self.theta is None):
             raise ParameterError("exactly one of k and theta must be given")
         if (self.T is None) == (self.target_rate is None):
             raise ParameterError("exactly one of T and target_rate must be given")
+        for name in ("k", "T"):
+            if getattr(self, name) is not None:
+                require_count(name, getattr(self, name))
         if self.decoder not in _DECODERS:
             raise ParameterError(f"unknown decoder {self.decoder!r}")
-        if self.trials < 1:
-            raise ParameterError(f"need trials >= 1, got {self.trials}")
-        if self.workers < 1:
-            raise ParameterError(f"need workers >= 1, got {self.workers}")
+        require_count("trials", self.trials)
+        require_count("workers", self.workers)
         if self.decoder != "pipeline":
             return
         if self.alpha is None:
@@ -397,8 +397,7 @@ def masking_sweep(
     the summary's T and the records' masked_def and masked_nondef, the
     latter being comp's false positives.
     """
-    if trials < 1:
-        raise ParameterError(f"need trials >= 1, got {trials}")
+    require_count("trials", trials)
     k_from_theta(n, theta)  # a bad n or theta raises even when the rate grid is empty
     rows = []
     for r_idx, target in enumerate(rate_grid):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .model import _item_array
-from .util import LN2, ceil_tol, floor_tol, require_finite
+from .util import LN2, ceil_tol, floor_tol, require_count, require_finite
 
 #: Largest sparsity exponent for which the exact-recovery rate limit equals 1.
 THETA_KNEE = LN2 / (1.0 + LN2)
@@ -26,14 +26,15 @@ THETA_KNEE = LN2 / (1.0 + LN2)
 _EXACT_K_MAX = 64
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256, typed=True)  # typed: a float n or k is read, not a cache hit
 def log2_binomial(n: int, k: int) -> float:
     """log2 of the binomial coefficient C(n, k).
 
     Exact big-integer evaluation for small k, otherwise a compensated sum of
     log2 terms; relative error stays well under 1e-12 either way.
     """
-    if n < 0 or k < 0 or k > n:
+    n, k = require_count("n", n, low=0), require_count("k", k, low=0)
+    if k > n:
         raise ParameterError(f"need 0 <= k <= n, got n={n}, k={k}")
     k = min(k, n - k)
     if k == 0:
@@ -51,9 +52,7 @@ def rate(n: int, k: int, T: int) -> float:
     """Bits of defective-set identity learned per test: log2(C(n,k)) / T."""
     if not (1 <= k <= n):
         raise ParameterError(f"need 1 <= k <= n, got n={n}, k={k}")
-    if T < 1:
-        raise ParameterError(f"need T >= 1, got T={T}")
-    return log2_binomial(n, k) / T
+    return log2_binomial(n, k) / require_count("T", T)
 
 
 def tests_for_rate(n: int, k: int, target_rate: float) -> int:
@@ -246,16 +245,14 @@ def write_threshold_csv(thetas, path) -> None:
 
 
 def _check_tail_args(n: int, mu: float, delta: float, upper: bool) -> None:
-    if n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n}")
+    require_count("n", n)
+    require_finite("delta", delta)
     if not (0.0 < mu < 1.0):
         raise ParameterError(f"mu must lie in (0, 1), got {mu}")
-    if upper:
-        if delta <= 0.0:
-            raise ParameterError(f"delta must be positive, got {delta}")
-    else:
-        if not (0.0 < delta <= 1.0):
-            raise ParameterError(f"delta must lie in (0, 1], got {delta}")
+    if upper and delta <= 0.0:
+        raise ParameterError(f"delta must be positive, got {delta}")
+    if not upper and not (0.0 < delta <= 1.0):
+        raise ParameterError(f"delta must lie in (0, 1], got {delta}")
 
 
 def chernoff_upper(n: int, mu: float, delta: float) -> float:

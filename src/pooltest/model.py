@@ -17,13 +17,12 @@ import numpy as np
 
 from .design import TestDesign, _distinct
 from .errors import ParameterError
-from .util import round_half_up
+from .util import require_count, round_half_up
 
 
 def k_from_theta(n: int, theta: float) -> int:
     """Defective count k = n**theta rounded to nearest, ties upward."""
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
+    n = require_count("n", n)
     if not (0.0 < theta < 1.0):
         raise ParameterError(f"theta must lie in (0, 1), got {theta}")
     return max(1, round_half_up(n**theta))
@@ -110,12 +109,10 @@ class PriorSpec:
     def __post_init__(self):
         if self.kind not in _PRIOR_KINDS:
             raise ParameterError(f"unknown prior kind {self.kind!r}")
-        if self.kind == "iid":
-            if self.q is None or not (0.0 < self.q < 1.0):
-                raise ParameterError(f"iid prior needs q in (0, 1), got {self.q}")
-        else:
-            if self.k is None or self.k < 1:
-                raise ParameterError(f"{self.kind} prior needs k >= 1, got {self.k}")
+        if self.kind != "iid":
+            require_count("k", self.k)
+        elif self.q is None or not (0.0 < self.q < 1.0):
+            raise ParameterError(f"iid prior needs q in (0, 1), got {self.q}")
 
     def label(self) -> str:
         if self.kind == "iid":
@@ -165,8 +162,7 @@ def sample_defectives(prior: PriorSpec, n: int, seed) -> DefectiveSet:
 def _draw(prior: PriorSpec, n: int, seed) -> np.ndarray:
     """The members of a draw from the prior, as a sorted int64 array of
     distinct items in 1..n; sample_defectives wraps it."""
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
+    n = require_count("n", n)
     if prior.kind != "iid" and prior.k > n:
         raise ParameterError(f"prior k={prior.k} exceeds n={n}")
     rng = np.random.default_rng(seed)

@@ -21,7 +21,7 @@ from .design import TestDesign, bernoulli_design, ncc_design
 from .errors import ParameterError
 from .metrics import chernoff_lower, chernoff_upper, chernoff_weak_lower, chernoff_weak_upper
 from .model import DefectiveSet, generate_outcomes
-from .util import LN2, floor_tol, mix_seed
+from .util import LN2, floor_tol, mix_seed, require_count
 
 
 @dataclass(frozen=True)
@@ -283,6 +283,5 @@ def oracle_check(suite: str, seed: int = 0, **overrides) -> SuiteResult:
     if suite not in ORACLE_SUITES:
         raise ParameterError(f"unknown suite {suite!r}; choose from {sorted(ORACLE_SUITES)}")
     for key, size in overrides.items():
-        if size < 1:
-            raise ParameterError(f"need {key} >= 1, got {size}")
+        require_count(key, size)
     return ORACLE_SUITES[suite](seed=seed, **overrides)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 
 from .errors import ParameterError
 
@@ -19,6 +20,17 @@ def require_finite(name: str, value) -> None:
     """Raise ParameterError when ``value`` is NaN or infinite; None passes."""
     if value is not None and not math.isfinite(value):
         raise ParameterError(f"{name} must be finite, got {value}")
+
+
+def require_count(name: str, value, low: int = 1) -> int:
+    """``value`` as an int when it is a whole number of at least ``low``;
+    a float, None or a string raises ParameterError, as a smaller value does."""
+    try:
+        if (count := operator.index(value)) >= low:
+            return count
+    except TypeError:
+        pass
+    raise ParameterError(f"need {name} >= {low}, got {value}")
 
 
 def round_half_up(x: float) -> int:

@@ -453,3 +453,17 @@ def test_uniformity_outcome_labels_are_consistent():
             if tuple(generate_outcomes(UNIFORM_DESIGN, DefectiveSet(6, c)).astype(int).tolist()) == b.outcome
         ]
         assert len(members) == b.v_size
+
+
+@pytest.mark.parametrize(
+    "design",
+    [TestDesign.from_rows(4, [(1, 2), (2, 3), (3, 4), (1, 4)]), ncc_design(6, 4, 2, 0)],
+    ids=["rows", "ncc"],
+)
+@pytest.mark.parametrize("outcomes", [[2, 0, 0, 0], [[1, 0], [0, 0]], [0.5, 0, 0, 1]], ids=["2", "2-d", "0.5"])
+def test_outcomes_must_be_one_dimensional_zeros_and_ones(design, outcomes):
+    with pytest.raises(ParameterError, match="^outcomes must"):
+        comp_decode(design, outcomes)
+    # zeros and ones of any dtype read as the bool array
+    want = comp_decode(design, np.array([True, False, False, True]))
+    assert comp_decode(design, [1, 0, 0, 1]) == comp_decode(design, np.array([1.0, 0, 0, 1])) == want

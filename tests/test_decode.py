@@ -164,6 +164,31 @@ def test_dd_pad_frontend_inconsistent_inputs_fall_back():
     assert dd_pad_frontend(d, y, 2) == (1, 2)
 
 
+def test_dd_pad_frontend_refuses_k_above_n():
+    d = TestDesign.from_rows(8, [(1, 2, 3), (3, 4, 5), (5, 6, 7), (1, 7, 8)])
+    y = generate_outcomes(d, DefectiveSet(8, (2, 6)))
+    with pytest.raises(ParameterError, match=r"^need k <= n, got k=12, n=8$"):
+        dd_pad_frontend(d, y, 12)
+    with pytest.raises(ParameterError, match=r"^need k <= n, got k=12, n=8$"):
+        subset_decode(d, y, 12, SubsetParams(0.1))
+
+
+def test_dd_pad_frontend_pads_with_survivors_then_other_items():
+    # the pad takes the comp survivors outside dd in increasing order, then,
+    # on inconsistent outcomes, the other items in increasing order
+    rng = np.random.default_rng(25)
+    for _ in range(200):
+        d, s, y = random_instance(rng)
+        if rng.random() < 0.3:
+            y = rng.random(d.T) < 0.5
+        survivors = comp_decode(d, y)
+        sole = dd_decode(d, y)
+        order = [i for i in survivors if i not in sole] + [i for i in range(1, d.n + 1) if i not in survivors]
+        for k in range(d.n + 1):
+            expect = sole[:k] if len(sole) >= k else tuple(sorted(sole + tuple(order[: k - len(sole)])))
+            assert dd_pad_frontend(d, y, k) == expect
+
+
 def test_subset_decode_recovers_from_separating_design():
     d = TestDesign.from_rows(5, [(1,), (2,), (3,), (4,), (5,)])
     y = generate_outcomes(d, DefectiveSet(5, (1, 3, 5)))

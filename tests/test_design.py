@@ -86,6 +86,12 @@ def test_from_rows_rejects_unsorted_or_duplicate():
         TestDesign.from_rows(5, [(1,), (2, 2)])
 
 
+def test_from_rows_refuses_an_item_that_is_not_whole():
+    with pytest.raises(ParameterError, match=r"^test 2: item index 1.7 is not a whole number$"):
+        TestDesign.from_rows(3, [(1,), (1.7,)])
+    assert TestDesign.from_rows(3, [(2.0,)]) == TestDesign.from_rows(3, [(2,)])
+
+
 def test_design_equality():
     a = small_design()
     b = TestDesign.from_rows(5, [(1, 3), (2, 3, 5), (), (4,)])
@@ -514,6 +520,21 @@ def test_spec_validation():
         DesignSpec("explicit")  # needs a path
     with pytest.raises(ParameterError):
         DesignSpec("bernoulli", nu=0.0)
+
+
+@pytest.mark.parametrize(
+    "kind, override",
+    [
+        ("bernoulli", {"p_override": float("nan")}),
+        ("bernoulli", {"p_override": 0.0}),
+        ("bernoulli", {"p_override": 1.5}),
+        ("ncc", {"L_override": 0}),
+        ("ncc", {"L_override": 2.5}),
+    ],
+)
+def test_spec_checks_its_overrides_when_made(kind, override):
+    with pytest.raises(ParameterError, match="p_override|L_override"):
+        DesignSpec(kind, **override)
 
 
 def test_build_bernoulli_uses_nu_over_k():

@@ -1,10 +1,18 @@
+import numpy as np
 import pytest
 
+from pooltest.design import DesignSpec, bernoulli_design, ncc_design
+from pooltest.errors import ParameterError
+from pooltest.harness import ExperimentConfig, masking_sweep
+from pooltest import metrics
+from pooltest.model import PriorSpec
+from pooltest.oracle import oracle_check
 from pooltest.util import (
     LN2,
     ceil_tol,
     floor_tol,
     mix_seed,
+    require_count,
     round_half_up,
     splitmix64,
 )
@@ -52,3 +60,43 @@ def test_mix_seed_depends_on_every_part_and_order():
 
 def test_ln2_constant():
     assert LN2 == pytest.approx(0.6931471805599453, abs=0)
+
+
+def test_require_count_reads_whole_numbers_only():
+    assert require_count("n", 3) == 3
+    got = require_count("n", np.int64(7))
+    assert got == 7 and type(got) is int
+    assert require_count("k", 0, low=0) == 0
+    for bad in (0, -2, 2.0, 2.5, None, "3", float("nan")):
+        with pytest.raises(ParameterError, match=rf"^need n >= 1, got {bad}$"):
+            require_count("n", bad)
+
+
+def _config(**sizes):
+    fields = {"n": 50, "k": 3, "T": 20, "trials": 2, **sizes}
+    return ExperimentConfig(design=DesignSpec("ncc"), decoder="dd", criterion=metrics.Criterion.exact(), **fields)
+
+
+# a size that is not a whole number, each at a caller of require_count
+FRACTIONAL_SIZES = {
+    "config-T": lambda: _config(T=20.5),
+    "config-k": lambda: _config(k=2.5),
+    "config-n": lambda: _config(n=50.0),
+    "config-trials": lambda: _config(trials=2.0),
+    "ncc-L": lambda: ncc_design(10, 5, 2.5, 0),
+    "bernoulli-T": lambda: bernoulli_design(10, 5.5, 0.2, 0),
+    "prior-k": lambda: PriorSpec("combinatorial", k=2.5),
+    "masking-trials": lambda: masking_sweep(50, 0.5, [0.5], DesignSpec("ncc"), 2.5),
+    "oracle-instances": lambda: oracle_check("explained-naive", instances=2.5),
+    "chernoff-n": lambda: metrics.chernoff_upper(5.5, 0.2, 0.3),
+    "chernoff-nan-delta": lambda: metrics.chernoff_upper(5, 0.2, float("nan")),
+    "rate-T": lambda: metrics.rate(10, 3, 4.5),
+    "tests-for-rate-n": lambda: metrics.tests_for_rate(10.5, 3, 0.5),
+}
+
+
+@pytest.mark.parametrize("case", FRACTIONAL_SIZES)
+def test_a_size_that_is_not_whole_is_refused(case):
+    # the config cases are refused when the config is made, before any trial
+    with pytest.raises(ParameterError):
+        FRACTIONAL_SIZES[case]()
