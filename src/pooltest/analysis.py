@@ -34,6 +34,7 @@ import numpy as np
 from .design import TestDesign
 from .errors import CapExceededError, ParameterError
 from .model import DefectiveSet, _item_array, _members_on
+from .util import require_count
 
 DEFAULT_ENUM_CAP = 2_000_000
 # posterior_uniformity_check: bins with fewer than this many samples per
@@ -258,7 +259,7 @@ def satisfying_sets(design: TestDesign, outcomes, k: int, cap: int = DEFAULT_ENU
     Only the clean items' k-subsets can, so only they are enumerated; the
     call still refuses when C(n, k) exceeds ``cap``.
     """
-    return _satisfying_sets(_instance(design, outcomes), k, cap)
+    return _satisfying_sets(_instance(design, outcomes), require_count("k", k, low=0), cap)
 
 
 def _satisfying_sets(inst: _Instance, k: int, cap: int) -> list:
@@ -311,6 +312,7 @@ def posterior_uniformity_check(
     """
     if not (0 <= k <= design.n):
         raise ParameterError(f"need 0 <= k <= n, got k={k}, n={design.n}")
+    trials = require_count("trials", trials)
     from scipy import stats  # the package's only scipy use; importing it costs about a second
 
     total = math.comb(design.n, k)

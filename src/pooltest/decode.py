@@ -70,7 +70,7 @@ def ml_oracle(design: TestDesign, outcomes, k: int, cap: int = DEFAULT_ENUM_CAP)
     Every satisfying set is equally likely under a uniform size-k prior; the
     lexicographically smallest is returned.
     """
-    return _ml(_instance(design, outcomes), k, cap)
+    return _ml(_instance(design, outcomes), require_count("k", k, low=0), cap)
 
 
 def _ml(inst: _Instance, k: int, cap: int) -> tuple:

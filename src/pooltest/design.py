@@ -98,7 +98,10 @@ class TestDesign:
         for t, row in enumerate(rows, start=1):
             prev = 0
             for raw in row:
-                idx = int(raw)
+                try:
+                    idx = int(raw)
+                except (TypeError, ValueError, OverflowError):  # not a number, NaN or infinite
+                    idx = None
                 if idx != raw:
                     raise ParameterError(f"test {t}: item index {raw} is not a whole number")
                 if not (1 <= idx <= n):

@@ -17,14 +17,19 @@ returns and, when the config records sets, in a record's true_set and
 est_set. Results are therefore byte-identical for a given config regardless
 of worker count, and across runs. Per-trial wall time is measured but
 written to CSV as 0 unless timing is requested, precisely to keep the file
-deterministic. The process pool is imported only when ``workers > 1``, so a
-one-worker run does not load it.
+deterministic. With ``workers > 1`` the trial indices split into contiguous
+blocks; the parent runs the first block itself while ``os.fork`` children
+run the others and pickle their records back through pipes, and the records
+merge in index order. A multi-worker run therefore needs ``os.fork`` (POSIX),
+and neither a one-worker nor a multi-worker run imports ``multiprocessing``.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
+import pickle
 import time
 import warnings
 from dataclasses import dataclass
@@ -100,7 +105,7 @@ class ExperimentConfig:
     radius_mult: float = 3.0
     frontend: str = "dd-pad"
     ml_cap: int = DEFAULT_ENUM_CAP
-    family_cap: int = DEFAULT_FAMILY_CAP
+    family_cap: int | None = DEFAULT_FAMILY_CAP
     hill_climb: bool = False
     alpha: float | None = None
     xi: float | None = None
@@ -118,7 +123,11 @@ class ExperimentConfig:
         if self.decoder not in _DECODERS:
             raise ParameterError(f"unknown decoder {self.decoder!r}")
         require_count("trials", self.trials)
-        require_count("workers", self.workers)
+        if require_count("workers", self.workers) > 1 and not hasattr(os, "fork"):
+            raise ParameterError("workers > 1 needs os.fork, which this platform lacks")
+        require_count("ml_cap", self.ml_cap, low=0)
+        if self.family_cap is not None:  # None: no cap
+            require_count("family_cap", self.family_cap, low=0)
         if self.decoder != "pipeline":
             return
         if self.alpha is None:
@@ -285,19 +294,73 @@ def _run_trial(res: _Resolved, idx: int) -> TrialRecord:
     )
 
 
+def _fork_block(res: _Resolved, block: range) -> tuple:
+    """Fork a child that runs ``block`` and pickles ``(records, error)`` to a
+    pipe; returns ``(pid, read end)``. The child leaves through ``os._exit``,
+    so it never runs the parent's cleanup."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            result = ([_run_trial(res, i) for i in block], None)
+        except Exception as exc:
+            result = (None, exc)
+        with open(write_fd, "wb") as fh:
+            fh.write(pickle.dumps(result))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap(pid: int, read_fd: int) -> tuple:
+    """Read a child's pipe to EOF and wait for it: ``(bytes, exit code)``,
+    the code negative when a signal ended the child."""
+    with open(read_fd, "rb") as fh:
+        data = fh.read()
+    return data, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _run_trials(res: _Resolved, trials: int, workers: int) -> list:
+    """Records of trials 0..trials-1, in index order. ``min(workers, trials)``
+    contiguous blocks: the parent runs the first and forked children the
+    rest, and every child is reaped before this returns or raises. When
+    blocks fail, the lowest block's error is raised."""
+    workers = min(workers, trials)
+    cuts = [trials * w // workers for w in range(workers + 1)]
+    blocks = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+    children = []
+    try:
+        for block in blocks[1:]:
+            children.append(_fork_block(res, block))
+        records = [_run_trial(res, i) for i in blocks[0]]
+    finally:
+        ended = [_reap(pid, fd) for pid, fd in children]
+    for block, (data, code) in zip(blocks[1:], ended):
+        if code:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise ChildProcessError(f"the worker for trials {block.start}-{block.stop - 1} {how}")
+        more, error = pickle.loads(data)
+        if error is not None:
+            raise error
+        records += more
+    return records
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     """Run all trials and summarize; raises RefusalBudgetError (with
     ``summary`` attached) when more than 1% of trials refused."""
     res = _resolve(cfg)
-    indices = range(cfg.trials)
-    if cfg.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = max(1, cfg.trials // (cfg.workers * 4))
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(_run_trial, [res] * cfg.trials, indices, chunksize=chunk))
-    else:
-        records = [_run_trial(res, i) for i in indices]
+    records = _run_trials(res, cfg.trials, cfg.workers)
 
     refused = sum(1 for r in records if r.success is None)
     included = len(records) - refused

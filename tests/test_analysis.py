@@ -376,6 +376,12 @@ def test_satisfying_sets_cap_counts_every_item():
     assert satisfying_sets(d, y, 2, cap=435) == list(itertools.combinations(range(1, 5), 2))
 
 
+def test_satisfying_sets_refuses_a_size_that_is_not_whole():
+    d = TestDesign.from_rows(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    with pytest.raises(ParameterError, match=r"^need k >= 0, got 1.5$"):
+        satisfying_sets(d, [1, 1, 0, 1], 1.5)
+
+
 def test_satisfying_sets_unique_when_design_separates():
     # each item in its own test: outcomes identify the set exactly
     d = TestDesign.from_rows(5, [(1,), (2,), (3,), (4,), (5,)])
@@ -437,6 +443,13 @@ def test_uniformity_check_cap():
 def test_uniformity_check_rejects_k_outside_0_to_n(k):
     with pytest.raises(ParameterError, match=rf"need 0 <= k <= n, got k={k}, n=6"):
         posterior_uniformity_check(UNIFORM_DESIGN, k=k, trials=100, seed=0)
+
+
+@pytest.mark.parametrize("trials", [2.5, 0])
+def test_uniformity_check_refuses_a_trial_count_that_is_not_a_count(trials):
+    d = TestDesign.from_rows(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    with pytest.raises(ParameterError, match=rf"^need trials >= 1, got {trials}$"):
+        posterior_uniformity_check(d, 2, trials, 0)
 
 
 def test_uniformity_outcome_labels_are_consistent():

@@ -90,6 +90,12 @@ def test_ml_oracle_inconsistent_inputs():
         ml_oracle(d, y, 1)
 
 
+def test_ml_oracle_refuses_a_size_that_is_not_whole():
+    d = TestDesign.from_rows(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    with pytest.raises(ParameterError, match=r"^need k >= 0, got 2.5$"):
+        ml_oracle(d, [1, 1, 0, 1], 2.5)
+
+
 def test_ml_oracle_mode_and_cap():
     d = TestDesign.from_rows(30, [tuple(range(1, 31))])
     with pytest.raises(CapExceededError):

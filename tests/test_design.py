@@ -92,6 +92,12 @@ def test_from_rows_refuses_an_item_that_is_not_whole():
     assert TestDesign.from_rows(3, [(2.0,)]) == TestDesign.from_rows(3, [(2,)])
 
 
+@pytest.mark.parametrize("item", [float("nan"), float("inf"), float("-inf")])
+def test_from_rows_refuses_an_item_that_is_not_finite(item):
+    with pytest.raises(ParameterError, match=rf"^test 1: item index {item} is not a whole number$"):
+        TestDesign.from_rows(4, [(item,)])
+
+
 def test_design_equality():
     a = small_design()
     b = TestDesign.from_rows(5, [(1, 3), (2, 3, 5), (), (4,)])

@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import hashlib
 import inspect
+import os
+import signal
 import warnings
 from dataclasses import replace
 
@@ -129,6 +131,24 @@ def test_config_checks_pipeline_arguments():
         small_config(decoder="pipeline", alpha=0.1, inner="subset", frontend="ml")
 
 
+@pytest.mark.parametrize("caps", [dict(family_cap=-1), dict(ml_cap=-1), dict(ml_cap=None)])
+def test_config_refuses_a_cap_below_zero(caps):
+    with pytest.raises(ParameterError, match=r"^need (family_cap|ml_cap) >= 0, got (-1|None)$"):
+        ExperimentConfig(
+            n=60, k=4, T=30, design=DesignSpec("bernoulli"), decoder="subset",
+            criterion=Criterion.subset(0.25), trials=4, eta_minus=0.25, **caps,
+        )  # fmt: skip
+    small_config(family_cap=None)  # no cap
+    small_config(family_cap=0, ml_cap=0)
+
+
+def test_config_refuses_workers_without_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(ParameterError, match="needs os.fork"):
+        small_config(workers=2)
+    assert run_experiment(small_config(trials=3)).trials == 3
+
+
 # ---------------------------------------------------------------------------
 # running experiments
 
@@ -167,8 +187,7 @@ def test_theta_and_rate_resolution():
 
 
 def test_workers_give_identical_csv(tmp_path):
-    # every decoder's records cross the process pool, which only a
-    # multi-worker run imports
+    # every decoder's records cross the pipes from the forked workers
     for decoder in (
         dict(decoder="comp"),
         dict(decoder="dd"),
@@ -184,6 +203,60 @@ def test_workers_give_identical_csv(tmp_path):
             assert all(row["true_set"] for row in read_rows(p))
             paths.append(p.read_bytes())
         assert paths[0] == paths[1]
+
+
+def failing_trials(monkeypatch, fail):
+    """Make the trials whose index is a key of ``fail`` run ``fail[idx]()``
+    instead; forked workers inherit the patch."""
+    run_trial = pooltest.harness._run_trial
+
+    def trial(res, idx):
+        return fail[idx]() if idx in fail else run_trial(res, idx)
+
+    monkeypatch.setattr(pooltest.harness, "_run_trial", trial)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def raise_for(idx):
+    def fail():
+        raise ParameterError(f"trial {idx} failed")
+
+    return fail
+
+
+@pytest.mark.parametrize("failing, first", [((8,), 8), ((4, 7), 4), ((1, 7), 1), ((7, 2), 2)])
+def test_worker_errors_reach_the_caller_lowest_block_first(monkeypatch, failing, first):
+    # 9 trials on 3 workers: the parent runs 0-2, the children 3-5 and 6-8
+    failing_trials(monkeypatch, {idx: raise_for(idx) for idx in failing})
+    with pytest.raises(ParameterError, match=rf"^trial {first} failed$"):
+        run_experiment(small_config(trials=9, workers=3))
+    assert_no_child_left()
+
+
+def test_a_killed_worker_raises_child_process_error(monkeypatch):
+    parent = os.getpid()
+
+    def kill_the_worker():
+        assert os.getpid() != parent, "trial 8 must run in a forked worker"
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    failing_trials(monkeypatch, {8: kill_the_worker})
+    with pytest.raises(ChildProcessError, match=r"^the worker for trials 6-8 was killed by signal 9$"):
+        run_experiment(small_config(trials=9, workers=3))
+    assert_no_child_left()
+
+
+def test_more_workers_than_trials_match_one_worker():
+    def records(workers):
+        summ = run_experiment(small_config(trials=3, workers=workers, record_sets=True))
+        return [replace(r, elapsed_us=0) for r in summ.records]
+
+    assert records(5) == records(1)
+    assert_no_child_left()
 
 
 def test_dd_never_false_positive():
