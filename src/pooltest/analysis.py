@@ -310,8 +310,7 @@ def posterior_uniformity_check(
     UNIFORMITY_ENUM_CAP raises CapExceededError.
     Subsets are grouped by Python-int outcome bitmasks, so any T works.
     """
-    if not (0 <= k <= design.n):
-        raise ParameterError(f"need 0 <= k <= n, got k={k}, n={design.n}")
+    k = require_count("k", k, low=0, high=design.n)
     trials = require_count("trials", trials)
     from scipy import stats  # the package's only scipy use; importing it costs about a second
 

@@ -97,6 +97,8 @@ def _swaps(base_size: int, size: int, radius: float, n: int) -> range:
 
 def family_size(base_size: int, size: int, radius: float, n: int) -> int:
     """Number of size-``size`` sets within Hamming ``radius`` of the base set."""
+    n, size = require_count("n", n, low=0), require_count("size", size, low=0)
+    base_size = require_count("base_size", base_size, low=0, high=n)
     js = _swaps(base_size, size, radius, n)
     return sum(math.comb(base_size, size - j) * math.comb(n - base_size, j) for j in js)
 
@@ -144,9 +146,7 @@ def dd_pad_frontend(design: TestDesign, outcomes, k: int) -> tuple:
 
 
 def _dd_pad(inst: _Instance, k: int) -> tuple:
-    n, k = inst.design.n, require_count("k", k, low=0)
-    if k > n:
-        raise ParameterError(f"need k <= n, got k={k}, n={n}")
+    n, k = inst.design.n, require_count("k", k, low=0, high=inst.design.n)
     survivors = _survivors(inst)
     chosen = set(_sole(inst.design, survivors).tolist()[:k])
     for i in itertools.chain(survivors.tolist(), range(1, n + 1)):
@@ -385,8 +385,8 @@ def _pipeline_deletions(n: int, alpha: float, xi: float | None, inner: str) -> i
 
 def _decode(name: str, inst: _Instance, k: int, params=None, ml_cap=DEFAULT_ENUM_CAP):
     """(estimate, refused) of decoder ``name`` on an instance: comp, dd, ml,
-    or subset with ``params`` and its warnings silenced. The estimate is a
-    sorted int64 array; a CapExceededError is a refusal, with an empty one."""
+    or subset with ``params`` and its UserWarning notes silenced. The estimate
+    is a sorted int64 array; a CapExceededError is a refusal, with an empty one."""
     try:
         if name == "comp":
             return _survivors(inst), False
@@ -395,7 +395,7 @@ def _decode(name: str, inst: _Instance, k: int, params=None, ml_cap=DEFAULT_ENUM
         if name == "ml":
             return np.array(_ml(inst, k, ml_cap), dtype=np.int64), False
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("ignore", UserWarning)
             return np.array(_subset(inst, k, params), dtype=np.int64), False
     except CapExceededError:
         return np.empty(0, dtype=np.int64), True
@@ -447,8 +447,8 @@ def deletion_pipeline(
     ``spec`` over the kept items, and the inner decoder at k_mid, the expected
     retained count. The "subset" inner decoder is ``subset_decode`` with a
     dd-pad front end and the given eta_minus, radius_mult, family_cap and
-    hill_climb, without its warnings. The estimate never contains deleted
-    items.
+    hill_climb, without its UserWarning notes. The estimate never contains
+    deleted items.
     """
     d = _pipeline_deletions(n, alpha, xi, inner)
     # built before any draw, so bad search knobs fail fast

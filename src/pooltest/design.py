@@ -194,14 +194,12 @@ class TestDesign:
 
     def row(self, t: int) -> np.ndarray:
         """Sorted item indices included in test t (1-based)."""
-        if not (1 <= t <= self.T):
-            raise ParameterError(f"test index {t} out of range [1, {self.T}]")
+        t = require_count("test", t, high=self.T)
         return self.row_flat[self.row_ptr[t - 1] : self.row_ptr[t]]
 
     def col(self, i: int) -> np.ndarray:
         """Sorted test indices containing item i (1-based)."""
-        if not (1 <= i <= self.n):
-            raise ParameterError(f"item index {i} out of range [1, {self.n}]")
+        i = require_count("item", i, high=self.n)
         return self.col_flat[self.col_ptr[i - 1] : self.col_ptr[i]]
 
     def cols_of(self, items) -> np.ndarray:
@@ -374,9 +372,8 @@ def ncc_design(n: int, T: int, L: int, seed) -> TestDesign:
     sit in [1, L]; the raw draw count L is recorded in metadata for
     reporting.
     """
-    n, T, L = require_count("n", n), require_count("T", T), require_count("L", L)
-    if L > T:
-        raise ParameterError(f"need 1 <= L <= T, got L={L}, T={T}")
+    n, T = require_count("n", n), require_count("T", T)
+    L = require_count("L", L, high=T)
     rng = np.random.default_rng(seed)
     # for tests below 2**31, numpy's int32 and int64 draws give the same
     # values and leave the Generator in the same state
@@ -426,7 +423,7 @@ class DesignSpec:
 
 def build_design(spec: DesignSpec, n: int, T: int, k: int, seed) -> TestDesign:
     """Instantiate a DesignSpec. k sets the density for the random kinds."""
-    if spec.kind != "explicit" and k < 1:
+    if spec.kind != "explicit" and require_count("k", k, low=None) < 1:
         raise ParameterError(f"{spec.kind} design needs k >= 1 to set its density, got {k}")
     if spec.kind == "bernoulli":
         p = spec.p_override if spec.p_override is not None else spec.nu / k

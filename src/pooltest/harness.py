@@ -112,14 +112,15 @@ class ExperimentConfig:
     inner: str = "dd"
 
     def __post_init__(self):
-        require_count("n", self.n)
+        n = require_count("n", self.n)
         if (self.k is None) == (self.theta is None):
             raise ParameterError("exactly one of k and theta must be given")
         if (self.T is None) == (self.target_rate is None):
             raise ParameterError("exactly one of T and target_rate must be given")
-        for name in ("k", "T"):
+        for name, high in (("k", n), ("T", None)):
             if getattr(self, name) is not None:
-                require_count(name, getattr(self, name))
+                require_count(name, getattr(self, name), high=high)
+        require_count("master_seed", self.master_seed, low=None)
         if self.decoder not in _DECODERS:
             raise ParameterError(f"unknown decoder {self.decoder!r}")
         require_count("trials", self.trials)
@@ -190,8 +191,8 @@ class ExperimentSummary:
 
 def wilson_interval(successes: int, total: int, z: float = 1.959963984540054) -> tuple:
     """95% Wilson score interval for a binomial proportion."""
-    if not 0 <= successes <= total:
-        raise ParameterError(f"need 0 <= successes <= total, got {successes} of {total}")
+    total = require_count("total", total, low=0)
+    successes = require_count("successes", successes, low=0, high=total)
     if total == 0:
         return (0.0, 1.0)
     phat = successes / total
@@ -215,8 +216,6 @@ class _Resolved:
 
 def _resolve(cfg: ExperimentConfig) -> _Resolved:
     k = cfg.k if cfg.k is not None else k_from_theta(cfg.n, cfg.theta)
-    if not (1 <= k <= cfg.n):
-        raise ParameterError(f"resolved k={k} outside [1, {cfg.n}]")
     T = cfg.T if cfg.T is not None else tests_for_rate(cfg.n, k, cfg.target_rate)
     if cfg.prior_kind == "iid":
         q = cfg.prior_q if cfg.prior_q is not None else k / cfg.n
@@ -461,6 +460,7 @@ def masking_sweep(
     latter being comp's false positives.
     """
     require_count("trials", trials)
+    require_count("master_seed", master_seed, low=None)
     k_from_theta(n, theta)  # a bad n or theta raises even when the rate grid is empty
     rows = []
     for r_idx, target in enumerate(rate_grid):

@@ -33,9 +33,7 @@ def log2_binomial(n: int, k: int) -> float:
     Exact big-integer evaluation for small k, otherwise a compensated sum of
     log2 terms; relative error stays well under 1e-12 either way.
     """
-    n, k = require_count("n", n, low=0), require_count("k", k, low=0)
-    if k > n:
-        raise ParameterError(f"need 0 <= k <= n, got n={n}, k={k}")
+    n, k = require_count("n", n, low=0), require_count("k", k, low=0, high=n)
     k = min(k, n - k)
     if k == 0:
         return 0.0
@@ -50,9 +48,8 @@ def log2_binomial(n: int, k: int) -> float:
 
 def rate(n: int, k: int, T: int) -> float:
     """Bits of defective-set identity learned per test: log2(C(n,k)) / T."""
-    if not (1 <= k <= n):
-        raise ParameterError(f"need 1 <= k <= n, got n={n}, k={k}")
-    return log2_binomial(n, k) / require_count("T", T)
+    n = require_count("n", n)
+    return log2_binomial(n, require_count("k", k, high=n)) / require_count("T", T)
 
 
 def tests_for_rate(n: int, k: int, target_rate: float) -> int:
@@ -60,9 +57,8 @@ def tests_for_rate(n: int, k: int, target_rate: float) -> int:
     require_finite("target_rate", target_rate)
     if target_rate <= 0:
         raise ParameterError(f"target_rate must be positive, got {target_rate}")
-    bits = log2_binomial(n, k)
-    if not (1 <= k <= n):
-        raise ParameterError(f"need 1 <= k <= n, got n={n}, k={k}")
+    n = require_count("n", n)
+    bits = log2_binomial(n, require_count("k", k, high=n))
     T = max(1, math.ceil(bits / target_rate))
     while bits / T > target_rate:
         T += 1

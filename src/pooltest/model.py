@@ -36,6 +36,7 @@ class DefectiveSet:
     members: tuple
 
     def __post_init__(self):
+        require_count("n", self.n, low=0)
         m = self.members
         # strictly increasing with both ends in range puts every member in
         # range; the loop only words the error for the first offending member
@@ -163,8 +164,8 @@ def _draw(prior: PriorSpec, n: int, seed) -> np.ndarray:
     """The members of a draw from the prior, as a sorted int64 array of
     distinct items in 1..n; sample_defectives wraps it."""
     n = require_count("n", n)
-    if prior.kind != "iid" and prior.k > n:
-        raise ParameterError(f"prior k={prior.k} exceeds n={n}")
+    if prior.kind != "iid":
+        require_count("k", prior.k, high=n)
     rng = np.random.default_rng(seed)
 
     if prior.kind == "combinatorial":

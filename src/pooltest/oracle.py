@@ -66,7 +66,7 @@ def _subset_pair(design, y, k, params, naive) -> tuple:
     searching from the same front-end estimate at the same size
     floor((1 - eta) k) and radius floor(radius_mult * eta * k)."""
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", UserWarning)
         fast = subset_decode(design, y, k, params)
     base = _front_end(_instance(design, y), k, params)
     eta = params.eta_minus

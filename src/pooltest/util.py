@@ -22,15 +22,21 @@ def require_finite(name: str, value) -> None:
         raise ParameterError(f"{name} must be finite, got {value}")
 
 
-def require_count(name: str, value, low: int = 1) -> int:
-    """``value`` as an int when it is a whole number of at least ``low``;
-    a float, None or a string raises ParameterError, as a smaller value does."""
+def require_count(name: str, value, low: int | None = 1, high: int | None = None) -> int:
+    """``value`` as an int when it is a whole number in [low, high], where a
+    None bound leaves that side open (``low=None`` reads a seed, of any sign).
+    Else ParameterError, a float, None or a string included: "need {low} <=
+    {name} <= {high}, got {value}", or "need {name} >= {low}, ..." with no high."""
     try:
-        if (count := operator.index(value)) >= low:
+        count = operator.index(value)
+        if (low is None or count >= low) and (high is None or count <= high):
             return count
     except TypeError:
         pass
-    raise ParameterError(f"need {name} >= {low}, got {value}")
+    if low is None:
+        raise ParameterError(f"need a whole number {name}, got {value}")
+    bound = f"{name} >= {low}" if high is None else f"{low} <= {name} <= {high}"
+    raise ParameterError(f"need {bound}, got {value}")
 
 
 def round_half_up(x: float) -> int:

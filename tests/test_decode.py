@@ -173,9 +173,9 @@ def test_dd_pad_frontend_inconsistent_inputs_fall_back():
 def test_dd_pad_frontend_refuses_k_above_n():
     d = TestDesign.from_rows(8, [(1, 2, 3), (3, 4, 5), (5, 6, 7), (1, 7, 8)])
     y = generate_outcomes(d, DefectiveSet(8, (2, 6)))
-    with pytest.raises(ParameterError, match=r"^need k <= n, got k=12, n=8$"):
+    with pytest.raises(ParameterError, match=r"^need 0 <= k <= 8, got 12$"):
         dd_pad_frontend(d, y, 12)
-    with pytest.raises(ParameterError, match=r"^need k <= n, got k=12, n=8$"):
+    with pytest.raises(ParameterError, match=r"^need 0 <= k <= 8, got 12$"):
         subset_decode(d, y, 12, SubsetParams(0.1))
 
 

@@ -332,6 +332,18 @@ def test_ncc_column_weights_bounded_by_l():
         assert 1 <= len(d.col(i)) <= 5
 
 
+def test_row_and_col_refuse_an_index_outside_the_design():
+    d = small_design()  # 4 tests over 5 items
+    for call, message in (
+        (lambda: d.row(0), "need 1 <= test <= 4, got 0"),
+        (lambda: d.row(5), "need 1 <= test <= 4, got 5"),
+        (lambda: d.col(0), "need 1 <= item <= 5, got 0"),
+        (lambda: d.col(6), "need 1 <= item <= 5, got 6"),
+    ):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            call()
+
+
 def test_ncc_rejects_bad_l():
     with pytest.raises(ParameterError):
         ncc_design(10, 5, 0, seed=0)
@@ -536,6 +548,8 @@ def test_spec_validation():
         ("bernoulli", {"p_override": 1.5}),
         ("ncc", {"L_override": 0}),
         ("ncc", {"L_override": 2.5}),
+        ("ncc", {"p_override": 0.1}),
+        ("bernoulli", {"L_override": 3}),
     ],
 )
 def test_spec_checks_its_overrides_when_made(kind, override):
@@ -622,6 +636,21 @@ def test_load_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("4\n1 2\n")
     with pytest.raises(DesignFormatError, match="line 1: expected header 'T n'"):
+        load_design(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "line 1: empty file, expected 'T n' header"),
+        ("a b\n", "line 1: header fields must be integers"),
+        ("0 5\n", "line 1: T and n must be positive, got T=0, n=5"),
+    ],
+)
+def test_load_rejects_a_bad_header_line(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(DesignFormatError, match=f"^{message}$"):
         load_design(path)
 
 

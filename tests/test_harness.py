@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import pooltest.decode
 import pooltest.design
 import pooltest.harness
 import pooltest.oracle
@@ -90,9 +91,17 @@ def test_wilson_interval_brackets_the_estimate():
         assert s / t - 1e-12 <= hi <= 1.0
 
 
-@pytest.mark.parametrize("successes, total", [(5, 3), (1, -3), (-1, 3), (1, 0)])
+IMPOSSIBLE_COUNTS = {
+    (5, 3): "need 0 <= successes <= 3, got 5",
+    (1, -3): "need total >= 0, got -3",
+    (-1, 3): "need 0 <= successes <= 3, got -1",
+    (1, 0): "need 0 <= successes <= 0, got 1",
+}
+
+
+@pytest.mark.parametrize("successes, total", IMPOSSIBLE_COUNTS)
 def test_wilson_interval_refuses_impossible_counts(successes, total):
-    with pytest.raises(ParameterError, match=rf"got {successes} of {total}$"):
+    with pytest.raises(ParameterError, match=f"^{IMPOSSIBLE_COUNTS[successes, total]}$"):
         wilson_interval(successes, total)
 
 
@@ -140,6 +149,21 @@ def test_config_refuses_a_cap_below_zero(caps):
         )  # fmt: skip
     small_config(family_cap=None)  # no cap
     small_config(family_cap=0, ml_cap=0)
+
+
+@pytest.mark.parametrize("seed", [1.5, "3", None])
+def test_a_master_seed_that_is_not_whole_is_refused(seed):
+    # refused when the config is made, and by the sweep before any rate point
+    with pytest.raises(ParameterError, match=rf"^need a whole number master_seed, got {seed}$"):
+        small_config(master_seed=seed)
+    with pytest.raises(ParameterError, match=rf"^need a whole number master_seed, got {seed}$"):
+        masking_sweep(50, 0.5, [], DesignSpec("ncc"), 2, master_seed=seed)
+
+
+def test_a_master_seed_of_any_sign_is_read():
+    # mix_seed masks a seed to 64 bits, so -1 is the seed 2**64 - 1
+    neg, wrapped = (run_experiment(small_config(trials=3, master_seed=s)) for s in (-1, 2**64 - 1))
+    assert [r.seed for r in neg.records] == [r.seed for r in wrapped.records]
 
 
 def test_config_refuses_workers_without_fork(monkeypatch):
@@ -642,6 +666,25 @@ def test_posterior_uniformity_fails_when_its_control_checks_nothing():
     assert res.report() == (
         "[FAIL] posterior-uniformity: 1 checks, 1 failures\n  negative control not rejected: min p = nan"
     )
+
+
+def test_a_numpy_warning_in_the_subset_search_is_not_silenced(monkeypatch):
+    # the search's empty-estimate notes are silenced in trials and in the
+    # oracle, but a numpy overflow inside the search must still surface
+    argmax = pooltest.decode._argmax_explained
+
+    def overflowing(*args):
+        np.float64(1e308) * 10
+        return argmax(*args)
+
+    monkeypatch.setattr(pooltest.decode, "_argmax_explained", overflowing)
+    cfg = small_config(decoder="subset", eta_minus=0.25, criterion=Criterion.subset(0.25), trials=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            run_experiment(cfg)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            oracle_check("subset-argmax", instances=3)
 
 
 def test_oracle_suites_pass_at_reduced_sizes():

@@ -250,7 +250,7 @@ def test_two_step_density_domain_error():
 
 def test_prior_k_cannot_exceed_n():
     prior = PriorSpec("combinatorial", k=6)
-    with pytest.raises(ParameterError, match="exceeds"):
+    with pytest.raises(ParameterError, match=r"^need 1 <= k <= 5, got 6$"):
         sample_defectives(prior, 5, seed=0)
 
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from pooltest.design import DesignSpec, bernoulli_design, ncc_design
+from pooltest.analysis import posterior_uniformity_check
+from pooltest.decode import family_size
+from pooltest.design import DesignSpec, TestDesign, bernoulli_design, build_design, ncc_design
 from pooltest.errors import ParameterError
-from pooltest.harness import ExperimentConfig, masking_sweep
+from pooltest.harness import ExperimentConfig, masking_sweep, wilson_interval
 from pooltest import metrics
-from pooltest.model import PriorSpec
+from pooltest.model import DefectiveSet, PriorSpec
 from pooltest.oracle import oracle_check
 from pooltest.util import (
     LN2,
@@ -72,6 +74,19 @@ def test_require_count_reads_whole_numbers_only():
             require_count("n", bad)
 
 
+def test_require_count_reads_a_range_in_one_message_form():
+    assert require_count("k", 0, low=0, high=0) == 0
+    assert require_count("k", np.int64(5), high=5) == 5
+    for bad in (0, 6, 2.5, None):
+        with pytest.raises(ParameterError, match=rf"^need 1 <= k <= 5, got {bad}$"):
+            require_count("k", bad, high=5)
+    # low=None reads a whole number of any sign, as a seed is
+    assert require_count("seed", -(2**70), low=None) == -(2**70)
+    for bad in (1.5, "3", None):
+        with pytest.raises(ParameterError, match=rf"^need a whole number seed, got {bad}$"):
+            require_count("seed", bad, low=None)
+
+
 def _config(**sizes):
     fields = {"n": 50, "k": 3, "T": 20, "trials": 2, **sizes}
     return ExperimentConfig(design=DesignSpec("ncc"), decoder="dd", criterion=metrics.Criterion.exact(), **fields)
@@ -92,6 +107,16 @@ FRACTIONAL_SIZES = {
     "chernoff-nan-delta": lambda: metrics.chernoff_upper(5, 0.2, float("nan")),
     "rate-T": lambda: metrics.rate(10, 3, 4.5),
     "tests-for-rate-n": lambda: metrics.tests_for_rate(10.5, 3, 0.5),
+    "bernoulli-build-k": lambda: build_design(DesignSpec("bernoulli"), 20, 10, 2.5, 0),
+    "ncc-build-k": lambda: build_design(DesignSpec("ncc"), 20, 10, 2.5, 0),
+    "defective-set-n": lambda: DefectiveSet(2.5, (1, 2)),
+    "wilson-successes": lambda: wilson_interval(2.5, 10),
+    "wilson-total": lambda: wilson_interval(2, 10.5),
+    "family-size": lambda: family_size(5, 4.5, 2.0, 20),
+    "family-n": lambda: family_size(5, 4, 2.0, 20.5),
+    "uniformity-k": lambda: posterior_uniformity_check(
+        TestDesign.from_rows(4, [(1, 2), (2, 3), (3, 4), (1, 4)]), 2.5, 10, 0
+    ),
 }
 
 
@@ -100,3 +125,22 @@ def test_a_size_that_is_not_whole_is_refused(case):
     # the config cases are refused when the config is made, before any trial
     with pytest.raises(ParameterError):
         FRACTIONAL_SIZES[case]()
+
+
+# a size above its greatest value, each refused in the one message form;
+# wilson_interval's, posterior_uniformity_check's and _dd_pad's have their own tests
+SIZES_ABOVE_THEIR_GREATEST = {
+    "config-k": (lambda: _config(n=10, k=11), "need 1 <= k <= 10, got 11"),
+    "ncc-L": (lambda: ncc_design(10, 5, 6, 0), "need 1 <= L <= 5, got 6"),
+    "log2-binomial-k": (lambda: metrics.log2_binomial(5, 6), "need 0 <= k <= 5, got 6"),
+    "rate-k": (lambda: metrics.rate(5, 6, 3), "need 1 <= k <= 5, got 6"),
+    "tests-for-rate-k": (lambda: metrics.tests_for_rate(5, 0, 0.5), "need 1 <= k <= 5, got 0"),
+    "family-base": (lambda: family_size(6, 4, 2.0, 5), "need 0 <= base_size <= 5, got 6"),
+}
+
+
+@pytest.mark.parametrize("case", SIZES_ABOVE_THEIR_GREATEST)
+def test_a_size_above_its_greatest_value_is_refused(case):
+    call, message = SIZES_ABOVE_THEIR_GREATEST[case]
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        call()
