@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .analysis import DEFAULT_ENUM_CAP
-from .decode import DEFAULT_FAMILY_CAP, _PIPELINE_INNER
+from .decode import DEFAULT_FAMILY_CAP, _DECODER_NAMES, _PIPELINE_INNER
 from .design import DesignSpec, build_design, save_design
 from .errors import (
     CapExceededError,
@@ -33,7 +33,6 @@ from .errors import (
     RefusalBudgetError,
 )
 from .harness import (
-    _DECODERS,
     ExperimentConfig,
     masking_sweep,
     run_experiment,
@@ -113,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("simulate", help="Monte Carlo error-rate experiment", parents=[shared])
     _add_size_args(s)
     _add_design_args(s)
-    s.add_argument("--decoder", default="dd", choices=_DECODERS)
+    s.add_argument("--decoder", default="dd", choices=_DECODER_NAMES)
     s.add_argument("--criterion", default="exact", choices=_CRITERION_KINDS)
     s.add_argument("--eta-minus", type=float, default=0.1)
     s.add_argument("--eta-plus", type=float, default=0.1)

@@ -12,7 +12,7 @@
 * deletion_pipeline: randomly delete a fraction of items up front, then run
   an inner decoder on the reduced instance; trades acceptable false
   negatives for a shorter test budget. It runs the harness's own pipeline
-  trial.
+  trial; every other trial runs its decoder from one table, ``_DECODERS``.
 """
 
 from __future__ import annotations
@@ -70,11 +70,11 @@ def ml_oracle(design: TestDesign, outcomes, k: int, cap: int = DEFAULT_ENUM_CAP)
     Every satisfying set is equally likely under a uniform size-k prior; the
     lexicographically smallest is returned.
     """
-    return _ml(_instance(design, outcomes), require_count("k", k, low=0), cap)
+    return _ml(_instance(design, outcomes), k, cap)
 
 
 def _ml(inst: _Instance, k: int, cap: int) -> tuple:
-    sets = _satisfying_sets(inst, k, cap)
+    sets = _satisfying_sets(inst, require_count("k", k, low=0, high=inst.design.n), cap)
     if not sets:
         raise ParameterError(
             "no size-k set reproduces the outcomes; inconsistent (design, outcomes, k)"
@@ -326,7 +326,36 @@ def _subset(inst: _Instance, k: int, params: SubsetParams) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# deletion pipeline
+# the decoder table and the deletion pipeline
+
+
+def _quiet_subset(inst: _Instance, k: int, params: SubsetParams) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return np.array(_subset(inst, k, params), dtype=np.int64)
+
+
+#: name -> run(instance, k, params), the estimate as a sorted int64 array;
+#: ml reads params.ml_cap, and subset alone runs with its notes silenced
+_DECODERS = {
+    "comp": lambda inst, k, params: _survivors(inst),
+    "dd": lambda inst, k, params: _dd(inst),
+    "ml": lambda inst, k, params: np.array(_ml(inst, k, params.ml_cap), dtype=np.int64),
+    "subset": _quiet_subset,
+}
+#: decoders that need the defective count exactly; a trial tells them the drawn size
+_EXACT_K = ("ml",)
+_PIPELINE_INNER = tuple(name for name in _DECODERS if name not in _EXACT_K)
+_DECODER_NAMES = (*_DECODERS, "pipeline")
+
+
+def _decode(name: str, inst: _Instance, k: int, params: SubsetParams):
+    """(estimate, refused) of table decoder ``name`` on an instance; a
+    CapExceededError is a refusal, with an empty estimate."""
+    try:
+        return _DECODERS[name](inst, k, params), False
+    except CapExceededError:
+        return np.empty(0, dtype=np.int64), True
 
 
 @dataclass(frozen=True)
@@ -360,14 +389,11 @@ class PipelineResult:
         return self.k_mid
 
 
-_PIPELINE_INNER = ("comp", "dd", "subset")
-
-
-def _pipeline_deletions(n: int, alpha: float, xi: float | None, inner: str) -> int:
+def _pipeline_deletions(n: int, alpha: float | None, xi: float | None, inner: str) -> int:
     """Number of items the pipeline deletes, round((alpha - xi) * n) with xi
     defaulting to alpha / 100, once alpha, xi and the inner decoder check out."""
-    if not (0.0 < alpha < 1.0):
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
+    if alpha is None or not (0.0 < alpha < 1.0):
+        raise ParameterError(f"the pipeline needs alpha in (0, 1), got {alpha}")
     if inner not in _PIPELINE_INNER:
         raise ParameterError(
             f"inner decoder must be one of {_PIPELINE_INNER}, got {inner!r}; exhaustive ml "
@@ -381,24 +407,6 @@ def _pipeline_deletions(n: int, alpha: float, xi: float | None, inner: str) -> i
     if d >= n:
         raise ParameterError(f"deletion would remove all {n} items")
     return d
-
-
-def _decode(name: str, inst: _Instance, k: int, params=None, ml_cap=DEFAULT_ENUM_CAP):
-    """(estimate, refused) of decoder ``name`` on an instance: comp, dd, ml,
-    or subset with ``params`` and its UserWarning notes silenced. The estimate
-    is a sorted int64 array; a CapExceededError is a refusal, with an empty one."""
-    try:
-        if name == "comp":
-            return _survivors(inst), False
-        if name == "dd":
-            return _dd(inst), False
-        if name == "ml":
-            return np.array(_ml(inst, k, ml_cap), dtype=np.int64), False
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            return np.array(_subset(inst, k, params), dtype=np.int64), False
-    except CapExceededError:
-        return np.empty(0, dtype=np.int64), True
 
 
 def _pipeline(spec, prior, n, k, T, d, seed, inner, params) -> tuple:
@@ -447,16 +455,12 @@ def deletion_pipeline(
     ``spec`` over the kept items, and the inner decoder at k_mid, the expected
     retained count. The "subset" inner decoder is ``subset_decode`` with a
     dd-pad front end and the given eta_minus, radius_mult, family_cap and
-    hill_climb, without its UserWarning notes. The estimate never contains
-    deleted items.
+    hill_climb, without its UserWarning notes; these knobs are checked
+    whatever the inner decoder. The estimate never contains deleted items.
     """
     d = _pipeline_deletions(n, alpha, xi, inner)
     # built before any draw, so bad search knobs fail fast
-    params = (
-        SubsetParams(eta_minus, radius_mult=radius_mult, family_cap=family_cap, hill_climb=hill_climb)
-        if inner == "subset"
-        else None
-    )
+    params = SubsetParams(eta_minus, radius_mult=radius_mult, family_cap=family_cap, hill_climb=hill_climb)
     fields = _pipeline(spec, PriorSpec("combinatorial", k=k), n, k, T, d, seed, inner, params)[0]
     truth, deleted, kept, k_mid, design, reduced, estimate, refused = fields
     return PipelineResult(

@@ -8,9 +8,9 @@ family. A pipeline trial draws its truth (from the configured prior), its
 design and its deletion from sub-streams 2, 1 and 3 of the trial's
 TAG_TRIAL seed, through the same ``decode._pipeline`` that
 ``deletion_pipeline`` returns. ``run_experiment`` is the one trial loop:
-every decoder, the pipeline's inner one included, runs through one
-decode, masking and scoring path, and each rate point of
-``masking_sweep`` is a comp experiment read off its records. A trial keeps
+every decoder, the pipeline's inner one included, runs from the table
+``decode._DECODERS`` through one masking and scoring path, and each rate
+point of ``masking_sweep`` is a comp experiment read off its records. A trial keeps
 its defective set and estimate as sorted int64 arrays and its masking counts
 as counts, from the draw to the score; tuples appear only in the public
 returns and, when the config records sets, in a record's true_set and
@@ -37,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import DEFAULT_ENUM_CAP, _masking_counts, _truth_instance
-from .decode import DEFAULT_FAMILY_CAP, SubsetParams, _decode, _pipeline, _pipeline_deletions
+from .decode import DEFAULT_FAMILY_CAP, _DECODER_NAMES, _EXACT_K, SubsetParams
+from .decode import _decode, _pipeline, _pipeline_deletions
 from .design import DesignSpec, TestDesign, build_design
 from .errors import ParameterError, RefusalBudgetError
 from .metrics import Criterion, _score, tests_for_rate
@@ -66,7 +67,6 @@ TRIAL_CSV_HEADER = [
     "elapsed_us",
 ]
 
-_DECODERS = ("comp", "dd", "ml", "subset", "pipeline")
 _REFUSAL_BUDGET = 0.01
 
 
@@ -83,7 +83,8 @@ class ExperimentConfig:
     set. ``decoder`` is comp, dd, ml, subset, or pipeline; the pipeline
     draws its truth from the configured prior and builds its own per-trial
     design from ``design`` after deleting items. Its alpha, xi and inner
-    decoder are checked here, and it takes only the dd-pad front end.
+    decoder are checked here, as are ``_search``'s knobs for any decoder;
+    the ml front end takes neither the pipeline nor a prior of varying size.
     """
 
     n: int
@@ -121,7 +122,7 @@ class ExperimentConfig:
             if getattr(self, name) is not None:
                 require_count(name, getattr(self, name), high=high)
         require_count("master_seed", self.master_seed, low=None)
-        if self.decoder not in _DECODERS:
+        if self.decoder not in _DECODER_NAMES:
             raise ParameterError(f"unknown decoder {self.decoder!r}")
         require_count("trials", self.trials)
         if require_count("workers", self.workers) > 1 and not hasattr(os, "fork"):
@@ -129,21 +130,30 @@ class ExperimentConfig:
         require_count("ml_cap", self.ml_cap, low=0)
         if self.family_cap is not None:  # None: no cap
             require_count("family_cap", self.family_cap, low=0)
-        if self.decoder != "pipeline":
+        self._search()
+        pipeline = self.decoder == "pipeline"
+        if self.frontend == "ml" and (pipeline or self.prior_kind != "combinatorial"):
+            where = "the pipeline's search" if pipeline else f"a search under the {self.prior_kind} prior"
+            raise ParameterError(f"frontend 'ml' needs the defective count exactly, so {where} pads dd")
+        if not pipeline:
             return
-        if self.alpha is None:
-            raise ParameterError("pipeline decoder needs alpha")
         if self.design.kind == "explicit":
             raise ParameterError(
                 "pipeline decoder cannot use an explicit design: the pipeline draws its own "
                 "design over the kept items"
             )
-        if self.frontend != "dd-pad":
-            raise ParameterError(
-                f"pipeline decoder cannot use frontend {self.frontend!r}: the pipeline's search "
-                "pads dd, because exhaustive ml needs the retained count exactly"
-            )
         _pipeline_deletions(self.n, self.alpha, self.xi, self.inner)
+
+    def _search(self) -> SubsetParams:
+        """The knobs every ``decode._DECODERS`` run is given; eta_minus
+        defaults to the subset criterion's slack, else 0.1."""
+        eta = self.eta_minus
+        if eta is None:
+            eta = self.criterion.eta_minus if self.criterion.kind == "subset" else 0.1
+        return SubsetParams(
+            eta, self.radius_mult, self.frontend, ml_cap=self.ml_cap, family_cap=self.family_cap,
+            hill_climb=self.hill_climb,
+        )
 
 
 @dataclass(frozen=True)
@@ -209,7 +219,7 @@ class _Resolved:
     k: int
     T: int
     prior: PriorSpec
-    subset_params: SubsetParams | None
+    params: SubsetParams
     explicit_design: TestDesign | None
     deletions: int | None  # items a pipeline trial deletes
 
@@ -222,25 +232,12 @@ def _resolve(cfg: ExperimentConfig) -> _Resolved:
         prior = PriorSpec("iid", q=q)
     else:
         prior = PriorSpec(cfg.prior_kind, k=k)
-    params = None
-    if cfg.decoder == "subset" or (cfg.decoder == "pipeline" and cfg.inner == "subset"):
-        eta = cfg.eta_minus
-        if eta is None:
-            eta = cfg.criterion.eta_minus if cfg.criterion.kind == "subset" else 0.1
-        params = SubsetParams(
-            eta_minus=eta,
-            radius_mult=cfg.radius_mult,
-            frontend=cfg.frontend,
-            ml_cap=cfg.ml_cap,
-            family_cap=cfg.family_cap,
-            hill_climb=cfg.hill_climb,
-        )
     # an explicit design is loaded and shape-checked once; the random kinds
     # draw a new design every trial
     explicit = build_design(cfg.design, cfg.n, T, k, None) if cfg.design.kind == "explicit" else None
     pipeline = cfg.decoder == "pipeline"
     d = _pipeline_deletions(cfg.n, cfg.alpha, cfg.xi, cfg.inner) if pipeline else None
-    return _Resolved(cfg, k, T, prior, params, explicit, d)
+    return _Resolved(cfg, k, T, prior, cfg._search(), explicit, d)
 
 
 def _run_trial(res: _Resolved, idx: int) -> TrialRecord:
@@ -249,8 +246,7 @@ def _run_trial(res: _Resolved, idx: int) -> TrialRecord:
     start = time.perf_counter()
     if cfg.decoder == "pipeline":
         (truth, *_, estimate, refused), inst = _pipeline(
-            cfg.design, res.prior, cfg.n, res.k, res.T, res.deletions, base_seed, cfg.inner,
-            res.subset_params,
+            cfg.design, res.prior, cfg.n, res.k, res.T, res.deletions, base_seed, cfg.inner, res.params
         )
     else:
         design = res.explicit_design
@@ -259,9 +255,9 @@ def _run_trial(res: _Resolved, idx: int) -> TrialRecord:
             design = build_design(cfg.design, cfg.n, res.T, res.k, seed)
         truth = _draw(res.prior, cfg.n, trial_seed(cfg.master_seed, idx, TAG_PRIOR))
         inst = _truth_instance(design, truth)
-        # ml is told the drawn set's size, the other decoders the configured k
-        k = truth.size if cfg.decoder == "ml" else res.k
-        estimate, refused = _decode(cfg.decoder, inst, k, res.subset_params, cfg.ml_cap)
+        # a decoder in _EXACT_K is told the drawn set's size, the others the configured k
+        k = truth.size if cfg.decoder in _EXACT_K else res.k
+        estimate, refused = _decode(cfg.decoder, inst, k, res.params)
     masked_def, masked_nondef = _masking_counts(inst)
     elapsed_us = int((time.perf_counter() - start) * 1e6)
     if refused:

@@ -25,14 +25,14 @@ def require_finite(name: str, value) -> None:
 def require_count(name: str, value, low: int | None = 1, high: int | None = None) -> int:
     """``value`` as an int when it is a whole number in [low, high], where a
     None bound leaves that side open (``low=None`` reads a seed, of any sign).
-    Else ParameterError, a float, None or a string included: "need {low} <=
-    {name} <= {high}, got {value}", or "need {name} >= {low}, ..." with no high."""
+    Else ParameterError, a float, None or a quoted string included: "need
+    {low} <= {name} <= {high}, got {value}", or "need {name} >= {low}, ..." with no high."""
     try:
         count = operator.index(value)
         if (low is None or count >= low) and (high is None or count <= high):
             return count
     except TypeError:
-        pass
+        value = repr(value) if isinstance(value, str) else value
     if low is None:
         raise ParameterError(f"need a whole number {name}, got {value}")
     bound = f"{name} >= {low}" if high is None else f"{low} <= {name} <= {high}"

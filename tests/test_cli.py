@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from pooltest.cli import main
+from pooltest.decode import _DECODER_NAMES, _PIPELINE_INNER
 from pooltest.design import DesignSpec, load_design, ncc_design, save_design
 from pooltest.harness import ExperimentConfig, run_experiment, write_trials_csv
 from pooltest.errors import ParameterError
@@ -199,6 +200,18 @@ def test_simulate_pipeline_rejects_ml_frontend():
     )
     assert r.returncode == 1
     assert "the pipeline's search pads dd" in r.stderr
+
+
+@pytest.mark.parametrize("prior", ["iid", "iid-trim", "iid-pad"])
+def test_simulate_rejects_ml_frontend_under_a_prior_of_varying_size(prior, tmp_path, capsys):
+    # iid-pad needs k above (ln n)^2 for a positive density, so every prior is valid at this shape
+    argv = (
+        "simulate", "--n", "200", "--k", "40", "--tests", "60", "--decoder", "subset",
+        "--frontend", "ml", "--prior", prior, "--trials", "5", "--out", str(tmp_path / "out.csv"),
+    )
+    assert main(list(argv)) == 1
+    err = capsys.readouterr().err
+    assert f"error: frontend 'ml' needs the defective count exactly, so a search under the {prior} prior" in err
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +587,10 @@ SIMULATE_GRID = {
     ),
     "dd-ncc": ("--n", 120, "--k", 6, "--tests", 60, "--decoder", "dd", "--design", "ncc"),
     "ml-bernoulli": ("--n", 24, "--k", 3, "--tests", 16, "--decoder", "ml"),
+    "subset-ml-bernoulli": (
+        "--n", 24, "--k", 3, "--tests", 16, "--decoder", "subset", "--frontend", "ml",
+        "--criterion", "subset", "--eta-minus", 0.4,
+    ),
     "subset-ncc": (
         "--n", 60, "--k", 4, "--tests", 40, "--decoder", "subset", "--design", "ncc",
         "--criterion", "subset", "--eta-minus", 0.25,
@@ -619,8 +636,19 @@ CSV_FINGERPRINTS = {
     "pipeline-dd-bernoulli": "22c74e39cfcba0343b2389bf75ae61444c840219f733b8cd7d18cb2899b381c9",
     "pipeline-subset-hill-climb": "9b0c712ff462e047b28aac3180466ed157bb9a6b74a3abcd9f6aedb623c46d03",
     "pipeline-subset-ncc": "72e1850488274dc81a3ef4aadd64932e93a40c4984694bc91f6dab571e3c4796",
+    "subset-ml-bernoulli": "9941a36ab5130ac706a769192b8f5afe9a8918be2ca8cd50b62401ac0a084186",
     "subset-ncc": "2c692f87be4b3191d7d0a5be5b9bc8844a4af49337156ef4dc0d21bce11c5166",
 }
+
+
+def _option_values(option: str) -> set:
+    return {args[args.index(option) + 1] for args in SIMULATE_GRID.values() if option in args}
+
+
+def test_simulate_grid_covers_every_decoder():
+    # a decoder added to the table gets a pinned CSV, and so does a pipeline inner decoder
+    assert set(_DECODER_NAMES) <= _option_values("--decoder")
+    assert set(_PIPELINE_INNER) <= _option_values("--inner")
 
 
 def _csv_sha256(tmp_path, command, args) -> str:

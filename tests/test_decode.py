@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from pooltest.analysis import satisfying_sets
 from pooltest.decode import (
     PipelineResult,
     SubsetParams,
@@ -92,8 +93,18 @@ def test_ml_oracle_inconsistent_inputs():
 
 def test_ml_oracle_refuses_a_size_that_is_not_whole():
     d = TestDesign.from_rows(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-    with pytest.raises(ParameterError, match=r"^need k >= 0, got 2.5$"):
+    with pytest.raises(ParameterError, match=r"^need 0 <= k <= 4, got 2.5$"):
         ml_oracle(d, [1, 1, 0, 1], 2.5)
+
+
+def test_a_size_above_n_is_refused_as_a_size():
+    # k = 6 > n = 4 names the range, not inconsistent outcomes; satisfying_sets finds none
+    d = TestDesign.from_rows(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    with pytest.raises(ParameterError, match=r"^need 0 <= k <= 4, got 6$"):
+        ml_oracle(d, [1, 1, 1, 1], 6)
+    with pytest.raises(ParameterError, match=r"^need 0 <= k <= 4, got 6$"):
+        subset_decode(d, [1, 1, 1, 1], 6, SubsetParams(0.2, frontend="ml"))
+    assert satisfying_sets(d, [1, 1, 1, 1], 6) == []
 
 
 def test_ml_oracle_mode_and_cap():

@@ -16,7 +16,8 @@ import pooltest.harness
 import pooltest.oracle
 import pooltest.reference
 from pooltest.analysis import masking_report
-from pooltest.decode import SubsetParams, comp_decode, dd_decode, deletion_pipeline, subset_decode
+from pooltest.decode import _DECODER_NAMES, SubsetParams, comp_decode, dd_decode, deletion_pipeline
+from pooltest.decode import subset_decode
 from pooltest.design import DesignSpec, TestDesign, build_design, ncc_design, save_design
 from pooltest.errors import ParameterError, RefusalBudgetError
 from pooltest.harness import (
@@ -140,6 +141,41 @@ def test_config_checks_pipeline_arguments():
         small_config(decoder="pipeline", alpha=0.1, inner="subset", frontend="ml")
 
 
+SEARCHES = {
+    "subset": dict(decoder="subset"),
+    "pipeline-subset": dict(decoder="pipeline", alpha=0.1, inner="subset"),
+}
+BAD_KNOBS = {
+    "provided": (dict(frontend="provided"), "^frontend 'provided' needs the provided estimate$"),
+    "bogus": (dict(frontend="bogus"), "^unknown frontend 'bogus'$"),
+    "eta": (dict(eta_minus=1.5), r"^eta_minus must lie in \[0, 1\), got 1.5$"),
+    "radius": (dict(radius_mult=-1), "^radius_mult must be positive, got -1$"),
+}
+
+
+@pytest.mark.parametrize("knob", BAD_KNOBS)
+@pytest.mark.parametrize("search", SEARCHES)
+def test_config_refuses_a_bad_search_knob_when_made(search, knob):
+    # each was once accepted here and refused only when run_experiment ran
+    bad, message = BAD_KNOBS[knob]
+    with pytest.raises(ParameterError, match=message):
+        small_config(**SEARCHES[search], **bad)
+
+
+def test_config_reads_the_search_knobs_whatever_the_decoder():
+    with pytest.raises(ParameterError, match="^unknown frontend 'bogus'$"):
+        small_config(decoder="dd", frontend="bogus")
+
+
+@pytest.mark.parametrize("prior", ["iid", "iid-trim", "iid-pad"])
+@pytest.mark.parametrize("decoder", ["subset", "dd"])
+def test_config_refuses_the_ml_frontend_under_a_prior_of_varying_size(decoder, prior):
+    # the ml front end is given the configured k, which such a draw need not have
+    with pytest.raises(ParameterError, match=f"a search under the {prior} prior pads dd$"):
+        small_config(decoder=decoder, frontend="ml", prior_kind=prior)
+    small_config(decoder=decoder, frontend="ml")
+
+
 @pytest.mark.parametrize("caps", [dict(family_cap=-1), dict(ml_cap=-1), dict(ml_cap=None)])
 def test_config_refuses_a_cap_below_zero(caps):
     with pytest.raises(ParameterError, match=r"^need (family_cap|ml_cap) >= 0, got (-1|None)$"):
@@ -154,9 +190,9 @@ def test_config_refuses_a_cap_below_zero(caps):
 @pytest.mark.parametrize("seed", [1.5, "3", None])
 def test_a_master_seed_that_is_not_whole_is_refused(seed):
     # refused when the config is made, and by the sweep before any rate point
-    with pytest.raises(ParameterError, match=rf"^need a whole number master_seed, got {seed}$"):
+    with pytest.raises(ParameterError, match=rf"^need a whole number master_seed, got {seed!r}$"):
         small_config(master_seed=seed)
-    with pytest.raises(ParameterError, match=rf"^need a whole number master_seed, got {seed}$"):
+    with pytest.raises(ParameterError, match=rf"^need a whole number master_seed, got {seed!r}$"):
         masking_sweep(50, 0.5, [], DesignSpec("ncc"), 2, master_seed=seed)
 
 
@@ -212,13 +248,8 @@ def test_theta_and_rate_resolution():
 
 def test_workers_give_identical_csv(tmp_path):
     # every decoder's records cross the pipes from the forked workers
-    for decoder in (
-        dict(decoder="comp"),
-        dict(decoder="dd"),
-        dict(decoder="subset", frontend="dd-pad"),
-        dict(decoder="ml"),
-        dict(decoder="pipeline", alpha=0.1, inner="subset"),
-    ):
+    knobs = {"pipeline": dict(alpha=0.1, inner="subset")}
+    for decoder in (dict(decoder=name, **knobs.get(name, {})) for name in _DECODER_NAMES):
         paths = []
         for idx, workers in enumerate((1, 3)):
             summ = run_experiment(small_config(workers=workers, record_sets=True, **decoder))

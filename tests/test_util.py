@@ -70,8 +70,16 @@ def test_require_count_reads_whole_numbers_only():
     assert got == 7 and type(got) is int
     assert require_count("k", 0, low=0) == 0
     for bad in (0, -2, 2.0, 2.5, None, "3", float("nan")):
-        with pytest.raises(ParameterError, match=rf"^need n >= 1, got {bad}$"):
+        with pytest.raises(ParameterError, match=rf"^need n >= 1, got {bad!r}$"):
             require_count("n", bad)
+
+
+def test_require_count_quotes_a_string_and_no_number():
+    # a numpy scalar's repr would read np.float64(2.5), so only a string is quoted
+    with pytest.raises(ParameterError, match=r"^need n >= 1, got 2.5$"):
+        require_count("n", np.float64(2.5))
+    with pytest.raises(ParameterError, match=r"^need 1 <= n <= 5, got '3'$"):
+        require_count("n", "3", high=5)
 
 
 def test_require_count_reads_a_range_in_one_message_form():
@@ -83,7 +91,7 @@ def test_require_count_reads_a_range_in_one_message_form():
     # low=None reads a whole number of any sign, as a seed is
     assert require_count("seed", -(2**70), low=None) == -(2**70)
     for bad in (1.5, "3", None):
-        with pytest.raises(ParameterError, match=rf"^need a whole number seed, got {bad}$"):
+        with pytest.raises(ParameterError, match=rf"^need a whole number seed, got {bad!r}$"):
             require_count("seed", bad, low=None)
 
 
