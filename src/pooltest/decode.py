@@ -11,8 +11,11 @@
   climb and a refusal.
 * deletion_pipeline: randomly delete a fraction of items up front, then run
   an inner decoder on the reduced instance; trades acceptable false
-  negatives for a shorter test budget. It runs the harness's own pipeline
-  trial; every other trial runs its decoder from one table, ``_DECODERS``.
+  negatives for a shorter test budget. Its subset search is sized from the
+  full k, so it can meet subset(eta_minus); ``_pipeline_setup`` states that
+  rule for it and for the harness's config. It runs the harness's own
+  pipeline trial; every other trial runs its decoder from one table,
+  ``_DECODERS``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import itertools
 import math
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -110,8 +113,9 @@ class SubsetParams:
     frontend is "dd-pad" (dd estimate padded with the lowest-index comp
     survivors up to size k), "ml" (exhaustive maximum likelihood), or
     "provided" with the size-k estimate passed in ``provided``.
-    ``family_cap`` bounds the candidate enumeration; when exceeded the call
-    refuses unless ``hill_climb`` enables the greedy swap heuristic.
+    ``family_cap`` bounds the candidate enumeration (None: no cap); when
+    exceeded the call refuses unless ``hill_climb`` enables the greedy swap
+    heuristic. Both caps are whole numbers, at least 0.
     """
 
     eta_minus: float
@@ -134,6 +138,9 @@ class SubsetParams:
         require_finite("radius_mult", self.radius_mult)
         if self.radius_mult <= 0:
             raise ParameterError(f"radius_mult must be positive, got {self.radius_mult}")
+        require_count("ml_cap", self.ml_cap, low=0)
+        if self.family_cap is not None:  # None: no cap
+            require_count("family_cap", self.family_cap, low=0)
 
 
 def dd_pad_frontend(design: TestDesign, outcomes, k: int) -> tuple:
@@ -389,9 +396,26 @@ class PipelineResult:
         return self.k_mid
 
 
-def _pipeline_deletions(n: int, alpha: float | None, xi: float | None, inner: str) -> int:
-    """Number of items the pipeline deletes, round((alpha - xi) * n) with xi
-    defaulting to alpha / 100, once alpha, xi and the inner decoder check out."""
+def _k_mid(n: int, k: int, d: int) -> int:
+    """The expected number of defectives among the n - d items a pipeline
+    keeps, at least 1: the k its inner decoder runs at."""
+    return max(1, round_half_up(k * (n - d) / n))
+
+
+def _pipeline_setup(
+    n: int, k: int, alpha: float | None, xi: float | None, inner: str, params: SubsetParams
+) -> tuple:
+    """(d, inner knobs) of a pipeline over n items with k defectives, once
+    alpha, xi and the inner decoder check out. It deletes
+    d = round((alpha - xi) * n) items, xi defaulting to alpha / 100.
+
+    The subset inner decoder searches for m = floor((1 - eta_minus) * k)
+    items, sized from the full k that the criterion counts against, within
+    radius floor(radius_mult * (k_mid - m)) of its size-k_mid front end: the
+    knobs with eta_minus = 1 - m / k_mid, or unchanged when m is 0, which
+    keeps the empty-estimate note. An m above k_mid raises ParameterError;
+    the other inner decoders take the knobs as they are.
+    """
     if alpha is None or not (0.0 < alpha < 1.0):
         raise ParameterError(f"the pipeline needs alpha in (0, 1), got {alpha}")
     if inner not in _PIPELINE_INNER:
@@ -406,24 +430,34 @@ def _pipeline_deletions(n: int, alpha: float | None, xi: float | None, inner: st
     d = round_half_up((alpha - xi) * n)
     if d >= n:
         raise ParameterError(f"deletion would remove all {n} items")
-    return d
+    if inner != "subset":
+        return d, params
+    k_mid = _k_mid(n, k, d)
+    m = floor_tol((1.0 - params.eta_minus) * k)
+    if m > k_mid:
+        raise ParameterError(
+            f"the pipeline's subset search must find floor((1 - eta_minus) k) = {m} items, but "
+            f"deleting {d} of {n} items leaves k_mid = {k_mid} of the k = {k} defectives; "
+            "lower alpha or raise eta_minus"
+        )
+    return d, (replace(params, eta_minus=1.0 - m / k_mid) if m else params)
 
 
 def _pipeline(spec, prior, n, k, T, d, seed, inner, params) -> tuple:
     """(fields, instance) of one pipeline trial: draw the truth from
-    ``prior``, delete ``d`` uniform items, build a design for
-    k_mid = round(k * kept / n) over the kept ones, decode its instance under
-    the retained truth with ``inner`` at k_mid and lift the estimate to
-    original labels. ``fields`` are the PipelineResult fields in order, each
-    set (truth, deleted, kept, reduced truth, estimate) a sorted int64
-    array. Truth, design and deletion use the sub-streams 2, 1 and 3 of
-    ``seed``."""
+    ``prior``, delete ``d`` uniform items, build a design for ``_k_mid`` over
+    the kept ones, decode its instance under the retained truth with
+    ``inner`` at k_mid and the knobs of ``_pipeline_setup``, and lift the
+    estimate to original labels. ``fields`` are the PipelineResult fields in
+    order, each set (truth, deleted, kept, reduced truth, estimate) a sorted
+    int64 array. Truth, design and deletion use the sub-streams 2, 1 and 3
+    of ``seed``."""
     truth = _draw(prior, n, mix_seed(seed, 2))
     deleted = _sorted_sample(np.random.default_rng(mix_seed(seed, 3)), n, d) + 1
     keep = np.ones(n, dtype=bool)
     keep[deleted - 1] = False
     kept = np.flatnonzero(keep) + 1
-    k_mid = max(1, round_half_up(k * kept.size / n))
+    k_mid = _k_mid(n, k, d)
     design = build_design(spec, kept.size, T, k_mid, mix_seed(seed, 1))
     # a kept item's reduced label is the number of kept items up to it
     reduced = np.cumsum(keep)[truth[keep[truth - 1]] - 1]
@@ -454,13 +488,16 @@ def deletion_pipeline(
     which draws its truth from the configured prior instead: a design from
     ``spec`` over the kept items, and the inner decoder at k_mid, the expected
     retained count. The "subset" inner decoder is ``subset_decode`` with a
-    dd-pad front end and the given eta_minus, radius_mult, family_cap and
-    hill_climb, without its UserWarning notes; these knobs are checked
-    whatever the inner decoder. The estimate never contains deleted items.
+    dd-pad front end, the given radius_mult, family_cap and hill_climb, and
+    without its UserWarning notes. It searches for floor((1 - eta_minus) k)
+    items, counted against the full k, within floor(radius_mult * (k_mid -
+    that size)) of the front end, and a size above k_mid raises
+    ParameterError before any draw. The knobs are checked whatever the
+    inner decoder. The estimate never contains deleted items.
     """
-    d = _pipeline_deletions(n, alpha, xi, inner)
-    # built before any draw, so bad search knobs fail fast
     params = SubsetParams(eta_minus, radius_mult=radius_mult, family_cap=family_cap, hill_climb=hill_climb)
+    k = require_count("k", k, high=require_count("n", n))
+    d, params = _pipeline_setup(n, k, alpha, xi, inner, params)
     fields = _pipeline(spec, PriorSpec("combinatorial", k=k), n, k, T, d, seed, inner, params)[0]
     truth, deleted, kept, k_mid, design, reduced, estimate, refused = fields
     return PipelineResult(

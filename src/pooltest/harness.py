@@ -7,20 +7,23 @@ same sequence of defective sets can be replayed against a different design
 family. A pipeline trial draws its truth (from the configured prior), its
 design and its deletion from sub-streams 2, 1 and 3 of the trial's
 TAG_TRIAL seed, through the same ``decode._pipeline`` that
-``deletion_pipeline`` returns. ``run_experiment`` is the one trial loop:
-every decoder, the pipeline's inner one included, runs from the table
-``decode._DECODERS`` through one masking and scoring path, and each rate
-point of ``masking_sweep`` is a comp experiment read off its records. A trial keeps
-its defective set and estimate as sorted int64 arrays and its masking counts
-as counts, from the draw to the score; tuples appear only in the public
-returns and, when the config records sets, in a record's true_set and
-est_set. Results are therefore byte-identical for a given config regardless
-of worker count, and across runs. Per-trial wall time is measured but
-written to CSV as 0 unless timing is requested, precisely to keep the file
-deterministic. With ``workers > 1`` the trial indices split into contiguous
-blocks; the parent runs the first block itself while ``os.fork`` children
-run the others and pickle their records back through pipes, and the records
-merge in index order. A multi-worker run therefore needs ``os.fork`` (POSIX),
+``deletion_pipeline`` returns. An ``ExperimentConfig`` is checked and
+resolved once, when it is made: every trial reads its k, T, prior, search
+knobs, deletion count and explicit design off the config.
+``run_experiment`` is the one trial loop: every decoder, the pipeline's
+inner one included, runs from the table ``decode._DECODERS`` through one
+masking and scoring path, and each rate point of ``masking_sweep`` is a
+comp experiment read off its records. A trial keeps its defective set and
+estimate as sorted int64 arrays and its masking counts as counts, from the
+draw to the score; tuples appear only in the public returns and, when the
+config records sets, in a record's true_set and est_set. Results are
+therefore byte-identical for a given config regardless of worker count,
+and across runs. Per-trial wall time is measured but written to CSV as 0
+unless timing is requested, precisely to keep the file deterministic. With
+``workers > 1`` the trial indices split into contiguous blocks; the parent
+runs the first block itself while ``os.fork`` children run the others and
+pickle their records back through pipes, and the records merge in index
+order. A multi-worker run therefore needs ``os.fork`` (POSIX),
 and neither a one-worker nor a multi-worker run imports ``multiprocessing``.
 """
 
@@ -32,17 +35,17 @@ import os
 import pickle
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analysis import DEFAULT_ENUM_CAP, _masking_counts, _truth_instance
 from .decode import DEFAULT_FAMILY_CAP, _DECODER_NAMES, _EXACT_K, SubsetParams
-from .decode import _decode, _pipeline, _pipeline_deletions
+from .decode import _decode, _pipeline, _pipeline_setup
 from .design import DesignSpec, TestDesign, build_design
 from .errors import ParameterError, RefusalBudgetError
 from .metrics import Criterion, _score, tests_for_rate
-from .model import PriorSpec, _draw, k_from_theta
+from .model import PriorSpec, _draw, _two_step_q, k_from_theta
 from .util import mix_seed, require_count
 
 TAG_TRIAL = 0
@@ -77,14 +80,22 @@ def trial_seed(master_seed: int, trial: int, tag: int = TAG_TRIAL) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one Monte Carlo experiment.
+    """Full description of one Monte Carlo experiment, read once, when it
+    is made.
 
     Exactly one of (k, theta) and exactly one of (T, target_rate) must be
     set. ``decoder`` is comp, dd, ml, subset, or pipeline; the pipeline
     draws its truth from the configured prior and builds its own per-trial
-    design from ``design`` after deleting items. Its alpha, xi and inner
-    decoder are checked here, as are ``_search``'s knobs for any decoder;
-    the ml front end takes neither the pipeline nor a prior of varying size.
+    design from ``design`` after deleting items. ``__post_init__`` refuses a
+    bad input with ParameterError and resolves what every trial shares into
+    the fields after ``inner``, which stay out of init, repr and equality:
+    ``run_k`` and ``run_T`` (from theta and target_rate when not given), the
+    ``prior``, the search knobs ``params`` (eta_minus defaulting to the
+    subset criterion's slack, else 0.1; the pipeline's are its inner
+    search's, from ``decode._pipeline_setup``), the pipeline's ``deletions``
+    and an ``explicit_design``, loaded and shape-checked once.
+    ``dataclasses.replace`` resolves the new config afresh. The ml front end
+    takes neither the pipeline nor a prior of varying size.
     """
 
     n: int
@@ -111,6 +122,13 @@ class ExperimentConfig:
     alpha: float | None = None
     xi: float | None = None
     inner: str = "dd"
+    # resolved by __post_init__
+    run_k: int = field(init=False, repr=False, compare=False)
+    run_T: int = field(init=False, repr=False, compare=False)
+    prior: PriorSpec = field(init=False, repr=False, compare=False)
+    params: SubsetParams = field(init=False, repr=False, compare=False)
+    deletions: int | None = field(init=False, repr=False, compare=False)  # items a pipeline trial deletes
+    explicit_design: TestDesign | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = require_count("n", self.n)
@@ -118,42 +136,47 @@ class ExperimentConfig:
             raise ParameterError("exactly one of k and theta must be given")
         if (self.T is None) == (self.target_rate is None):
             raise ParameterError("exactly one of T and target_rate must be given")
-        for name, high in (("k", n), ("T", None)):
-            if getattr(self, name) is not None:
-                require_count(name, getattr(self, name), high=high)
+        k = require_count("k", self.k, high=n) if self.k is not None else k_from_theta(n, self.theta)
+        T = require_count("T", self.T) if self.T is not None else tests_for_rate(n, k, self.target_rate)
         require_count("master_seed", self.master_seed, low=None)
         if self.decoder not in _DECODER_NAMES:
             raise ParameterError(f"unknown decoder {self.decoder!r}")
         require_count("trials", self.trials)
         if require_count("workers", self.workers) > 1 and not hasattr(os, "fork"):
             raise ParameterError("workers > 1 needs os.fork, which this platform lacks")
-        require_count("ml_cap", self.ml_cap, low=0)
-        if self.family_cap is not None:  # None: no cap
-            require_count("family_cap", self.family_cap, low=0)
-        self._search()
+        eta = self.eta_minus
+        if eta is None:
+            eta = self.criterion.eta_minus if self.criterion.kind == "subset" else 0.1
+        params = SubsetParams(
+            eta, self.radius_mult, self.frontend, ml_cap=self.ml_cap, family_cap=self.family_cap,
+            hill_climb=self.hill_climb,
+        )
         pipeline = self.decoder == "pipeline"
         if self.frontend == "ml" and (pipeline or self.prior_kind != "combinatorial"):
             where = "the pipeline's search" if pipeline else f"a search under the {self.prior_kind} prior"
             raise ParameterError(f"frontend 'ml' needs the defective count exactly, so {where} pads dd")
-        if not pipeline:
-            return
-        if self.design.kind == "explicit":
-            raise ParameterError(
-                "pipeline decoder cannot use an explicit design: the pipeline draws its own "
-                "design over the kept items"
-            )
-        _pipeline_deletions(self.n, self.alpha, self.xi, self.inner)
-
-    def _search(self) -> SubsetParams:
-        """The knobs every ``decode._DECODERS`` run is given; eta_minus
-        defaults to the subset criterion's slack, else 0.1."""
-        eta = self.eta_minus
-        if eta is None:
-            eta = self.criterion.eta_minus if self.criterion.kind == "subset" else 0.1
-        return SubsetParams(
-            eta, self.radius_mult, self.frontend, ml_cap=self.ml_cap, family_cap=self.family_cap,
-            hill_climb=self.hill_climb,
+        if self.prior_kind == "iid":
+            prior = PriorSpec("iid", q=self.prior_q if self.prior_q is not None else k / n)
+        else:
+            prior = PriorSpec(self.prior_kind, k=k)
+            if prior.kind != "combinatorial":
+                _two_step_q(prior.kind, k, n)
+        deletions = explicit = None
+        if pipeline:
+            if self.design.kind == "explicit":
+                raise ParameterError(
+                    "pipeline decoder cannot use an explicit design: the pipeline draws its own "
+                    "design over the kept items"
+                )
+            deletions, params = _pipeline_setup(n, k, self.alpha, self.xi, self.inner, params)
+        elif self.design.kind == "explicit":
+            # the random kinds draw a new design every trial
+            explicit = build_design(self.design, n, T, k, None)
+        resolved = dict(
+            run_k=k, run_T=T, prior=prior, params=params, deletions=deletions, explicit_design=explicit
         )
+        for name, value in resolved.items():
+            object.__setattr__(self, name, value)  # the fields are frozen
 
 
 @dataclass(frozen=True)
@@ -213,51 +236,23 @@ def wilson_interval(successes: int, total: int, z: float = 1.959963984540054) ->
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-@dataclass(frozen=True)
-class _Resolved:
-    cfg: ExperimentConfig
-    k: int
-    T: int
-    prior: PriorSpec
-    params: SubsetParams
-    explicit_design: TestDesign | None
-    deletions: int | None  # items a pipeline trial deletes
-
-
-def _resolve(cfg: ExperimentConfig) -> _Resolved:
-    k = cfg.k if cfg.k is not None else k_from_theta(cfg.n, cfg.theta)
-    T = cfg.T if cfg.T is not None else tests_for_rate(cfg.n, k, cfg.target_rate)
-    if cfg.prior_kind == "iid":
-        q = cfg.prior_q if cfg.prior_q is not None else k / cfg.n
-        prior = PriorSpec("iid", q=q)
-    else:
-        prior = PriorSpec(cfg.prior_kind, k=k)
-    # an explicit design is loaded and shape-checked once; the random kinds
-    # draw a new design every trial
-    explicit = build_design(cfg.design, cfg.n, T, k, None) if cfg.design.kind == "explicit" else None
-    pipeline = cfg.decoder == "pipeline"
-    d = _pipeline_deletions(cfg.n, cfg.alpha, cfg.xi, cfg.inner) if pipeline else None
-    return _Resolved(cfg, k, T, prior, cfg._search(), explicit, d)
-
-
-def _run_trial(res: _Resolved, idx: int) -> TrialRecord:
-    cfg = res.cfg
+def _run_trial(cfg: ExperimentConfig, idx: int) -> TrialRecord:
     base_seed = trial_seed(cfg.master_seed, idx, TAG_TRIAL)
     start = time.perf_counter()
     if cfg.decoder == "pipeline":
         (truth, *_, estimate, refused), inst = _pipeline(
-            cfg.design, res.prior, cfg.n, res.k, res.T, res.deletions, base_seed, cfg.inner, res.params
+            cfg.design, cfg.prior, cfg.n, cfg.run_k, cfg.run_T, cfg.deletions, base_seed, cfg.inner, cfg.params
         )
     else:
-        design = res.explicit_design
+        design = cfg.explicit_design
         if design is None:
             seed = trial_seed(cfg.master_seed, idx, TAG_DESIGN)
-            design = build_design(cfg.design, cfg.n, res.T, res.k, seed)
-        truth = _draw(res.prior, cfg.n, trial_seed(cfg.master_seed, idx, TAG_PRIOR))
+            design = build_design(cfg.design, cfg.n, cfg.run_T, cfg.run_k, seed)
+        truth = _draw(cfg.prior, cfg.n, trial_seed(cfg.master_seed, idx, TAG_PRIOR))
         inst = _truth_instance(design, truth)
         # a decoder in _EXACT_K is told the drawn set's size, the others the configured k
-        k = truth.size if cfg.decoder in _EXACT_K else res.k
-        estimate, refused = _decode(cfg.decoder, inst, k, res.params)
+        k = truth.size if cfg.decoder in _EXACT_K else cfg.run_k
+        estimate, refused = _decode(cfg.decoder, inst, k, cfg.params)
     masked_def, masked_nondef = _masking_counts(inst)
     elapsed_us = int((time.perf_counter() - start) * 1e6)
     if refused:
@@ -273,7 +268,7 @@ def _run_trial(res: _Resolved, idx: int) -> TrialRecord:
         seed=base_seed,
         n=cfg.n,
         k=truth.size,
-        T=res.T,
+        T=cfg.run_T,
         design=cfg.design.label(),
         decoder=cfg.decoder,
         criterion=cfg.criterion.label(),
@@ -289,7 +284,7 @@ def _run_trial(res: _Resolved, idx: int) -> TrialRecord:
     )
 
 
-def _fork_block(res: _Resolved, block: range) -> tuple:
+def _fork_block(cfg: ExperimentConfig, block: range) -> tuple:
     """Fork a child that runs ``block`` and pickles ``(records, error)`` to a
     pipe; returns ``(pid, read end)``. The child leaves through ``os._exit``,
     so it never runs the parent's cleanup."""
@@ -307,7 +302,7 @@ def _fork_block(res: _Resolved, block: range) -> tuple:
     try:
         os.close(read_fd)
         try:
-            result = ([_run_trial(res, i) for i in block], None)
+            result = ([_run_trial(cfg, i) for i in block], None)
         except Exception as exc:
             result = (None, exc)
         with open(write_fd, "wb") as fh:
@@ -325,19 +320,20 @@ def _reap(pid: int, read_fd: int) -> tuple:
     return data, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
-def _run_trials(res: _Resolved, trials: int, workers: int) -> list:
-    """Records of trials 0..trials-1, in index order. ``min(workers, trials)``
+def _run_trials(cfg: ExperimentConfig) -> list:
+    """Records of the config's trials, in index order. ``min(workers, trials)``
     contiguous blocks: the parent runs the first and forked children the
     rest, and every child is reaped before this returns or raises. When
     blocks fail, the lowest block's error is raised."""
-    workers = min(workers, trials)
+    trials = cfg.trials
+    workers = min(cfg.workers, trials)
     cuts = [trials * w // workers for w in range(workers + 1)]
     blocks = [range(a, b) for a, b in zip(cuts, cuts[1:])]
     children = []
     try:
         for block in blocks[1:]:
-            children.append(_fork_block(res, block))
-        records = [_run_trial(res, i) for i in blocks[0]]
+            children.append(_fork_block(cfg, block))
+        records = [_run_trial(cfg, i) for i in blocks[0]]
     finally:
         ended = [_reap(pid, fd) for pid, fd in children]
     for block, (data, code) in zip(blocks[1:], ended):
@@ -354,8 +350,7 @@ def _run_trials(res: _Resolved, trials: int, workers: int) -> list:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     """Run all trials and summarize; raises RefusalBudgetError (with
     ``summary`` attached) when more than 1% of trials refused."""
-    res = _resolve(cfg)
-    records = _run_trials(res, cfg.trials, cfg.workers)
+    records = _run_trials(cfg)
 
     refused = sum(1 for r in records if r.success is None)
     included = len(records) - refused
@@ -372,8 +367,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
         wilson_low=low,
         wilson_high=high,
         n=cfg.n,
-        k=res.k,
-        T=res.T,
+        k=cfg.run_k,
+        T=cfg.run_T,
     )
     if refused:
         warnings.warn(f"{refused} of {cfg.trials} trials refused and excluded from the error rate")

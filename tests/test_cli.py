@@ -202,6 +202,18 @@ def test_simulate_pipeline_rejects_ml_frontend():
     assert "the pipeline's search pads dd" in r.stderr
 
 
+def test_simulate_refuses_a_pipeline_search_larger_than_k_mid(capsys, tmp_path):
+    # alpha 0.2 keeps k_mid = 8 of k = 10, fewer than the floor(0.95 * 10) = 9 to find
+    out = tmp_path / "trials.csv"
+    args = (
+        "--n", 500, "--k", 10, "--tests", 120, "--decoder", "pipeline", "--alpha", 0.2,
+        "--inner", "subset", "--criterion", "subset", "--eta-minus", 0.05, "--out", out,
+    )
+    assert main(["simulate", *map(str, args)]) == 1
+    assert "leaves k_mid = 8 of the k = 10 defectives" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("prior", ["iid", "iid-trim", "iid-pad"])
 def test_simulate_rejects_ml_frontend_under_a_prior_of_varying_size(prior, tmp_path, capsys):
     # iid-pad needs k above (ln n)^2 for a positive density, so every prior is valid at this shape
@@ -612,6 +624,11 @@ SIMULATE_GRID = {
         "--inner", "subset", "--criterion", "subset", "--eta-minus", 0.4, "--family-cap", 50,
         "--hill-climb",
     ),
+    # the route that read p_error = 1 while the search was sized from k_mid
+    "pipeline-subset-reproducer": (
+        "--n", 500, "--k", 10, "--tests", 120, "--decoder", "pipeline", "--alpha", 0.1,
+        "--inner", "subset", "--criterion", "subset", "--eta-minus", 0.2,
+    ),
     "dd-iid": (
         "--n", 120, "--k", 6, "--tests", 60, "--decoder", "dd", "--prior", "iid", "--q", 0.05,
     ),
@@ -636,6 +653,7 @@ CSV_FINGERPRINTS = {
     "pipeline-dd-bernoulli": "22c74e39cfcba0343b2389bf75ae61444c840219f733b8cd7d18cb2899b381c9",
     "pipeline-subset-hill-climb": "9b0c712ff462e047b28aac3180466ed157bb9a6b74a3abcd9f6aedb623c46d03",
     "pipeline-subset-ncc": "72e1850488274dc81a3ef4aadd64932e93a40c4984694bc91f6dab571e3c4796",
+    "pipeline-subset-reproducer": "a2072503b57e43c87e037478a7ea57b1c60606f5c6ff4c8d78da2502c02af047",
     "subset-ml-bernoulli": "9941a36ab5130ac706a769192b8f5afe9a8918be2ca8cd50b62401ac0a084186",
     "subset-ncc": "2c692f87be4b3191d7d0a5be5b9bc8844a4af49337156ef4dc0d21bce11c5166",
 }

@@ -300,12 +300,13 @@ def test_subset_argmax_matches_family_scan_at_benchmark_shape():
         got = subset_decode(d, y, k, params)
         assert got == family_argmax(d, y, provided, size, 3.0 * eta * k)
 
+        # the pipeline's search finds floor(0.8 k) = 8 of the k_mid = 9 kept
+        # defectives, within radius 3 * (9 - 8) of its front end
         r = deletion_pipeline(DesignSpec("bernoulli"), n, k, T, 0.1, inner="subset", seed=seed, eta_minus=0.2)
+        assert r.k_mid == 9
         y_reduced = generate_outcomes(r.design, r.reduced_truth)
-        base = dd_pad_frontend(r.design, y_reduced, r.k_hi)
-        expect = family_argmax(
-            r.design, y_reduced, base, floor_tol(0.8 * r.k_lo), 3.0 * 0.2 * r.k_hi
-        )
+        base = dd_pad_frontend(r.design, y_reduced, r.k_mid)
+        expect = family_argmax(r.design, y_reduced, base, 8, 3)
         assert r.estimate == tuple(r.kept[j - 1] for j in expect)
 
 
@@ -352,6 +353,16 @@ def test_subset_params_validation():
     # a repeated item could come back as an estimate that repeats it
     with pytest.raises(ParameterError, match="repeats an item"):
         SubsetParams(eta_minus=0.2, frontend="provided", provided=(2, 2, 5), radius_mult=1.7)
+
+
+@pytest.mark.parametrize("caps", [dict(family_cap=-1), dict(ml_cap=-1), dict(ml_cap=None)])
+def test_subset_params_refuse_a_cap_below_zero(caps):
+    # a cap below 0 is a bad knob, not a refusal of every search
+    d = TestDesign.from_rows(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    match = r"^need (family_cap|ml_cap) >= 0, got (-1|None)$"
+    with pytest.raises(ParameterError, match=match):
+        subset_decode(d, [1, 0, 0, 1], 2, SubsetParams(0.5, **caps))
+    SubsetParams(0.5, family_cap=None, ml_cap=0)  # no family cap
 
 
 def test_subset_params_read_provided_items_as_whole_numbers():
@@ -443,3 +454,22 @@ def test_pipeline_subset_inner_refuses_at_cap():
     )
     assert res.refused
     assert res.estimate == ()
+
+
+def test_pipeline_refuses_a_family_cap_below_zero():
+    with pytest.raises(ParameterError, match=r"^need family_cap >= 0, got -1$"):
+        deletion_pipeline(SPEC, 100, 5, 40, alpha=0.1, inner="subset", family_cap=-1)
+
+
+def test_pipeline_refuses_a_search_larger_than_k_mid():
+    # alpha 0.2 keeps k_mid = 8 of k = 10; eta_minus 0.05 asks for floor(0.95 * 10) = 9
+    with pytest.raises(ParameterError, match=r"= 9 items, .* leaves k_mid = 8 of the k = 10 defectives"):
+        deletion_pipeline(SPEC, 500, 10, 120, alpha=0.2, inner="subset", eta_minus=0.05)
+    # the other inner decoders take no search size
+    deletion_pipeline(SPEC, 500, 10, 120, alpha=0.2, inner="dd", eta_minus=0.05)
+
+
+def test_pipeline_search_of_size_zero_returns_the_empty_estimate():
+    # floor((1 - 0.6) * 2) = 0: the search returns the empty estimate, not a refusal
+    res = deletion_pipeline(SPEC, 100, 2, 40, alpha=0.1, inner="subset", eta_minus=0.6, seed=1)
+    assert (res.estimate, res.refused) == ((), False)

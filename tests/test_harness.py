@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import inspect
+import math
 import os
 import signal
 import warnings
@@ -17,7 +18,7 @@ import pooltest.oracle
 import pooltest.reference
 from pooltest.analysis import masking_report
 from pooltest.decode import _DECODER_NAMES, SubsetParams, comp_decode, dd_decode, deletion_pipeline
-from pooltest.decode import subset_decode
+from pooltest.decode import family_size, subset_decode
 from pooltest.design import DesignSpec, TestDesign, build_design, ncc_design, save_design
 from pooltest.errors import ParameterError, RefusalBudgetError
 from pooltest.harness import (
@@ -34,7 +35,7 @@ from pooltest.harness import (
     write_trials_csv,
 )
 from pooltest.metrics import Criterion, evaluate, log2_binomial
-from pooltest.util import mix_seed
+from pooltest.util import floor_tol, mix_seed
 from pooltest.metrics import tests_for_rate as minimal_tests
 from pooltest.model import DefectiveSet, PriorSpec, generate_outcomes, k_from_theta, sample_defectives
 from pooltest.oracle import ORACLE_SUITES, oracle_check
@@ -207,6 +208,54 @@ def test_config_refuses_workers_without_fork(monkeypatch):
     with pytest.raises(ParameterError, match="needs os.fork"):
         small_config(workers=2)
     assert run_experiment(small_config(trials=3)).trials == 3
+
+
+RUN_INPUTS = {
+    "iid-pad": (
+        dict(prior_kind="iid-pad"),
+        r"^iid-pad density \(k - sqrt\(k\) ln n\)/n = -0.1044 falls outside \(0, 1\) for n=24, k=3$",
+    ),
+    "iid-q": (dict(prior_kind="iid", prior_q=1.5), r"^iid prior needs q in \(0, 1\), got 1.5$"),
+    "theta": (dict(k=None, theta=1.5), r"^theta must lie in \(0, 1\), got 1.5$"),
+    "rate": (dict(T=None, target_rate=-1.0), "^target_rate must be positive, got -1.0$"),
+    "prior-kind": (dict(prior_kind="bogus"), "^unknown prior kind 'bogus'$"),
+}
+
+
+@pytest.mark.parametrize("name", RUN_INPUTS)
+def test_config_refuses_a_bad_run_input_when_made(name):
+    # each was once accepted here and refused only when run_experiment ran
+    bad, message = RUN_INPUTS[name]
+    with pytest.raises(ParameterError, match=message):
+        small_config(**{**dict(n=24, k=3, T=16), **bad})
+
+
+def test_config_keeps_its_resolved_inputs_out_of_equality_and_repr():
+    cfg = small_config(k=None, theta=0.5, T=None, target_rate=0.5)
+    assert (cfg.run_k, cfg.run_T) == (8, minimal_tests(60, 8, 0.5))
+    assert cfg.prior == PriorSpec("combinatorial", k=8)
+    # replace resolves afresh: 60^0.7 = 17.6 -> k = 18
+    wider = replace(cfg, theta=0.7)
+    assert (wider.run_k, wider.prior.k) == (18, 18)
+    assert wider.run_T == minimal_tests(60, 18, 0.5)
+    assert replace(wider, theta=0.5) == cfg
+    assert hash(replace(wider, theta=0.5)) == hash(cfg)
+    assert "run_k" not in repr(cfg) and "prior=" not in repr(cfg)
+
+
+def test_config_loads_an_explicit_design_once(tmp_path, monkeypatch):
+    path = tmp_path / "design.txt"
+    save_design(ncc_design(60, 30, 3, 1), path)
+    calls = []
+    real = pooltest.design.load_design
+    monkeypatch.setattr(pooltest.design, "load_design", lambda p: calls.append(p) or real(p))
+    cfg = small_config(design=DesignSpec("explicit", path=str(path)), workers=2)
+    assert len(calls) == 1
+    run_experiment(cfg)
+    run_experiment(cfg)
+    assert len(calls) == 1
+    with pytest.raises(ParameterError, match="explicit design is 30 x 60, experiment wants 31 x 60"):
+        small_config(design=DesignSpec("explicit", path=str(path)), T=31)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +443,64 @@ def test_pipeline_truth_follows_the_prior():
     assert [r.true_set for r in iid] != [r.true_set for r in combinatorial]
     assert len({len(r.true_set) for r in iid}) > 1
     assert all(r.k == len(r.true_set) for r in iid)
+
+
+# the command-line reproducer of the pipeline's subset route: the criterion
+# asks for floor(0.8 * 10) = 8 of the 10 defectives
+REPRODUCER = dict(
+    n=500, k=10, T=120, decoder="pipeline", alpha=0.1, inner="subset", eta_minus=0.2,
+    criterion=Criterion.subset(0.2), trials=200, master_seed=0,
+)
+
+
+def test_pipeline_subset_route_can_succeed():
+    # the search once looked for floor(0.8 * k_mid) = 7 items and read p_error = 1
+    cfg = small_config(**REPRODUCER)
+    assert cfg.deletions == 50
+    # k_mid = 9: the search finds 8 items within radius 3 * (9 - 8) of its front end
+    size, radius = floor_tol((1 - cfg.params.eta_minus) * 9), floor_tol(3 * cfg.params.eta_minus * 9)
+    assert (size, radius, family_size(9, size, radius, 450)) == (8, 3, 15_885)
+    summ = run_experiment(cfg)
+    assert {r.est_size for r in summ.records} == {8}
+    assert summ.p_error < 1
+
+
+def test_config_refuses_a_pipeline_search_larger_than_k_mid():
+    # alpha 0.2 keeps k_mid = 8 of k = 10; eta_minus 0.05 asks for floor(0.95 * 10) = 9
+    with pytest.raises(ParameterError, match=r"= 9 items, .* leaves k_mid = 8 of the k = 10 defectives"):
+        small_config(**{**REPRODUCER, "alpha": 0.2, "eta_minus": 0.05})
+    small_config(**{**REPRODUCER, "alpha": 0.2, "eta_minus": 0.05, "inner": "dd"})
+
+
+@pytest.fixture(scope="module")
+def large_budget_pipeline():
+    """(records, defectives each trial deleted) of 2,000 reproducer trials at
+    T = 400, where the inner search finds the kept defectives."""
+    cfg = small_config(**{**REPRODUCER, "T": 400, "trials": 2000, "record_sets": True})
+    records = run_experiment(cfg).records
+    deleted = []
+    for rec in records:
+        # the deletion is the trial's own: sub-stream 3 of its TAG_TRIAL seed
+        seed = trial_seed(cfg.master_seed, rec.trial, TAG_TRIAL)
+        result = deletion_pipeline(cfg.design, cfg.n, cfg.k, 1, cfg.alpha, seed=seed)
+        assert result.defectives.members == rec.true_set
+        deleted.append(len(set(result.deleted) & set(rec.true_set)))
+    return records, deleted
+
+
+def test_large_budget_pipeline_fails_exactly_when_deletion_takes_three(large_budget_pipeline):
+    # 3 deleted defectives leave 7 kept, and an 8-item estimate then holds a non-defective
+    records, deleted = large_budget_pipeline
+    assert [not r.success for r in records] == [d >= 3 for d in deleted]
+
+
+def test_large_budget_pipeline_error_covers_the_deletion_floor(large_budget_pipeline):
+    # P(X >= 3) = 0.0683 for X ~ Hypergeom(500, 10, 50), the defectives among the 50 deleted
+    floor = sum(math.comb(10, j) * math.comb(490, 50 - j) for j in range(3, 11)) / math.comb(500, 50)
+    assert round(floor, 4) == 0.0683
+    records, _ = large_budget_pipeline
+    low, high = wilson_interval(sum(not r.success for r in records), len(records))
+    assert low <= floor <= high
 
 
 def _public_trial(cfg, rec, design=None):
