@@ -57,12 +57,14 @@ def _bits(outcomes, T: int) -> np.ndarray:
 
 def set_hamming(a, b) -> int:
     """Hamming distance |a \\ b| + |b \\ a| between two index sets, each
-    read by model._item_array, which refuses an item that is not whole."""
+    read by model._item_array on the ground set of whichever is a
+    DefectiveSet, if either is."""
     na = getattr(a, "n", None)
     nb = getattr(b, "n", None)
     if na is not None and nb is not None and na != nb:
         raise ParameterError(f"ground sets differ: {na} vs {nb}")
-    return np.setxor1d(_item_array(a), _item_array(b), assume_unique=True).size
+    n = nb if na is None else na
+    return np.setxor1d(_item_array(a, n), _item_array(b, n), assume_unique=True).size
 
 
 def clean_items(design: TestDesign, positive: np.ndarray) -> np.ndarray:
@@ -119,13 +121,11 @@ def explained_tests(design: TestDesign, outcomes, candidate) -> ExplainCount:
 
     A member explains a test when the test contains it and the member sits in
     no negative test; the explained set of the candidate is the union of its
-    clean members' columns. The candidate is read by model._item_array,
-    which refuses an item that is not whole.
+    clean members' columns. The candidate is read by model._item_array on
+    the design's ground set.
     """
     clean = clean_items(design, outcomes)
-    members = _item_array(candidate)
-    if np.any((members < 1) | (members > design.n)):
-        raise ParameterError(f"candidate {tuple(members.tolist())} not contained in [1, {design.n}]")
+    members = _item_array(candidate, design.n)
     tests = np.unique(design.cols_of(members[clean[members - 1]]))
     return ExplainCount(tuple(tests.tolist()), int(tests.size))
 

@@ -33,7 +33,7 @@ from .analysis import _Instance, _satisfying_sets, _truth_instance
 from .design import DesignSpec, TestDesign, build_design
 from .errors import CapExceededError, ParameterError
 from .model import DefectiveSet, PriorSpec, _draw, _item_array, _sorted_sample
-from .util import floor_tol, mix_seed, require_count, require_finite, round_half_up
+from .util import floor_tol, mix_seed, require_count, require_real, round_half_up
 
 DEFAULT_FAMILY_CAP = 5_000_000
 
@@ -102,7 +102,7 @@ def family_size(base_size: int, size: int, radius: float, n: int) -> int:
     """Number of size-``size`` sets within Hamming ``radius`` of the base set."""
     n, size = require_count("n", n, low=0), require_count("size", size, low=0)
     base_size = require_count("base_size", base_size, low=0, high=n)
-    js = _swaps(base_size, size, radius, n)
+    js = _swaps(base_size, size, require_real("radius", radius, low_closed=True), n)
     return sum(math.comb(base_size, size - j) * math.comb(n - base_size, j) for j in js)
 
 
@@ -127,17 +127,14 @@ class SubsetParams:
     hill_climb: bool = False
 
     def __post_init__(self):
-        if not (0.0 <= self.eta_minus < 1.0):
-            raise ParameterError(f"eta_minus must lie in [0, 1), got {self.eta_minus}")
+        require_real("eta_minus", self.eta_minus, 1, low_closed=True)
         if self.frontend not in ("dd-pad", "ml", "provided"):
             raise ParameterError(f"unknown frontend {self.frontend!r}")
         if self.frontend == "provided" and self.provided is None:
             raise ParameterError("frontend 'provided' needs the provided estimate")
         if self.provided is not None and _item_array(self.provided).size != len(self.provided):
             raise ParameterError(f"provided estimate repeats an item: {tuple(self.provided)}")
-        require_finite("radius_mult", self.radius_mult)
-        if self.radius_mult <= 0:
-            raise ParameterError(f"radius_mult must be positive, got {self.radius_mult}")
+        require_real("radius_mult", self.radius_mult)
         require_count("ml_cap", self.ml_cap, low=0)
         if self.family_cap is not None:  # None: no cap
             require_count("family_cap", self.family_cap, low=0)
@@ -284,11 +281,9 @@ def _front_end(inst: _Instance, k: int, params: SubsetParams) -> tuple:
     elif params.frontend == "dd-pad":
         base = _dd_pad(inst, k)
     else:
-        base = tuple(_item_array(params.provided).tolist())
+        base = tuple(_item_array(params.provided, inst.design.n).tolist())
         if len(base) != k:
             raise ParameterError(f"provided front-end estimate has size {len(base)}, expected {k}")
-    if any(not (1 <= i <= inst.design.n) for i in base):
-        raise ParameterError("base set not contained in the ground set")
     return base
 
 
@@ -303,19 +298,30 @@ def subset_decode(design: TestDesign, outcomes, k: int, params: SubsetParams) ->
     None) gets the exact search: the most explained tests, ties to the
     lexicographically smallest candidate. A larger one gets the hill climb
     when ``hill_climb`` is set and a CapExceededError otherwise. The empty
-    tuple comes back when no candidate explains any test.
+    tuple comes back, with a UserWarning naming the reason, when the target
+    size rounds to zero or no candidate explains any test.
     """
-    return _subset(_instance(design, outcomes), k, params)
+    est, note = _subset(_instance(design, outcomes), k, params)
+    if note:
+        warnings.warn(note)
+    return est
+
+
+def _search_shape(k: int, params: SubsetParams) -> tuple:
+    """(size, radius) of the subset search at k: floor((1 - eta_minus) k)
+    and floor(radius_mult * eta_minus * k), each snapped by ``floor_tol``."""
+    eta = params.eta_minus
+    return floor_tol((1.0 - eta) * k), floor_tol(params.radius_mult * eta * k)
 
 
 def _subset(inst: _Instance, k: int, params: SubsetParams) -> tuple:
+    """(estimate, note) of subset_decode on an instance: the note is the
+    reason for an empty estimate, or None."""
     k = require_count("k", k)
-    size = floor_tol((1.0 - params.eta_minus) * k)
+    size, radius = _search_shape(k, params)
     if size == 0:
-        warnings.warn("target size (1 - eta_minus) * k rounds to zero; returning empty estimate")
-        return ()
+        return (), "target size (1 - eta_minus) * k rounds to zero; returning empty estimate"
     base = _front_end(inst, k, params)
-    radius = floor_tol(params.radius_mult * params.eta_minus * k)
     scorer = ExplainScorer._of(inst)
     n = inst.design.n
     count = family_size(len(base), size, radius, n)
@@ -327,28 +333,20 @@ def _subset(inst: _Instance, k: int, params: SubsetParams) -> tuple:
         raise CapExceededError(
             f"candidate family has {count} members, cap is {params.family_cap}", estimate=count
         )
-    if not est:
-        warnings.warn("no candidate explained any positive test; returning empty estimate")
-    return est
+    return est, None if est else "no candidate explained any positive test; returning empty estimate"
 
 
 # ---------------------------------------------------------------------------
 # the decoder table and the deletion pipeline
 
 
-def _quiet_subset(inst: _Instance, k: int, params: SubsetParams) -> np.ndarray:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return np.array(_subset(inst, k, params), dtype=np.int64)
-
-
 #: name -> run(instance, k, params), the estimate as a sorted int64 array;
-#: ml reads params.ml_cap, and subset alone runs with its notes silenced
+#: ml reads params.ml_cap, and subset drops the note on an empty estimate
 _DECODERS = {
     "comp": lambda inst, k, params: _survivors(inst),
     "dd": lambda inst, k, params: _dd(inst),
     "ml": lambda inst, k, params: np.array(_ml(inst, k, params.ml_cap), dtype=np.int64),
-    "subset": _quiet_subset,
+    "subset": lambda inst, k, params: np.array(_subset(inst, k, params)[0], dtype=np.int64),
 }
 #: decoders that need the defective count exactly; a trial tells them the drawn size
 _EXACT_K = ("ml",)
@@ -412,28 +410,24 @@ def _pipeline_setup(
     The subset inner decoder searches for m = floor((1 - eta_minus) * k)
     items, sized from the full k that the criterion counts against, within
     radius floor(radius_mult * (k_mid - m)) of its size-k_mid front end: the
-    knobs with eta_minus = 1 - m / k_mid, or unchanged when m is 0, which
-    keeps the empty-estimate note. An m above k_mid raises ParameterError;
+    knobs with eta_minus = 1 - m / k_mid, or unchanged when m is 0, so the
+    search returns its empty estimate. An m above k_mid raises ParameterError;
     the other inner decoders take the knobs as they are.
     """
-    if alpha is None or not (0.0 < alpha < 1.0):
-        raise ParameterError(f"the pipeline needs alpha in (0, 1), got {alpha}")
+    alpha = require_real("alpha", alpha, 1)
     if inner not in _PIPELINE_INNER:
         raise ParameterError(
             f"inner decoder must be one of {_PIPELINE_INNER}, got {inner!r}; exhaustive ml "
             "needs the defective count exactly, which deletion leaves uncertain"
         )
-    if xi is None:
-        xi = alpha / 100.0
-    if not (0 <= xi <= alpha):
-        raise ParameterError(f"xi must lie in [0, alpha], got {xi}")
+    xi = alpha / 100.0 if xi is None else require_real("xi", xi, alpha, low_closed=True, high_closed=True)
     d = round_half_up((alpha - xi) * n)
     if d >= n:
         raise ParameterError(f"deletion would remove all {n} items")
     if inner != "subset":
         return d, params
     k_mid = _k_mid(n, k, d)
-    m = floor_tol((1.0 - params.eta_minus) * k)
+    m = _search_shape(k, params)[0]
     if m > k_mid:
         raise ParameterError(
             f"the pipeline's subset search must find floor((1 - eta_minus) k) = {m} items, but "

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DesignFormatError, ParameterError
-from .util import LN2, require_count, require_finite, round_half_up
+from .util import LN2, require_count, require_real, round_half_up
 
 
 class TestDesign:
@@ -137,8 +137,10 @@ class TestDesign:
         item in turn, in the flats' dtype, and each entry's owner as a
         position in ``items``. An item in no test owns no entry."""
         idx = np.asarray(items, dtype=np.int64) - 1
+        # model._item_array's item rule and wording, read without a sort on the trial path
         if idx.size and not (0 <= idx.min() and idx.max() < self.n):
-            raise ParameterError(f"item indices must lie in [1, {self.n}]")
+            bad = idx.min() if idx.min() < 0 else idx.max()
+            raise ParameterError(f"need 1 <= item <= {self.n}, got {bad + 1}")
         if self._draws is None:
             col_flat, col_ptr = self._cols
             starts = col_ptr[idx]
@@ -335,9 +337,7 @@ def bernoulli_design(n: int, T: int, p: float, seed) -> TestDesign:
     passed as ``seed`` is advanced past the gaps drawn, an amount that
     depends on (n, T, p).
     """
-    n, T = require_count("n", n), require_count("T", T)
-    if not (0.0 < p < 1.0):
-        raise ParameterError(f"p must lie in (0, 1), got {p}")
+    n, T, p = require_count("n", n), require_count("T", T), require_real("p", p, 1)
     rng = np.random.default_rng(seed)
     cells = T * n
     # about six standard deviations above the mean entry count, so one chunk
@@ -360,7 +360,7 @@ def bernoulli_design(n: int, T: int, p: float, seed) -> TestDesign:
     item = drawn[: np.searchsorted(drawn, cells)].astype(dtype)
     test = item // dtype(n)  # with the subtraction, about half the time of np.divmod
     item -= test * dtype(n)
-    return TestDesign(n, T, *_col_view_of(n, T, item, test), {"kind": "bernoulli", "p": float(p)})
+    return TestDesign(n, T, *_col_view_of(n, T, item, test), {"kind": "bernoulli", "p": p})
 
 
 def ncc_design(n: int, T: int, L: int, seed) -> TestDesign:
@@ -403,13 +403,11 @@ class DesignSpec:
             raise ParameterError(f"unknown design kind {self.kind!r}")
         if self.kind == "explicit" and not self.path:
             raise ParameterError("explicit design spec needs a path")
-        require_finite("nu", self.nu)
-        if self.kind != "explicit" and self.nu <= 0:
-            raise ParameterError(f"nu must be positive, got {self.nu}")
+        require_real("nu", self.nu)
         if self.p_override is not None and self.kind != "bernoulli":
             raise ParameterError("p_override only applies to bernoulli designs")
-        if self.p_override is not None and not (0.0 < self.p_override < 1.0):  # NaN fails too
-            raise ParameterError(f"p_override must lie in (0, 1), got {self.p_override}")
+        if self.p_override is not None:
+            require_real("p_override", self.p_override, 1)
         if self.L_override is not None and self.kind != "ncc":
             raise ParameterError("L_override only applies to ncc designs")
         if self.L_override is not None:

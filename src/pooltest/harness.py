@@ -7,7 +7,7 @@ same sequence of defective sets can be replayed against a different design
 family. A pipeline trial draws its truth (from the configured prior), its
 design and its deletion from sub-streams 2, 1 and 3 of the trial's
 TAG_TRIAL seed, through the same ``decode._pipeline`` that
-``deletion_pipeline`` returns. An ``ExperimentConfig`` is checked and
+``deletion_pipeline`` runs. An ``ExperimentConfig`` is checked and
 resolved once, when it is made: every trial reads its k, T, prior, search
 knobs, deletion count and explicit design off the config.
 ``run_experiment`` is the one trial loop: every decoder, the pipeline's
@@ -71,6 +71,8 @@ TRIAL_CSV_HEADER = [
 ]
 
 _REFUSAL_BUDGET = 0.01
+#: the standard normal quantile of 0.975, which sets the Wilson interval's 95%
+_Z95 = 1.959963984540054
 
 
 def trial_seed(master_seed: int, trial: int, tag: int = TAG_TRIAL) -> int:
@@ -222,17 +224,17 @@ class ExperimentSummary:
         )
 
 
-def wilson_interval(successes: int, total: int, z: float = 1.959963984540054) -> tuple:
+def wilson_interval(successes: int, total: int) -> tuple:
     """95% Wilson score interval for a binomial proportion."""
     total = require_count("total", total, low=0)
     successes = require_count("successes", successes, low=0, high=total)
     if total == 0:
         return (0.0, 1.0)
     phat = successes / total
-    z2 = z * z
+    z2 = _Z95 * _Z95
     denom = 1.0 + z2 / total
     center = (phat + z2 / (2 * total)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / total + z2 / (4 * total * total)) / denom
+    half = _Z95 * math.sqrt(phat * (1 - phat) / total + z2 / (4 * total * total)) / denom
     return (max(0.0, center - half), min(1.0, center + half))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .model import _item_array
-from .util import LN2, ceil_tol, floor_tol, require_count, require_finite
+from .util import LN2, ceil_tol, floor_tol, require_count, require_real
 
 #: Largest sparsity exponent for which the exact-recovery rate limit equals 1.
 THETA_KNEE = LN2 / (1.0 + LN2)
@@ -54,9 +54,7 @@ def rate(n: int, k: int, T: int) -> float:
 
 def tests_for_rate(n: int, k: int, target_rate: float) -> int:
     """Smallest T whose rate does not exceed ``target_rate``."""
-    require_finite("target_rate", target_rate)
-    if target_rate <= 0:
-        raise ParameterError(f"target_rate must be positive, got {target_rate}")
+    target_rate = require_real("target_rate", target_rate)
     n = require_count("n", n)
     bits = log2_binomial(n, require_count("k", k, high=n))
     T = max(1, math.ceil(bits / target_rate))
@@ -71,8 +69,9 @@ def tests_for_rate(n: int, k: int, target_rate: float) -> int:
 # recovery criteria
 
 
-# each kind's slack fields, in the order its label prints them; a field must
-# be given and nonnegative, and eta_minus below 1
+# each kind's slack fields, in the order its label prints them; a kind's own
+# fields must be given, and any field given must be nonnegative, eta_minus
+# below 1 too
 _CRITERION_SLACK = {
     "exact": (),
     "subset": ("eta_minus",),
@@ -106,11 +105,9 @@ class Criterion:
         if self.kind not in _CRITERION_SLACK:
             raise ParameterError(f"unknown criterion kind {self.kind!r}")
         for name in ("eta_minus", "eta_plus", "beta", "alpha_fn", "alpha_fp"):
-            require_finite(name, getattr(self, name))
-        for name in _CRITERION_SLACK[self.kind]:
             val = getattr(self, name)
-            if val is None or val < 0 or (name == "eta_minus" and val >= 1):
-                raise ParameterError(f"{name} out of range for {self.kind}: {val}")
+            if val is not None or name in _CRITERION_SLACK[self.kind]:
+                require_real(name, val, 1 if name == "eta_minus" else None, low_closed=True)
 
     @classmethod
     def exact(cls) -> "Criterion":
@@ -151,17 +148,11 @@ def evaluate(criterion: Criterion, truth, estimate) -> EvalOutcome:
     """Score an estimate against the true defective set under a criterion.
 
     Either set may be a DefectiveSet or any collection of item indices, read
-    by model._item_array, which refuses an item that is not whole; an item
-    below 1 raises ParameterError too.
+    by model._item_array, which refuses an item that is not whole or is
+    below 1.
     """
     truth, estimate = _item_array(truth), _item_array(estimate)
-    n = 0
-    for items in (truth, estimate):
-        if items.size:
-            if items[0] < 1:
-                raise ParameterError(f"items must be at least 1, got {int(items[0])}")
-            n = max(n, int(items[-1]))
-    return _score(criterion, truth, estimate, n)
+    return _score(criterion, truth, estimate, int(max(truth.max(initial=0), estimate.max(initial=0))))
 
 
 def _score(criterion: Criterion, truth: np.ndarray, estimate: np.ndarray, n: int) -> EvalOutcome:
@@ -208,8 +199,7 @@ def zeta(theta: float) -> float:
     The comparison against THETA_KNEE decides the min exactly, so the value
     is 1.0 precisely when theta <= ln2 / (1 + ln2).
     """
-    if not (0.0 < theta < 1.0):
-        raise ParameterError(f"theta must lie in (0, 1), got {theta}")
+    theta = require_real("theta", theta, 1)
     if theta <= THETA_KNEE:
         return 1.0
     return LN2 * (1.0 - theta) / theta
@@ -240,20 +230,9 @@ def write_threshold_csv(thetas, path) -> None:
 # binomial tail bounds (multiplicative Chernoff)
 
 
-def _check_tail_args(n: int, mu: float, delta: float, upper: bool) -> None:
-    require_count("n", n)
-    require_finite("delta", delta)
-    if not (0.0 < mu < 1.0):
-        raise ParameterError(f"mu must lie in (0, 1), got {mu}")
-    if upper and delta <= 0.0:
-        raise ParameterError(f"delta must be positive, got {delta}")
-    if not upper and not (0.0 < delta <= 1.0):
-        raise ParameterError(f"delta must lie in (0, 1], got {delta}")
-
-
 def chernoff_upper(n: int, mu: float, delta: float) -> float:
     """Bound on P(Bin(n, mu) >= (1 + delta) n mu) for delta > 0."""
-    _check_tail_args(n, mu, delta, upper=True)
+    n, mu, delta = require_count("n", n), require_real("mu", mu, 1), require_real("delta", delta)
     expo = (1.0 + delta) * math.log1p(delta) - delta
     return math.exp(-n * mu * expo)
 
@@ -263,7 +242,8 @@ def chernoff_lower(n: int, mu: float, delta: float) -> float:
 
     At delta = 1 the (1-delta)log(1-delta) term is taken as 0.
     """
-    _check_tail_args(n, mu, delta, upper=False)
+    n, mu = require_count("n", n), require_real("mu", mu, 1)
+    delta = require_real("delta", delta, 1, high_closed=True)
     if delta == 1.0:
         expo = 1.0
     else:
@@ -273,11 +253,12 @@ def chernoff_lower(n: int, mu: float, delta: float) -> float:
 
 def chernoff_weak_upper(n: int, mu: float, delta: float) -> float:
     """Looser upper-tail bound exp(-delta^2 n mu / 3)."""
-    _check_tail_args(n, mu, delta, upper=True)
+    n, mu, delta = require_count("n", n), require_real("mu", mu, 1), require_real("delta", delta)
     return math.exp(-delta * delta * n * mu / 3.0)
 
 
 def chernoff_weak_lower(n: int, mu: float, delta: float) -> float:
     """Looser lower-tail bound exp(-delta^2 n mu / 2)."""
-    _check_tail_args(n, mu, delta, upper=False)
+    n, mu = require_count("n", n), require_real("mu", mu, 1)
+    delta = require_real("delta", delta, 1, high_closed=True)
     return math.exp(-delta * delta * n * mu / 2.0)

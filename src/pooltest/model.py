@@ -17,15 +17,13 @@ import numpy as np
 
 from .design import TestDesign, _distinct
 from .errors import ParameterError
-from .util import require_count, round_half_up
+from .util import require_count, require_real, round_half_up
 
 
 def k_from_theta(n: int, theta: float) -> int:
     """Defective count k = n**theta rounded to nearest, ties upward."""
     n = require_count("n", n)
-    if not (0.0 < theta < 1.0):
-        raise ParameterError(f"theta must lie in (0, 1), got {theta}")
-    return max(1, round_half_up(n**theta))
+    return max(1, round_half_up(n ** require_real("theta", theta, 1)))
 
 
 @dataclass(frozen=True)
@@ -52,8 +50,9 @@ class DefectiveSet:
 
     @classmethod
     def of(cls, n: int, items) -> "DefectiveSet":
-        """The set of the items, read by _item_array: whole numbers only."""
-        return cls(n, tuple(_item_array(items).tolist()))
+        """The set of the items, read by _item_array on the ground set 1..n."""
+        n = require_count("n", n, low=0)
+        return cls(n, tuple(_item_array(items, n).tolist()))
 
     @property
     def k(self) -> int:
@@ -67,14 +66,12 @@ class DefectiveSet:
         return iter(self.members)
 
 
-def _item_array(s) -> np.ndarray:
+def _item_array(s, n: int | None = None) -> np.ndarray:
     """The distinct items of a DefectiveSet or of any collection of item
     indices, as a sorted int64 array: the one reader of item sets. An item
-    that is not a whole number raises ParameterError."""
-    if isinstance(s, DefectiveSet):
-        items = np.array(s.members)
-        if items.dtype.kind in "iu":  # sorted, distinct and in range by construction
-            return items.astype(np.int64, copy=False)
+    that is not a whole number raises ParameterError, and so does one below
+    1 or, when the caller knows the ground set 1..n, above n, in
+    require_count's form: "need 1 <= item <= {n}, got {item}"."""
     members = getattr(s, "members", s)
     if not isinstance(members, (np.ndarray, list, tuple)):
         members = list(members)
@@ -84,7 +81,14 @@ def _item_array(s) -> np.ndarray:
         if not np.array_equal(whole, items):
             raise ParameterError(f"items must be whole numbers, got {items[whole != items][:3].tolist()}")
         items = whole
-    return _distinct(np.array(items, dtype=np.int64))  # a copy: _distinct sorts in place
+    if isinstance(s, DefectiveSet):  # sorted and distinct by construction
+        items = items.astype(np.int64, copy=False)
+    else:
+        items = _distinct(np.array(items, dtype=np.int64))  # a copy: _distinct sorts in place
+    if items.size:  # sorted, so the ends hold any item out of range
+        require_count("item", int(items[0]), high=n)
+        require_count("item", int(items[-1]), high=n)
+    return items
 
 
 _PRIOR_KINDS = ("combinatorial", "iid", "iid-trim", "iid-pad")
@@ -112,8 +116,8 @@ class PriorSpec:
             raise ParameterError(f"unknown prior kind {self.kind!r}")
         if self.kind != "iid":
             require_count("k", self.k)
-        elif self.q is None or not (0.0 < self.q < 1.0):
-            raise ParameterError(f"iid prior needs q in (0, 1), got {self.q}")
+        else:
+            require_real("q", self.q, 1)
 
     def label(self) -> str:
         if self.kind == "iid":

@@ -10,18 +10,17 @@ import would load the references into every run.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import _instance, explained_tests, good_test_counts, masking_report, posterior_uniformity_check
-from .decode import SubsetParams, _front_end, comp_decode, dd_decode, ml_oracle, subset_decode
+from .decode import SubsetParams, _front_end, _search_shape, comp_decode, dd_decode, ml_oracle, subset_decode
 from .design import TestDesign, bernoulli_design, ncc_design
 from .errors import ParameterError
 from .metrics import chernoff_lower, chernoff_upper, chernoff_weak_lower, chernoff_weak_upper
 from .model import DefectiveSet, generate_outcomes
-from .util import LN2, floor_tol, mix_seed, require_count
+from .util import LN2, mix_seed, require_count
 
 
 @dataclass(frozen=True)
@@ -63,15 +62,11 @@ def _draw_instance(rng, n_range, k_range, T_range, mixed=False):
 
 def _subset_pair(design, y, k, params, naive) -> tuple:
     """subset_decode's estimate and the ``naive`` reference's, the latter
-    searching from the same front-end estimate at the same size
-    floor((1 - eta) k) and radius floor(radius_mult * eta * k)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        fast = subset_decode(design, y, k, params)
+    searching from the same front-end estimate at the size and radius of
+    ``decode._search_shape``."""
+    fast = subset_decode(design, y, k, params)
     base = _front_end(_instance(design, y), k, params)
-    eta = params.eta_minus
-    size, radius = floor_tol((1.0 - eta) * k), floor_tol(params.radius_mult * eta * k)
-    return fast, naive(design, y, base, size, radius)
+    return fast, naive(design, y, base, *_search_shape(k, params))
 
 
 def _one_swapped(rng, truth: DefectiveSet) -> tuple:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 
 from .errors import ParameterError
@@ -16,10 +17,27 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _SNAP = 1e-9
 
 
-def require_finite(name: str, value) -> None:
-    """Raise ParameterError when ``value`` is NaN or infinite; None passes."""
-    if value is not None and not math.isfinite(value):
-        raise ParameterError(f"{name} must be finite, got {value}")
+def require_real(name: str, value, high=None, *, low_closed=False, high_closed=False) -> float:
+    """``value`` as a float when it is a finite real number between 0 and
+    ``high`` (None: no upper end), each end left out unless ``low_closed``
+    or ``high_closed`` takes it in. Else ParameterError, a NaN, an infinity,
+    None or a quoted string included, in the form of require_count: "need 0
+    < {name} < {high}, got {value}", or "need {name} > 0, ..." with no high,
+    ``<=`` and ``>=`` marking a closed end."""
+    try:
+        x = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an int beyond every float
+        x = math.nan
+    # NaN fails both comparisons, and an infinity the one at its end
+    below_high = x < math.inf if high is None else (x <= high if high_closed else x < high)
+    if (0 <= x if low_closed else 0 < x) and below_high:
+        return x
+    value = repr(value) if isinstance(value, str) else value
+    if high is None:
+        bound = f"{name} {'>=' if low_closed else '>'} 0"
+    else:
+        bound = f"0 {'<=' if low_closed else '<'} {name} {'<=' if high_closed else '<'} {high}"
+    raise ParameterError(f"need {bound}, got {value}")
 
 
 def require_count(name: str, value, low: int | None = 1, high: int | None = None) -> int:

@@ -151,7 +151,7 @@ def test_explained_tests_rejects_items_outside_the_ground_set():
     d = TestDesign.from_rows(3, [(1,), (3,)])
     y = np.array([True, False])
     for cand in [(0,), (4,), (1, 4)]:
-        with pytest.raises(ParameterError, match="not contained"):
+        with pytest.raises(ParameterError, match=r"^need 1 <= item <= 3, got [04]$"):
             explained_tests(d, y, cand)
 
 

@@ -310,52 +310,52 @@ _SIM = ("simulate", "--n", "100", "--k", "5", "--tests", "30", "--trials", "20")
     "argv, message",
     [
         pytest.param(
-            (*_SIM, "--criterion", "two-sided", "--beta", "nan"), "beta must be finite, got nan",
+            (*_SIM, "--criterion", "two-sided", "--beta", "nan"), "need beta >= 0, got nan",
             id="beta-nan",
         ),
         pytest.param(
             (*_SIM, "--criterion", "asymmetric", "--alpha-fn", "nan"),
-            "alpha_fn must be finite, got nan",
+            "need alpha_fn >= 0, got nan",
             id="alpha-fn-nan",
         ),
         pytest.param(
             (*_SIM, "--decoder", "subset", "--criterion", "subset", "--eta-minus", "0.4",
              "--radius-mult", "nan"),
-            "radius_mult must be finite, got nan",
+            "need radius_mult > 0, got nan",
             id="radius-mult-nan",
         ),
         pytest.param(
             ("simulate", "--n", "100", "--k", "5", "--rate", "nan"),
-            "target_rate must be finite, got nan",
+            "need target_rate > 0, got nan",
             id="rate-nan",
         ),
         pytest.param(
             ("masking", "--n", "100", "--theta", "0.5", "--rates", "nan"),
-            "target_rate must be finite, got nan",
+            "need target_rate > 0, got nan",
             id="masking-rates-nan",
         ),
         pytest.param(
             (*_SIM, "--criterion", "subset", "--eta-minus", "nan"),
-            "eta_minus must be finite, got nan",
+            "need 0 <= eta_minus < 1, got nan",
             id="eta-minus-nan",
         ),
         pytest.param(
             (*_SIM, "--decoder", "comp", "--criterion", "superset", "--eta-plus", "nan"),
-            "eta_plus must be finite, got nan",
+            "need eta_plus >= 0, got nan",
             id="eta-plus-nan",
         ),
         pytest.param(
             (*_SIM, "--decoder", "pipeline", "--alpha", "0.1", "--xi", "nan"),
-            "xi must lie in [0, alpha], got nan",
+            "need 0 <= xi <= 0.1, got nan",
             id="xi-nan",
         ),
         pytest.param(
             (*_SIM, "--decoder", "subset", "--radius-mult", "inf"),
-            "radius_mult must be finite, got inf",
+            "need radius_mult > 0, got inf",
             id="radius-mult-inf",
         ),
         pytest.param(
-            (*_SIM, "--design", "ncc", "--nu", "nan"), "nu must be finite, got nan", id="ncc-nu-nan"
+            (*_SIM, "--design", "ncc", "--nu", "nan"), "need nu > 0, got nan", id="ncc-nu-nan"
         ),
     ],
 )
@@ -367,6 +367,7 @@ def test_non_finite_numbers_are_exit_1(argv, message, tmp_path, capsys):
 
 # one value per slack field, each given to simulate by its own option
 _SLACK = {"eta_minus": 0.2, "eta_plus": 0.3, "beta": 0.25, "alpha_fn": 0.4, "alpha_fp": 0.05}
+_SLACK_BOUND = {f: "0 <= eta_minus < 1" if f == "eta_minus" else f"{f} >= 0" for f in _SLACK}
 _FACTORIES = {
     "exact": lambda s: Criterion.exact(),
     "subset": lambda s: Criterion.subset(s["eta_minus"]),
@@ -400,12 +401,12 @@ def test_criterion_refuses_a_missing_or_negative_slack(kind, tmp_path, capsys):
     fields = [f for f in _SLACK if getattr(want, f) is not None]
     for field in fields:
         for bad in (None, -0.5):
-            message = f"{field} out of range for {kind}: {bad}"
+            message = f"need {_SLACK_BOUND[field]}, got {bad}"
             with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
                 dataclasses.replace(want, **{field: bad})
         argv = [*_SIM, "--criterion", kind, "--" + field.replace("_", "-"), "-0.5"]
         assert main([*argv, "--out", str(tmp_path / "t.csv")]) == 1
-        assert f"error: {field} out of range for {kind}: -0.5" in capsys.readouterr().err
+        assert f"error: need {_SLACK_BOUND[field]}, got -0.5" in capsys.readouterr().err
     if not fields:
         assert Criterion(kind) == want
 

@@ -271,14 +271,16 @@ def test_subset_decode_hill_climb_over_cap():
 
 def test_subset_decode_provided_outside_ground_set_raises():
     # the exact search (default cap), the hill climb and the refusal (cap 1
-    # against a family of 2) all check the base first
+    # against a family of 2) all check the base first; an item below 1 is
+    # refused sooner, when the knobs are made
     d = TestDesign.from_rows(5, [(1, 2), (2, 3), (4, 5), (1, 5)])
     y = generate_outcomes(d, DefectiveSet(5, (2, 5)))
-    for bad in ((0, 2), (2, 6)):
-        for knobs in (dict(), dict(family_cap=1, hill_climb=True), dict(family_cap=1)):
-            params = SubsetParams(eta_minus=0.4, frontend="provided", provided=bad, **knobs)
-            with pytest.raises(ParameterError, match="not contained in the ground set"):
-                subset_decode(d, y, 2, params)
+    for knobs in (dict(), dict(family_cap=1, hill_climb=True), dict(family_cap=1)):
+        with pytest.raises(ParameterError, match="^need item >= 1, got 0$"):
+            SubsetParams(eta_minus=0.4, frontend="provided", provided=(0, 2), **knobs)
+        params = SubsetParams(eta_minus=0.4, frontend="provided", provided=(2, 6), **knobs)
+        with pytest.raises(ParameterError, match="^need 1 <= item <= 5, got 6$"):
+            subset_decode(d, y, 2, params)
 
 
 def test_subset_argmax_matches_family_scan_at_benchmark_shape():

@@ -128,7 +128,7 @@ def test_config_rejects_unknown_decoder():
 
 
 def test_config_pipeline_needs_alpha():
-    with pytest.raises(ParameterError, match="needs alpha"):
+    with pytest.raises(ParameterError, match="^need 0 < alpha < 1, got None$"):
         small_config(decoder="pipeline")
     small_config(decoder="pipeline", alpha=0.1)
 
@@ -149,8 +149,8 @@ SEARCHES = {
 BAD_KNOBS = {
     "provided": (dict(frontend="provided"), "^frontend 'provided' needs the provided estimate$"),
     "bogus": (dict(frontend="bogus"), "^unknown frontend 'bogus'$"),
-    "eta": (dict(eta_minus=1.5), r"^eta_minus must lie in \[0, 1\), got 1.5$"),
-    "radius": (dict(radius_mult=-1), "^radius_mult must be positive, got -1$"),
+    "eta": (dict(eta_minus=1.5), "^need 0 <= eta_minus < 1, got 1.5$"),
+    "radius": (dict(radius_mult=-1), "^need radius_mult > 0, got -1$"),
 }
 
 
@@ -215,9 +215,9 @@ RUN_INPUTS = {
         dict(prior_kind="iid-pad"),
         r"^iid-pad density \(k - sqrt\(k\) ln n\)/n = -0.1044 falls outside \(0, 1\) for n=24, k=3$",
     ),
-    "iid-q": (dict(prior_kind="iid", prior_q=1.5), r"^iid prior needs q in \(0, 1\), got 1.5$"),
-    "theta": (dict(k=None, theta=1.5), r"^theta must lie in \(0, 1\), got 1.5$"),
-    "rate": (dict(T=None, target_rate=-1.0), "^target_rate must be positive, got -1.0$"),
+    "iid-q": (dict(prior_kind="iid", prior_q=1.5), "^need 0 < q < 1, got 1.5$"),
+    "theta": (dict(k=None, theta=1.5), "^need 0 < theta < 1, got 1.5$"),
+    "rate": (dict(T=None, target_rate=-1.0), "^need target_rate > 0, got -1.0$"),
     "prior-kind": (dict(prior_kind="bogus"), "^unknown prior kind 'bogus'$"),
 }
 
@@ -712,7 +712,7 @@ def test_masking_sweep_rows(tmp_path):
 def test_masking_sweep_checks_n_and_theta_with_an_empty_rate_grid(n, theta):
     # k is resolved at each rate point, so the sweep checks n and theta
     # itself before a grid with no points can skip them
-    message = "need n >= 1" if n < 1 else "theta must lie in"
+    message = "need n >= 1" if n < 1 else "need 0 < theta < 1"
     for grid in ([], [0.5]):
         with pytest.raises(ParameterError, match=message):
             masking_sweep(n, theta, grid, DesignSpec("ncc"), 5)

@@ -252,7 +252,7 @@ def test_evaluate_rejects_items_below_one(bad):
     # the scorer indexes a mask over 1..n by item, where a negative item
     # would wrap around to a real one
     for truth, estimate in (((bad, 2), (2,)), ((1, 2), (bad, 2)), ((), (bad,)), ((bad,), ())):
-        with pytest.raises(ParameterError, match="at least 1"):
+        with pytest.raises(ParameterError, match=f"^need item >= 1, got {bad}$"):
             evaluate(Criterion.exact(), truth, estimate)
 
 

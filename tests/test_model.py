@@ -119,6 +119,35 @@ def test_item_readers_read_every_collection_of_items_alike(reader):
         assert ITEM_READERS[reader](make()) == want
 
 
+# an item below 1, or above the ground set a reader knows, each refused in
+# require_count's form for "item"
+ITEMS_OUT_OF_RANGE = {
+    "set_hamming-below-1": (lambda: set_hamming([-5, 0], [1]), "need item >= 1, got -5"),
+    "set_hamming-past-n": (
+        lambda: set_hamming(DefectiveSet.of(10, [1]), [50]), "need 1 <= item <= 10, got 50"
+    ),
+    "set_hamming-past-n-second": (
+        lambda: set_hamming([50], DefectiveSet.of(10, [1])), "need 1 <= item <= 10, got 50"
+    ),
+    "DefectiveSet.of": (lambda: DefectiveSet.of(4, [1, 5]), "need 1 <= item <= 4, got 5"),
+    "explained_tests": (
+        lambda: explained_tests(_EXPLAIN_DESIGN, [1, 1, 0], (0, 2)), "need 1 <= item <= 4, got 0"
+    ),
+    "evaluate": (lambda: evaluate(Criterion.exact(), (1, 2), (0, 2)), "need item >= 1, got 0"),
+    "provided": (
+        lambda: decode.SubsetParams(0.5, frontend="provided", provided=(0, 2)), "need item >= 1, got 0"
+    ),
+    "cols_of": (lambda: _EXPLAIN_DESIGN.cols_of([2, 0]), "need 1 <= item <= 4, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", ITEMS_OUT_OF_RANGE)
+def test_an_item_out_of_range_is_refused(case):
+    call, message = ITEMS_OUT_OF_RANGE[case]
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        call()
+
+
 def test_defective_set_validation():
     with pytest.raises(ParameterError):
         DefectiveSet(5, (0,))

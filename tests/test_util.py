@@ -1,13 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
 from pooltest.analysis import posterior_uniformity_check
-from pooltest.decode import family_size
+from pooltest.decode import SubsetParams, family_size
 from pooltest.design import DesignSpec, TestDesign, bernoulli_design, build_design, ncc_design
 from pooltest.errors import ParameterError
 from pooltest.harness import ExperimentConfig, masking_sweep, wilson_interval
 from pooltest import metrics
-from pooltest.model import DefectiveSet, PriorSpec
+from pooltest.model import DefectiveSet, PriorSpec, k_from_theta
 from pooltest.oracle import oracle_check
 from pooltest.util import (
     LN2,
@@ -15,6 +17,7 @@ from pooltest.util import (
     floor_tol,
     mix_seed,
     require_count,
+    require_real,
     round_half_up,
     splitmix64,
 )
@@ -96,8 +99,8 @@ def test_require_count_reads_a_range_in_one_message_form():
 
 
 def _config(**sizes):
-    fields = {"n": 50, "k": 3, "T": 20, "trials": 2, **sizes}
-    return ExperimentConfig(design=DesignSpec("ncc"), decoder="dd", criterion=metrics.Criterion.exact(), **fields)
+    fields = {"n": 50, "k": 3, "T": 20, "trials": 2, "decoder": "dd", **sizes}
+    return ExperimentConfig(design=DesignSpec("ncc"), criterion=metrics.Criterion.exact(), **fields)
 
 
 # a size that is not a whole number, each at a caller of require_count
@@ -152,3 +155,70 @@ def test_a_size_above_its_greatest_value_is_refused(case):
     call, message = SIZES_ABOVE_THEIR_GREATEST[case]
     with pytest.raises(ParameterError, match=f"^{message}$"):
         call()
+
+
+def _pipeline(**knobs):
+    return _config(decoder="pipeline", **knobs)
+
+
+# every real-valued input, as a call of the value, and a value just outside
+# its interval
+REAL_INPUTS = {
+    "theta-k": (lambda v: k_from_theta(100, v), 1.0),
+    "theta-zeta": (lambda v: metrics.zeta(v), 0.0),
+    "target-rate": (lambda v: metrics.tests_for_rate(100, 5, v), 0.0),
+    "criterion-eta-minus": (lambda v: metrics.Criterion.subset(v), 1.0),
+    "criterion-eta-plus": (lambda v: metrics.Criterion.superset(v), -1e-12),
+    "criterion-beta": (lambda v: metrics.Criterion.two_sided(v), -1e-12),
+    "criterion-alpha-fn": (lambda v: metrics.Criterion.asymmetric(v, 0.1), -1e-12),
+    "criterion-alpha-fp": (lambda v: metrics.Criterion.asymmetric(0.1, v), -1e-12),
+    "mu-upper": (lambda v: metrics.chernoff_upper(5, v, 0.5), 1.0),
+    "mu-lower": (lambda v: metrics.chernoff_weak_lower(5, v, 0.5), 0.0),
+    "delta-upper": (lambda v: metrics.chernoff_weak_upper(5, 0.2, v), 0.0),
+    "delta-lower": (lambda v: metrics.chernoff_lower(5, 0.2, v), 1.0 + 1e-12),
+    "bernoulli-p": (lambda v: bernoulli_design(10, 5, v, 0), 1.0),
+    "design-nu": (lambda v: DesignSpec("ncc", nu=v), 0.0),
+    "design-p-override": (lambda v: DesignSpec("bernoulli", p_override=v), 1.0),
+    "iid-q": (lambda v: PriorSpec("iid", q=v), 0.0),
+    "eta-minus": (lambda v: SubsetParams(v), 1.0),
+    "radius-mult": (lambda v: SubsetParams(0.1, radius_mult=v), 0.0),
+    "family-radius": (lambda v: family_size(5, 4, v, 20), -1e-12),
+    "pipeline-alpha": (lambda v: _pipeline(alpha=v), 1.0),
+    "pipeline-xi": (lambda v: _pipeline(alpha=0.1, xi=v), 0.1 + 1e-12),
+}
+
+
+@pytest.mark.parametrize("case", REAL_INPUTS)
+def test_a_real_input_outside_its_interval_is_refused(case):
+    # a string, NaN, an infinity and a value just past an end, each a
+    # ParameterError in the one form, never a TypeError
+    call, outside = REAL_INPUTS[case]
+    for bad in ("0.5", float("nan"), float("inf"), outside):
+        with pytest.raises(ParameterError, match=f"^need .*, got {re.escape(repr(bad))}$"):
+            call(bad)
+
+
+# each interval shape in use: its wording, and whether it takes in 0 and its top
+REAL_SHAPES = {
+    "need 0 < x < 1": (dict(high=1), False, False),
+    "need 0 <= x < 1": (dict(high=1, low_closed=True), True, False),
+    "need 0 < x <= 1": (dict(high=1, high_closed=True), False, True),
+    "need x > 0": (dict(), False, None),
+    "need x >= 0": (dict(low_closed=True), True, None),
+    "need 0 <= x <= 0.25": (dict(high=0.25, low_closed=True, high_closed=True), True, True),
+}
+
+
+@pytest.mark.parametrize("bound", REAL_SHAPES)
+def test_require_real_reads_each_interval_shape(bound):
+    shape, takes_zero, takes_top = REAL_SHAPES[bound]
+    assert require_real("x", np.float64(0.125), **shape) == 0.125
+    for value, taken in ((0, takes_zero), (shape.get("high"), takes_top)):
+        if taken:
+            assert require_real("x", value, **shape) == value
+        elif value is not None:
+            with pytest.raises(ParameterError, match=f"^{re.escape(bound)}, got {value}$"):
+                require_real("x", value, **shape)
+    for bad in (-0.5, float("-inf"), None, "0.1", 10**400):
+        with pytest.raises(ParameterError, match=f"^{re.escape(bound)}, got "):
+            require_real("x", bad, **shape)
