@@ -495,12 +495,12 @@ def deletion_pipeline(
     fields = _pipeline(spec, PriorSpec("combinatorial", k=k), n, k, T, d, seed, inner, params)[0]
     truth, deleted, kept, k_mid, design, reduced, estimate, refused = fields
     return PipelineResult(
-        DefectiveSet(n, tuple(truth.tolist())),
+        DefectiveSet(n, truth),
         tuple(deleted.tolist()),
         tuple(kept.tolist()),
         k_mid,
         design,
-        DefectiveSet(kept.size, tuple(reduced.tolist())),
+        DefectiveSet(kept.size, reduced),
         tuple(estimate.tolist()),
         refused,
     )

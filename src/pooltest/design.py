@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DesignFormatError, ParameterError
+from .model import _distinct, _increasing, _items
 from .util import LN2, require_count, require_real, round_half_up
 
 
@@ -90,38 +91,12 @@ class TestDesign:
 
     @classmethod
     def from_rows(cls, n: int, rows, metadata=None) -> "TestDesign":
-        """Build from per-test item lists, validating the contents."""
+        """Build from per-test item lists, read by _rows_design."""
         n = require_count("n", n)
         rows = list(rows)
-        tests = []
-        items = []
-        for t, row in enumerate(rows, start=1):
-            prev = 0
-            for raw in row:
-                try:
-                    idx = int(raw)
-                except (TypeError, ValueError, OverflowError):  # not a number, NaN or infinite
-                    idx = None
-                if idx != raw:
-                    raise ParameterError(f"test {t}: item index {raw} is not a whole number")
-                if not (1 <= idx <= n):
-                    raise ParameterError(f"test {t}: item index {idx} out of range [1, {n}]")
-                if idx <= prev:
-                    raise ParameterError(f"test {t}: indices must be strictly increasing")
-                prev = idx
-                tests.append(t)
-                items.append(idx)
-        T = len(rows)
-        if T < 1:
+        if not rows:
             raise ParameterError("need at least one test")
-        return cls._from_pairs(n, T, items, tests, metadata)
-
-    @classmethod
-    def _from_pairs(cls, n, T, items, tests, metadata=None) -> "TestDesign":
-        """Build from parallel 1-based (item, test) index arrays; no duplicate pairs."""
-        dtype = _key_layout(n, T)[2]
-        item, test = np.array(items, dtype=dtype) - 1, np.array(tests, dtype=dtype) - 1
-        return cls(n, T, *_col_view_of(n, T, item, test), metadata)
+        return _rows_design(n, rows, metadata, "test", 1)
 
     @classmethod
     def _from_draws(cls, n, T, draws, metadata=None) -> "TestDesign":
@@ -137,10 +112,9 @@ class TestDesign:
         item in turn, in the flats' dtype, and each entry's owner as a
         position in ``items``. An item in no test owns no entry."""
         idx = np.asarray(items, dtype=np.int64) - 1
-        # model._item_array's item rule and wording, read without a sort on the trial path
+        # model._items's item range and wording, read without a copy on the trial path
         if idx.size and not (0 <= idx.min() and idx.max() < self.n):
-            bad = idx.min() if idx.min() < 0 else idx.max()
-            raise ParameterError(f"need 1 <= item <= {self.n}, got {bad + 1}")
+            require_count("item", int(idx.min() if idx.min() < 0 else idx.max()) + 1, high=self.n)
         if self._draws is None:
             col_flat, col_ptr = self._cols
             starts = col_ptr[idx]
@@ -266,15 +240,6 @@ def _col_view(design: TestDesign) -> tuple:
     return tests, _pointers(owner, design.n)
 
 
-def _distinct(key: np.ndarray) -> np.ndarray:
-    """The distinct values of a 1-d array, sorted; sorts it in place."""
-    key.sort()
-    distinct = np.empty(key.size, dtype=bool)
-    distinct[:1] = True
-    np.not_equal(key[1:], key[:-1], out=distinct[1:])
-    return key[distinct]
-
-
 def _col_view_of(n: int, T: int, item: np.ndarray, test: np.ndarray) -> tuple:
     """(col_flat, col_ptr) of the distinct (item, test) pairs given as
     0-based index arrays in the key dtype of _key_layout.
@@ -293,6 +258,28 @@ def _col_view_of(n: int, T: int, item: np.ndarray, test: np.ndarray) -> tuple:
     col_ptr = _pointers(item, n)
     col_flat += 1
     return col_flat, col_ptr
+
+
+def _rows_design(n: int, rows: list, metadata, label: str, start: int, error=ParameterError) -> TestDesign:
+    """The design on 1..n whose tests are the rows. Their items are read at
+    once by model._items and must increase strictly within each row; the
+    first row refused is read again by model._increasing, and its refusal
+    raised as ``error`` naming the row: "test 2: need 1 <= item <= 5, got 6"."""
+    rows = [row if isinstance(row, (np.ndarray, list, tuple)) else list(row) for row in rows]
+    T = len(rows)
+    test = np.repeat(np.arange(T), [len(row) for row in rows])  # 0-based
+    try:
+        items = _items([i for row in rows for i in row], n)
+    except ParameterError:
+        items = None
+    if items is None or np.any((items[1:] <= items[:-1]) & (test[1:] == test[:-1])):
+        for t, row in enumerate(rows, start):
+            try:
+                _increasing(row, n, "items")
+            except ParameterError as err:
+                raise error(f"{label} {t}: {err}") from None
+    dtype = _key_layout(n, T)[2]
+    return TestDesign(n, T, *_col_view_of(n, T, (items - 1).astype(dtype), test.astype(dtype)), metadata)
 
 
 def _pointers(label: np.ndarray, size: int) -> np.ndarray:
@@ -472,26 +459,12 @@ def load_design(path) -> TestDesign:
         raise DesignFormatError(
             f"line {len(lines)}: expected {T} test lines after the header, found {len(lines) - 1}"
         )
-    tests = []
-    items = []
-    for t in range(1, T + 1):
-        line_no = t + 1
-        raw = lines[t].split()
-        prev = 0
-        for tok in raw:
-            try:
-                idx = int(tok)
-            except ValueError:
-                raise DesignFormatError(f"line {line_no}: {tok!r} is not an integer") from None
-            if not (1 <= idx <= n):
-                raise DesignFormatError(
-                    f"line {line_no}: item index {idx} out of range [1, {n}]"
-                )
-            if idx == prev:
-                raise DesignFormatError(f"line {line_no}: duplicate item index {idx}")
-            if idx < prev:
-                raise DesignFormatError(f"line {line_no}: indices must be sorted increasing")
-            prev = idx
-            tests.append(t)
-            items.append(idx)
-    return TestDesign._from_pairs(n, T, items, tests, {"kind": "explicit"})
+    rows = [[_file_int(tok, line_no) for tok in line.split()] for line_no, line in enumerate(lines[1:], 2)]
+    return _rows_design(n, rows, {"kind": "explicit"}, "line", 2, DesignFormatError)
+
+
+def _file_int(tok: str, line_no: int) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise DesignFormatError(f"line {line_no}: {tok!r} is not an integer") from None

@@ -149,10 +149,11 @@ def evaluate(criterion: Criterion, truth, estimate) -> EvalOutcome:
 
     Either set may be a DefectiveSet or any collection of item indices, read
     by model._item_array, which refuses an item that is not whole or is
-    below 1.
+    below 1, and scored relabelled onto their union, not on 1..(largest item).
     """
     truth, estimate = _item_array(truth), _item_array(estimate)
-    return _score(criterion, truth, estimate, int(max(truth.max(initial=0), estimate.max(initial=0))))
+    union, labels = np.unique(np.concatenate([truth, estimate]), return_inverse=True)
+    return _score(criterion, labels[: truth.size] + 1, labels[truth.size :] + 1, union.size)
 
 
 def _score(criterion: Criterion, truth: np.ndarray, estimate: np.ndarray, n: int) -> EvalOutcome:

@@ -9,15 +9,18 @@ Natural logs are used in the two-step prior densities.
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .design import TestDesign, _distinct
 from .errors import ParameterError
 from .util import require_count, require_real, round_half_up
+
+if TYPE_CHECKING:
+    from .design import TestDesign
 
 
 def k_from_theta(n: int, theta: float) -> int:
@@ -28,31 +31,21 @@ def k_from_theta(n: int, theta: float) -> int:
 
 @dataclass(frozen=True)
 class DefectiveSet:
-    """A set of defective items out of a ground set of size n."""
+    """A set of defective items out of a ground set of size n, its members
+    read by _increasing and kept as a tuple of ints."""
 
     n: int
     members: tuple
 
     def __post_init__(self):
-        require_count("n", self.n, low=0)
-        m = self.members
-        # strictly increasing with both ends in range puts every member in
-        # range; the loop only words the error for the first offending member
-        if len(m) and (1 <= m[0] and m[-1] <= self.n) and all(map(operator.lt, m, m[1:])):
-            return
-        prev = 0
-        for i in m:
-            if not (1 <= i <= self.n):
-                raise ParameterError(f"member {i} out of range [1, {self.n}]")
-            if i <= prev:
-                raise ParameterError("members must be strictly increasing")
-            prev = i
+        members = _increasing(self.members, require_count("n", self.n, low=0), "members")
+        object.__setattr__(self, "members", tuple(members.tolist()))
 
     @classmethod
     def of(cls, n: int, items) -> "DefectiveSet":
         """The set of the items, read by _item_array on the ground set 1..n."""
         n = require_count("n", n, low=0)
-        return cls(n, tuple(_item_array(items, n).tolist()))
+        return cls(n, _item_array(items, n))
 
     @property
     def k(self) -> int:
@@ -68,27 +61,59 @@ class DefectiveSet:
 
 def _item_array(s, n: int | None = None) -> np.ndarray:
     """The distinct items of a DefectiveSet or of any collection of item
-    indices, as a sorted int64 array: the one reader of item sets. An item
-    that is not a whole number raises ParameterError, and so does one below
-    1 or, when the caller knows the ground set 1..n, above n, in
-    require_count's form: "need 1 <= item <= {n}, got {item}"."""
-    members = getattr(s, "members", s)
+    indices, read by _items, as a sorted int64 array: the one set reader."""
+    items = _items(getattr(s, "members", s), n)
+    return items if isinstance(s, DefectiveSet) else _distinct(items)
+
+
+def _items(members, n: int | None) -> np.ndarray:
+    """The items of a collection as a new int64 array, in their order: the
+    one item rule. A non-item (a string, None, a complex number, a sequence,
+    NaN or an infinity) raises ParameterError "items must be whole numbers,
+    got [...]", with no numpy warning; an item below 1, above n if given, or
+    beyond int64, require_count's "need 1 <= item <= {n}, got {item}"."""
     if not isinstance(members, (np.ndarray, list, tuple)):
         members = list(members)
-    items = np.asarray(members)
-    if items.dtype.kind not in "iu":
-        whole = items.astype(np.int64)
-        if not np.array_equal(whole, items):
-            raise ParameterError(f"items must be whole numbers, got {items[whole != items][:3].tolist()}")
-        items = whole
-    if isinstance(s, DefectiveSet):  # sorted and distinct by construction
-        items = items.astype(np.int64, copy=False)
-    else:
-        items = _distinct(np.array(items, dtype=np.int64))  # a copy: _distinct sorts in place
-    if items.size:  # sorted, so the ends hold any item out of range
-        require_count("item", int(items[0]), high=n)
-        require_count("item", int(items[-1]), high=n)
+    try:
+        items = np.asarray(members)
+    except ValueError:  # ragged nesting
+        items = None
+    bad = []
+    if items is None or items.ndim != 1 or items.dtype.kind not in "biuf":  # item by item
+        given = members.tolist() if isinstance(members, np.ndarray) else members
+        bad = [
+            x
+            for x in given
+            if not isinstance(x, numbers.Integral)  # an int of any size is whole
+            and not (isinstance(x, numbers.Real) and math.isfinite(x) and x == int(x))
+        ]
+        items = np.array([] if bad else [int(x) for x in given], dtype=object)
+    elif items.dtype.kind == "f":  # NaN fails the comparison and an infinity the finite test
+        bad = items[~(np.isfinite(items) & (np.trunc(items) == items))].tolist()
+    if bad:
+        raise ParameterError(f"items must be whole numbers, got {bad[:3]}")
+    if items.size:
+        require_count("item", int(items.min()), high=n)
+        require_count("item", int(items.max()), high=2**63 - 1 if n is None else n)  # int64's largest
+    return items.astype(np.int64)  # a copy: _distinct sorts in place
+
+
+def _increasing(members, n: int, name: str) -> np.ndarray:
+    """The items of a collection read by _items on 1..n, if strictly
+    increasing; else ParameterError "{name} must be strictly increasing"."""
+    items = _items(members, n)
+    if np.any(items[1:] <= items[:-1]):
+        raise ParameterError(f"{name} must be strictly increasing")
     return items
+
+
+def _distinct(key: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-d array, sorted; sorts it in place."""
+    key.sort()
+    distinct = np.empty(key.size, dtype=bool)
+    distinct[:1] = True
+    np.not_equal(key[1:], key[:-1], out=distinct[1:])
+    return key[distinct]
 
 
 _PRIOR_KINDS = ("combinatorial", "iid", "iid-trim", "iid-pad")
@@ -161,7 +186,7 @@ def _sorted_sample(rng: np.random.Generator, population: int, size: int) -> np.n
 
 def sample_defectives(prior: PriorSpec, n: int, seed) -> DefectiveSet:
     """Draw a defective set from the prior."""
-    return DefectiveSet(n, tuple(_draw(prior, n, seed).tolist()))
+    return DefectiveSet(n, _draw(prior, n, seed))
 
 
 def _draw(prior: PriorSpec, n: int, seed) -> np.ndarray:

@@ -56,7 +56,7 @@ def _draw_instance(rng, n_range, k_range, T_range, mixed=False):
     else:
         design = ncc_design(n, T, int(rng.integers(1, min(T, 6) + 1)), rng)
     members = np.sort(rng.choice(n, size=k, replace=False)) + 1
-    truth = DefectiveSet(n, tuple(members.tolist()))
+    truth = DefectiveSet(n, members)
     return design, truth, generate_outcomes(design, truth)
 
 

@@ -73,28 +73,31 @@ def test_reference_dense_worked_example():
 
 
 def test_from_rows_rejects_out_of_range():
-    with pytest.raises(ParameterError, match=r"test 2: item index 6 out of range \[1, 5\]"):
+    with pytest.raises(ParameterError, match="^test 2: need 1 <= item <= 5, got 6$"):
         TestDesign.from_rows(5, [(1,), (2, 6)])
-    with pytest.raises(ParameterError, match=r"test 1: item index 0 out of range"):
+    with pytest.raises(ParameterError, match="^test 1: need 1 <= item <= 5, got 0$"):
         TestDesign.from_rows(5, [(0, 2)])
 
 
 def test_from_rows_rejects_unsorted_or_duplicate():
-    with pytest.raises(ParameterError, match="test 1: indices must be strictly increasing"):
+    with pytest.raises(ParameterError, match="test 1: items must be strictly increasing"):
         TestDesign.from_rows(5, [(3, 1)])
-    with pytest.raises(ParameterError, match="test 2: indices must be strictly increasing"):
+    with pytest.raises(ParameterError, match="test 2: items must be strictly increasing"):
         TestDesign.from_rows(5, [(1,), (2, 2)])
 
 
 def test_from_rows_refuses_an_item_that_is_not_whole():
-    with pytest.raises(ParameterError, match=r"^test 2: item index 1.7 is not a whole number$"):
+    with pytest.raises(ParameterError, match=r"^test 2: items must be whole numbers, got \[1.7\]$"):
         TestDesign.from_rows(3, [(1,), (1.7,)])
     assert TestDesign.from_rows(3, [(2.0,)]) == TestDesign.from_rows(3, [(2,)])
+    # a string is no item, even one that spells a whole number
+    with pytest.raises(ParameterError, match=r"^test 1: items must be whole numbers, got \['1'\]$"):
+        TestDesign.from_rows(5, [("1",)])
 
 
 @pytest.mark.parametrize("item", [float("nan"), float("inf"), float("-inf")])
 def test_from_rows_refuses_an_item_that_is_not_finite(item):
-    with pytest.raises(ParameterError, match=rf"^test 1: item index {item} is not a whole number$"):
+    with pytest.raises(ParameterError, match=rf"^test 1: items must be whole numbers, got \[{item}\]$"):
         TestDesign.from_rows(4, [(item,)])
 
 
@@ -664,21 +667,21 @@ def test_load_rejects_non_integer(tmp_path):
 def test_load_rejects_duplicates(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 5\n2 2\n")
-    with pytest.raises(DesignFormatError, match="line 2: duplicate item index"):
+    with pytest.raises(DesignFormatError, match="line 2: items must be strictly increasing"):
         load_design(path)
 
 
 def test_load_rejects_unsorted(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 5\n3 1\n")
-    with pytest.raises(DesignFormatError, match="line 2: indices must be sorted increasing"):
+    with pytest.raises(DesignFormatError, match="line 2: items must be strictly increasing"):
         load_design(path)
 
 
 def test_load_rejects_out_of_range(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 5\n1 9\n")
-    with pytest.raises(DesignFormatError):
+    with pytest.raises(DesignFormatError, match="^line 2: need 1 <= item <= 5, got 9$"):
         load_design(path)
 
 

@@ -1,17 +1,19 @@
 import hashlib
 import itertools
 import math
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from pooltest import decode, model
-from pooltest.analysis import explained_tests, set_hamming
+from pooltest.analysis import explained_tests, good_test_counts, masking_report, set_hamming
 from pooltest.decode import deletion_pipeline
-from pooltest.design import DesignSpec, TestDesign, bernoulli_design
-from pooltest.errors import ParameterError
-from pooltest.metrics import Criterion, evaluate
+from pooltest.design import DesignSpec, TestDesign, bernoulli_design, load_design
+from pooltest.errors import DesignFormatError, ParameterError
+from pooltest.metrics import Criterion, EvalOutcome, evaluate
 from pooltest.model import (
     DefectiveSet,
     PriorSpec,
@@ -75,10 +77,11 @@ def test_defective_set_of_sorts_and_dedups():
     assert s.members == (2, 5, 7)
 
 
-# the four public readers of an item collection, each as a function of the
-# collection; every one reads it through model._item_array
+# the public readers of an item collection that take any order and repeats,
+# each as a function of the collection; every one reads it through
+# model._item_array
 _EXPLAIN_DESIGN = TestDesign.from_rows(4, [(1,), (2,), (3, 4)])
-ITEM_READERS = {
+SET_READERS = {
     "DefectiveSet.of": lambda items: DefectiveSet.of(4, items),
     "evaluate": lambda items: evaluate(Criterion.exact(), (1, 2), items),
     "set_hamming": lambda items: set_hamming((1, 3), items),
@@ -86,14 +89,69 @@ ITEM_READERS = {
 }
 
 
+def _load_rows(n, rows):
+    """load_design of a file holding the rows, each item written by str."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, "design.txt")
+        path.write_text(f"{len(rows)} {n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows))
+        return load_design(path)
+
+
+# every public reader of item indices: the set readers, and the readers that
+# keep the items in their order and need them strictly increasing, the
+# second row of a design and of a design file among them
+ITEM_READERS = {
+    **SET_READERS,
+    "provided": lambda items: decode.SubsetParams(0.5, frontend="provided", provided=tuple(items)),
+    "DefectiveSet": lambda items: DefectiveSet(4, items),
+    "from_rows": lambda items: TestDesign.from_rows(4, [(1,), items]),
+    "load_design": lambda items: _load_rows(4, [(1,), items]),
+}
+
+
+def _refusal(reader):
+    """The error a reader raises for an item that is not whole, and its
+    wording: a design file holds text, so load_design refuses such an item
+    as a token that is not an integer."""
+    if reader == "load_design":
+        return DesignFormatError, "is not an integer"
+    return ParameterError, "items must be whole numbers"
+
+
 @pytest.mark.parametrize("reader", sorted(ITEM_READERS))
 def test_item_readers_reject_non_whole_items(reader):
-    for items in ([1.5], (2, 1.7), np.array([1.0, 2.5]), DefectiveSet(4, (1.5, 2))):
-        with pytest.raises(ParameterError, match="items must be whole numbers"):
+    error, message = _refusal(reader)
+    for items in ([1.5], (2, 1.7), np.array([1.0, 2.5])):
+        with pytest.raises(error, match=message):
             ITEM_READERS[reader](items)
 
 
+# one of every kind of non-item, each refused by every reader with no numpy
+# warning on the way; an int beyond int64 is refused as out of range
+NON_ITEMS = {
+    "string": "a",
+    "None": None,
+    "complex": 1 + 0j,
+    "nested": (1, 2),
+    "nan": math.nan,
+    "inf": math.inf,
+    "-inf": -math.inf,
+    "2**70": 2**70,
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", NON_ITEMS)
 @pytest.mark.parametrize("reader", sorted(ITEM_READERS))
+def test_item_readers_refuse_every_non_item(reader, bad):
+    error, message = _refusal(reader)
+    if bad == "2**70":
+        message = rf"need 1 <= item <= \d+, got {2**70}$"
+    with pytest.raises(error, match=message):
+        ITEM_READERS[reader]((1, NON_ITEMS[bad]))
+
+
+@pytest.mark.parametrize("reader", sorted(SET_READERS))
 def test_item_readers_read_every_collection_of_items_alike(reader):
     # each is the set {1, 2}: repeats, order, whole floats and container type
     # change nothing
@@ -114,13 +172,13 @@ def test_item_readers_read_every_collection_of_items_alike(reader):
         "set_hamming": 2,
         "explained_tests": explained_tests(_EXPLAIN_DESIGN, [1, 1, 0], (1, 2)),
     }[reader]
-    assert want != ITEM_READERS[reader]((1, 3))  # the readers tell {1, 2} from {1, 3}
+    assert want != SET_READERS[reader]((1, 3))  # the readers tell {1, 2} from {1, 3}
     for make in collections:
-        assert ITEM_READERS[reader](make()) == want
+        assert SET_READERS[reader](make()) == want
 
 
 # an item below 1, or above the ground set a reader knows, each refused in
-# require_count's form for "item"
+# require_count's form for "item", after the row it is in for a design's rows
 ITEMS_OUT_OF_RANGE = {
     "set_hamming-below-1": (lambda: set_hamming([-5, 0], [1]), "need item >= 1, got -5"),
     "set_hamming-past-n": (
@@ -130,6 +188,7 @@ ITEMS_OUT_OF_RANGE = {
         lambda: set_hamming([50], DefectiveSet.of(10, [1])), "need 1 <= item <= 10, got 50"
     ),
     "DefectiveSet.of": (lambda: DefectiveSet.of(4, [1, 5]), "need 1 <= item <= 4, got 5"),
+    "DefectiveSet": (lambda: DefectiveSet(4, (1, 5)), "need 1 <= item <= 4, got 5"),
     "explained_tests": (
         lambda: explained_tests(_EXPLAIN_DESIGN, [1, 1, 0], (0, 2)), "need 1 <= item <= 4, got 0"
     ),
@@ -138,14 +197,45 @@ ITEMS_OUT_OF_RANGE = {
         lambda: decode.SubsetParams(0.5, frontend="provided", provided=(0, 2)), "need item >= 1, got 0"
     ),
     "cols_of": (lambda: _EXPLAIN_DESIGN.cols_of([2, 0]), "need 1 <= item <= 4, got 0"),
+    "from_rows": (lambda: TestDesign.from_rows(4, [(1,), (2, 5)]), "test 2: need 1 <= item <= 4, got 5"),
+    "load_design": (lambda: _load_rows(4, [(1,), (2, 5)]), "line 3: need 1 <= item <= 4, got 5"),
 }
 
 
 @pytest.mark.parametrize("case", ITEMS_OUT_OF_RANGE)
 def test_an_item_out_of_range_is_refused(case):
     call, message = ITEMS_OUT_OF_RANGE[case]
-    with pytest.raises(ParameterError, match=f"^{message}$"):
+    with pytest.raises(DesignFormatError if case == "load_design" else ParameterError, match=f"^{message}$"):
         call()
+
+
+def test_evaluate_reads_items_far_past_the_sets_sizes():
+    # the scorer's mask covers the union of the two sets, not 1..10**12
+    assert evaluate(Criterion.exact(), (1,), (10**12,)) == EvalOutcome(False, 1, 1)
+    assert evaluate(Criterion.exact(), (10**12, 5), (5, 10**12)) == EvalOutcome(True, 0, 0)
+
+
+def test_defective_set_keeps_its_members_as_ints():
+    s = DefectiveSet(4, (1.0, 2.0))
+    assert s.members == (1, 2) and all(type(i) is int for i in s.members)
+    assert all(type(i) is int for i in DefectiveSet(4, np.array([1, 3], dtype=np.int32)).members)
+
+
+# the public readers of a DefectiveSet; a set that is not one of whole items
+# never reaches them
+SET_CONSUMERS = {
+    "good_test_counts": lambda s: good_test_counts(_EXPLAIN_DESIGN, s),
+    "masking_report": lambda s: masking_report(_EXPLAIN_DESIGN, s),
+    "generate_outcomes": lambda s: generate_outcomes(_EXPLAIN_DESIGN, s).tolist(),
+}
+
+
+@pytest.mark.parametrize("consumer", SET_CONSUMERS)
+def test_no_set_reader_receives_a_fractional_member(consumer):
+    read = SET_CONSUMERS[consumer]
+    with pytest.raises(ParameterError, match=r"^items must be whole numbers, got \[1.5\]$"):
+        read(DefectiveSet(4, (1.5, 2)))
+    assert read(DefectiveSet(4, (1.0, 2.0))) == read(DefectiveSet(4, (1, 2)))
 
 
 def test_defective_set_validation():
@@ -163,11 +253,11 @@ def test_defective_set_validation():
 @pytest.mark.parametrize(
     "members, message",
     [
-        ((0, 5, 3), "member 0 out of range [1, 10]"),
+        ((0, 5, 3), "need 1 <= item <= 10, got 0"),
         ((3, 3), "members must be strictly increasing"),
-        ((1, 11), "member 11 out of range [1, 10]"),
-        ((2, 7, 5, 12), "members must be strictly increasing"),  # the first offence is worded
-        ((4, 12, 11), "member 12 out of range [1, 10]"),
+        ((1, 11), "need 1 <= item <= 10, got 11"),
+        ((2, 7, 5, 12), "need 1 <= item <= 10, got 12"),  # a member out of range is named before the order
+        ((4, 12, 11), "need 1 <= item <= 10, got 12"),
     ],
 )
 def test_defective_set_names_the_first_offending_member(members, message):
