@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DesignFormatError, ParameterError
-from .model import _distinct, _increasing, _items
+from .model import _distinct, _increasing
 from .util import LN2, require_count, require_real, round_half_up
 
 
@@ -261,25 +261,20 @@ def _col_view_of(n: int, T: int, item: np.ndarray, test: np.ndarray) -> tuple:
 
 
 def _rows_design(n: int, rows: list, metadata, label: str, start: int, error=ParameterError) -> TestDesign:
-    """The design on 1..n whose tests are the rows. Their items are read at
-    once by model._items and must increase strictly within each row; the
-    first row refused is read again by model._increasing, and its refusal
-    raised as ``error`` naming the row: "test 2: need 1 <= item <= 5, got 6"."""
-    rows = [row if isinstance(row, (np.ndarray, list, tuple)) else list(row) for row in rows]
-    T = len(rows)
-    test = np.repeat(np.arange(T), [len(row) for row in rows])  # 0-based
-    try:
-        items = _items([i for row in rows for i in row], n)
-    except ParameterError:
-        items = None
-    if items is None or np.any((items[1:] <= items[:-1]) & (test[1:] == test[:-1])):
-        for t, row in enumerate(rows, start):
-            try:
-                _increasing(row, n, "items")
-            except ParameterError as err:
-                raise error(f"{label} {t}: {err}") from None
+    """The design on 1..n whose tests are the rows, each read by
+    model._increasing; a refused row raises ``error`` naming it:
+    "test 2: need 1 <= item <= 5, got 6"."""
+    read = []
+    for t, row in enumerate(rows, start):
+        try:
+            read.append(_increasing(row, n, "items"))
+        except ParameterError as err:
+            raise error(f"{label} {t}: {err}") from None
+    T = len(read)
     dtype = _key_layout(n, T)[2]
-    return TestDesign(n, T, *_col_view_of(n, T, (items - 1).astype(dtype), test.astype(dtype)), metadata)
+    test = np.repeat(np.arange(T, dtype=dtype), [row.size for row in read])  # 0-based
+    items = np.concatenate(read)
+    return TestDesign(n, T, *_col_view_of(n, T, (items - 1).astype(dtype), test), metadata)
 
 
 def _pointers(label: np.ndarray, size: int) -> np.ndarray:

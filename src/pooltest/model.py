@@ -79,7 +79,10 @@ def _items(members, n: int | None) -> np.ndarray:
     except ValueError:  # ragged nesting
         items = None
     bad = []
-    if items is None or items.ndim != 1 or items.dtype.kind not in "biuf":  # item by item
+    # a float array, unless given as one, is read item by item: a list
+    # mixing floats and ints past 2**53 would lose them to float64
+    numeric = "biuf" if isinstance(members, np.ndarray) else "biu"
+    if items is None or items.ndim != 1 or items.dtype.kind not in numeric:  # item by item
         given = members.tolist() if isinstance(members, np.ndarray) else members
         bad = [
             x
@@ -94,7 +97,8 @@ def _items(members, n: int | None) -> np.ndarray:
         raise ParameterError(f"items must be whole numbers, got {bad[:3]}")
     if items.size:
         require_count("item", int(items.min()), high=n)
-        require_count("item", int(items.max()), high=2**63 - 1 if n is None else n)  # int64's largest
+        high = 2**63 - 1 if n is None else min(n, 2**63 - 1)  # int64's largest
+        require_count("item", int(items.max()), high=high)
     return items.astype(np.int64)  # a copy: _distinct sorts in place
 
 
