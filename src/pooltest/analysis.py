@@ -33,7 +33,7 @@ import numpy as np
 
 from .design import TestDesign
 from .errors import CapExceededError, ParameterError
-from .model import DefectiveSet, _item_array, _members_on
+from .model import DefectiveSet, _ground, _item_array, _members_on
 from .util import require_count
 
 DEFAULT_ENUM_CAP = 2_000_000
@@ -58,12 +58,8 @@ def _bits(outcomes, T: int) -> np.ndarray:
 def set_hamming(a, b) -> int:
     """Hamming distance |a \\ b| + |b \\ a| between two index sets, each
     read by model._item_array on the ground set of whichever is a
-    DefectiveSet, if either is."""
-    na = getattr(a, "n", None)
-    nb = getattr(b, "n", None)
-    if na is not None and nb is not None and na != nb:
-        raise ParameterError(f"ground sets differ: {na} vs {nb}")
-    n = nb if na is None else na
+    DefectiveSet, if either is; two DefectiveSets must share it (model._ground)."""
+    n = _ground(getattr(a, "n", None), getattr(b, "n", None))
     return np.setxor1d(_item_array(a, n), _item_array(b, n), assume_unique=True).size
 
 

@@ -34,13 +34,14 @@ from .errors import (
 )
 from .harness import (
     ExperimentConfig,
+    _shape,
     masking_sweep,
     run_experiment,
     write_masking_csv,
     write_trials_csv,
 )
-from .metrics import _CRITERION_KINDS, _CRITERION_SLACK, Criterion, tests_for_rate, write_threshold_csv
-from .model import _PRIOR_KINDS, k_from_theta
+from .metrics import _CRITERION_KINDS, _CRITERION_SLACK, Criterion, write_threshold_csv
+from .model import _PRIOR_KINDS
 from .oracle import ORACLE_SUITES, oracle_check
 from .util import LN2
 
@@ -64,8 +65,6 @@ def _design_spec(args) -> DesignSpec:
     kind = args.design
     if kind.startswith("file:"):
         return DesignSpec("explicit", path=kind[len("file:") :])
-    if kind not in ("bernoulli", "ncc"):
-        raise ParameterError(f"--design must be bernoulli, ncc, or file:PATH, got {kind!r}")
     return DesignSpec(
         kind,
         nu=args.nu,
@@ -207,20 +206,8 @@ def _float_list(option: str, text: str) -> list:
     raise ParameterError(f"{option} wants comma-separated numbers, got {text!r}")
 
 
-def _resolve_n_k_T(args):
-    if args.n is None:
-        raise ParameterError("--n is required")
-    if (args.k is None) == (args.theta is None):
-        raise ParameterError("give exactly one of --k and --theta")
-    if (args.tests is None) == (args.rate is None):
-        raise ParameterError("give exactly one of --tests and --rate")
-    return args.n
-
-
 def cmd_gen_design(args) -> int:
-    n = _resolve_n_k_T(args)
-    k = args.k if args.k is not None else k_from_theta(n, args.theta)
-    T = args.tests if args.tests is not None else tests_for_rate(n, k, args.rate)
+    n, k, T = _shape(args.n, args.k, args.theta, args.tests, args.rate)
     spec = _design_spec(args)
     if spec.kind == "explicit":
         raise ParameterError("gen-design needs a random design kind, not file:PATH")
@@ -231,11 +218,10 @@ def cmd_gen_design(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    n = _resolve_n_k_T(args)
     # a kind from a config file skips --criterion's choices; Criterion refuses an unknown one
     slack = _CRITERION_SLACK.get(args.criterion, ())
     cfg = ExperimentConfig(
-        n=n,
+        n=args.n,
         design=_design_spec(args),
         decoder=args.decoder,
         criterion=Criterion(args.criterion, **{f: getattr(args, f) for f in slack}),

@@ -32,8 +32,8 @@ from .analysis import DEFAULT_ENUM_CAP, ExplainScorer, _defective_columns, _good
 from .analysis import _Instance, _satisfying_sets, _truth_instance
 from .design import DesignSpec, TestDesign, build_design
 from .errors import CapExceededError, ParameterError
-from .model import DefectiveSet, PriorSpec, _draw, _item_array, _sorted_sample
-from .util import floor_tol, mix_seed, require_count, require_real, round_half_up
+from .model import DefectiveSet, PriorSpec, _distinct, _draw, _item_array, _items, _sorted_sample
+from .util import floor_tol, mix_seed, require_choice, require_count, require_real, round_half_up
 
 DEFAULT_FAMILY_CAP = 5_000_000
 
@@ -112,10 +112,10 @@ class SubsetParams:
 
     frontend is "dd-pad" (dd estimate padded with the lowest-index comp
     survivors up to size k), "ml" (exhaustive maximum likelihood), or
-    "provided" with the size-k estimate passed in ``provided``.
-    ``family_cap`` bounds the candidate enumeration (None: no cap); when
-    exceeded the call refuses unless ``hill_climb`` enables the greedy swap
-    heuristic. Both caps are whole numbers, at least 0.
+    "provided" with the size-k estimate in ``provided``, kept as a sorted
+    tuple of ints. ``family_cap`` bounds the candidate enumeration (None: no
+    cap); when exceeded the call refuses unless ``hill_climb`` enables the
+    greedy swap heuristic. Both caps are whole numbers, at least 0.
     """
 
     eta_minus: float
@@ -128,12 +128,14 @@ class SubsetParams:
 
     def __post_init__(self):
         require_real("eta_minus", self.eta_minus, 1, low_closed=True)
-        if self.frontend not in ("dd-pad", "ml", "provided"):
-            raise ParameterError(f"unknown frontend {self.frontend!r}")
+        require_choice("frontend", self.frontend, ("dd-pad", "ml", "provided"))
         if self.frontend == "provided" and self.provided is None:
             raise ParameterError("frontend 'provided' needs the provided estimate")
-        if self.provided is not None and _item_array(self.provided).size != len(self.provided):
-            raise ParameterError(f"provided estimate repeats an item: {tuple(self.provided)}")
+        if self.provided is not None:
+            items = _items(self.provided, None)
+            if _distinct(items).size != items.size:  # _distinct sorts items in place
+                raise ParameterError(f"provided estimate repeats an item: {tuple(items.tolist())}")
+            object.__setattr__(self, "provided", tuple(items.tolist()))  # the fields are frozen
         require_real("radius_mult", self.radius_mult)
         require_count("ml_cap", self.ml_cap, low=0)
         if self.family_cap is not None:  # None: no cap
@@ -404,8 +406,8 @@ def _pipeline_setup(
     n: int, k: int, alpha: float | None, xi: float | None, inner: str, params: SubsetParams
 ) -> tuple:
     """(d, inner knobs) of a pipeline over n items with k defectives, once
-    alpha, xi and the inner decoder check out. It deletes
-    d = round((alpha - xi) * n) items, xi defaulting to alpha / 100.
+    alpha, xi and the inner decoder (any but ml, which needs k exactly) check
+    out. It deletes d = round((alpha - xi) * n) items, xi defaulting to alpha / 100.
 
     The subset inner decoder searches for m = floor((1 - eta_minus) * k)
     items, sized from the full k that the criterion counts against, within
@@ -415,11 +417,7 @@ def _pipeline_setup(
     the other inner decoders take the knobs as they are.
     """
     alpha = require_real("alpha", alpha, 1)
-    if inner not in _PIPELINE_INNER:
-        raise ParameterError(
-            f"inner decoder must be one of {_PIPELINE_INNER}, got {inner!r}; exhaustive ml "
-            "needs the defective count exactly, which deletion leaves uncertain"
-        )
+    require_choice("inner", inner, _PIPELINE_INNER)
     xi = alpha / 100.0 if xi is None else require_real("xi", xi, alpha, low_closed=True, high_closed=True)
     d = round_half_up((alpha - xi) * n)
     if d >= n:

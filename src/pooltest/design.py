@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DesignFormatError, ParameterError
-from .model import _distinct, _increasing
-from .util import LN2, require_count, require_real, round_half_up
+from .model import _distinct, _increasing, _items
+from .util import LN2, require_choice, require_count, require_real, round_half_up
 
 
 class TestDesign:
@@ -179,8 +179,9 @@ class TestDesign:
         return self.col_flat[self.col_ptr[i - 1] : self.col_ptr[i]]
 
     def cols_of(self, items) -> np.ndarray:
-        """The columns of the given items concatenated: col(i) for each i in turn."""
-        return self._columns(items)[0]
+        """The columns of the given items, read by model._items on 1..n,
+        concatenated: col(i) for each i in turn."""
+        return self._columns(_items(items, self.n))[0]
 
     @property
     def entry_count(self) -> int:
@@ -381,8 +382,7 @@ class DesignSpec:
     path: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("bernoulli", "ncc", "explicit"):
-            raise ParameterError(f"unknown design kind {self.kind!r}")
+        require_choice("design", self.kind, ("bernoulli", "ncc", "explicit"))
         if self.kind == "explicit" and not self.path:
             raise ParameterError("explicit design spec needs a path")
         require_real("nu", self.nu)

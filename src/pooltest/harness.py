@@ -46,7 +46,7 @@ from .design import DesignSpec, TestDesign, build_design
 from .errors import ParameterError, RefusalBudgetError
 from .metrics import Criterion, _score, tests_for_rate
 from .model import PriorSpec, _draw, _two_step_q, k_from_theta
-from .util import mix_seed, require_count
+from .util import mix_seed, require_choice, require_count
 
 TAG_TRIAL = 0
 TAG_DESIGN = 1
@@ -80,18 +80,31 @@ def trial_seed(master_seed: int, trial: int, tag: int = TAG_TRIAL) -> int:
     return mix_seed(master_seed, trial, tag)
 
 
+def _shape(n, k, theta, T, target_rate) -> tuple:
+    """(n, k, T) of a run, the one shape rule: n a count, exactly one of k
+    and theta, exactly one of T and target_rate, and k <= n; k from theta and
+    T from the rate when not given. Else ParameterError."""
+    n = require_count("n", n)
+    if (k is None) == (theta is None):
+        raise ParameterError("exactly one of k and theta must be given")
+    if (T is None) == (target_rate is None):
+        raise ParameterError("exactly one of T and target_rate must be given")
+    k = require_count("k", k, high=n) if k is not None else k_from_theta(n, theta)
+    return n, k, require_count("T", T) if T is not None else tests_for_rate(n, k, target_rate)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one Monte Carlo experiment, read once, when it
     is made.
 
-    Exactly one of (k, theta) and exactly one of (T, target_rate) must be
-    set. ``decoder`` is comp, dd, ml, subset, or pipeline; the pipeline
+    ``_shape`` reads (n, k, theta, T, target_rate), as it does for
+    gen-design. ``decoder`` is comp, dd, ml, subset, or pipeline; the pipeline
     draws its truth from the configured prior and builds its own per-trial
     design from ``design`` after deleting items. ``__post_init__`` refuses a
     bad input with ParameterError and resolves what every trial shares into
     the fields after ``inner``, which stay out of init, repr and equality:
-    ``run_k`` and ``run_T`` (from theta and target_rate when not given), the
+    ``run_k`` and ``run_T`` (``_shape``'s k and T), the
     ``prior``, the search knobs ``params`` (eta_minus defaulting to the
     subset criterion's slack, else 0.1; the pipeline's are its inner
     search's, from ``decode._pipeline_setup``), the pipeline's ``deletions``
@@ -133,16 +146,9 @@ class ExperimentConfig:
     explicit_design: TestDesign | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = require_count("n", self.n)
-        if (self.k is None) == (self.theta is None):
-            raise ParameterError("exactly one of k and theta must be given")
-        if (self.T is None) == (self.target_rate is None):
-            raise ParameterError("exactly one of T and target_rate must be given")
-        k = require_count("k", self.k, high=n) if self.k is not None else k_from_theta(n, self.theta)
-        T = require_count("T", self.T) if self.T is not None else tests_for_rate(n, k, self.target_rate)
+        n, k, T = _shape(self.n, self.k, self.theta, self.T, self.target_rate)
         require_count("master_seed", self.master_seed, low=None)
-        if self.decoder not in _DECODER_NAMES:
-            raise ParameterError(f"unknown decoder {self.decoder!r}")
+        require_choice("decoder", self.decoder, _DECODER_NAMES)
         require_count("trials", self.trials)
         if require_count("workers", self.workers) > 1 and not hasattr(os, "fork"):
             raise ParameterError("workers > 1 needs os.fork, which this platform lacks")

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
 from .model import _item_array
-from .util import LN2, ceil_tol, floor_tol, require_count, require_real
+from .util import LN2, ceil_tol, floor_tol, require_choice, require_count, require_real
 
 #: Largest sparsity exponent for which the exact-recovery rate limit equals 1.
 THETA_KNEE = LN2 / (1.0 + LN2)
@@ -102,8 +101,7 @@ class Criterion:
     alpha_fp: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _CRITERION_SLACK:
-            raise ParameterError(f"unknown criterion kind {self.kind!r}")
+        require_choice("criterion", self.kind, _CRITERION_KINDS)
         for name in ("eta_minus", "eta_plus", "beta", "alpha_fn", "alpha_fp"):
             val = getattr(self, name)
             if val is not None or name in _CRITERION_SLACK[self.kind]:

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ParameterError
-from .util import require_count, require_real, round_half_up
+from .util import require_choice, require_count, require_real, round_half_up
 
 if TYPE_CHECKING:
     from .design import TestDesign
@@ -141,8 +141,7 @@ class PriorSpec:
     q: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _PRIOR_KINDS:
-            raise ParameterError(f"unknown prior kind {self.kind!r}")
+        require_choice("prior", self.kind, _PRIOR_KINDS)
         if self.kind != "iid":
             require_count("k", self.k)
         else:
@@ -224,11 +223,18 @@ def _draw(prior: PriorSpec, n: int, seed) -> np.ndarray:
     return chosen
 
 
+def _ground(na: int | None, nb: int | None) -> int | None:
+    """The one ground-set size of two inputs (None: not known), the one
+    ground-set rule; two known sizes that differ raise ParameterError."""
+    if na is not None and nb is not None and na != nb:
+        raise ParameterError(f"ground sets differ: n={na} vs n={nb}")
+    return nb if na is None else na
+
+
 def _members_on(design: TestDesign, s: DefectiveSet) -> np.ndarray:
-    """The set's members as an int64 array, once the set is checked to lie
-    on the design's ground set."""
-    if s.n != design.n:
-        raise ParameterError(f"ground sets differ: design n={design.n}, set n={s.n}")
+    """The set's members as an int64 array, once _ground checks that the set
+    lies on the design's ground set."""
+    _ground(design.n, s.n)
     return np.asarray(s.members, dtype=np.int64)
 
 

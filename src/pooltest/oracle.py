@@ -17,10 +17,9 @@ import numpy as np
 from .analysis import _instance, explained_tests, good_test_counts, masking_report, posterior_uniformity_check
 from .decode import SubsetParams, _front_end, _search_shape, comp_decode, dd_decode, ml_oracle, subset_decode
 from .design import TestDesign, bernoulli_design, ncc_design
-from .errors import ParameterError
 from .metrics import chernoff_lower, chernoff_upper, chernoff_weak_lower, chernoff_weak_upper
 from .model import DefectiveSet, generate_outcomes
-from .util import LN2, mix_seed, require_count
+from .util import LN2, mix_seed, require_choice, require_count
 
 
 @dataclass(frozen=True)
@@ -275,8 +274,7 @@ ORACLE_SUITES = {
 def oracle_check(suite: str, seed: int = 0, **overrides) -> SuiteResult:
     """Run one named cross-check suite at its pinned sizes, or at the given
     ones, each at least 1."""
-    if suite not in ORACLE_SUITES:
-        raise ParameterError(f"unknown suite {suite!r}; choose from {sorted(ORACLE_SUITES)}")
+    require_choice("suite", suite, sorted(ORACLE_SUITES))
     for key, size in overrides.items():
         require_count(key, size)
     return ORACLE_SUITES[suite](seed=seed, **overrides)

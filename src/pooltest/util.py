@@ -57,6 +57,16 @@ def require_count(name: str, value, low: int | None = 1, high: int | None = None
     raise ParameterError(f"need {bound}, got {value}")
 
 
+def require_choice(name: str, value, choices) -> str:
+    """``value`` when it is one of the strings ``choices``; else
+    ParameterError in the form of require_count: "need {name} in {a, b},
+    got {value}", a string value quoted."""
+    if isinstance(value, str) and value in choices:
+        return value
+    value = repr(value) if isinstance(value, str) else value
+    raise ParameterError(f"need {name} in {{{', '.join(choices)}}}, got {value}")
+
+
 def round_half_up(x: float) -> int:
     """Round to nearest integer, ties away from zero (upward for x >= 0)."""
     return int(math.floor(x + 0.5))

@@ -62,7 +62,8 @@ def test_set_hamming():
     a = DefectiveSet(10, (1, 2))
     b = DefectiveSet(10, (2, 3))
     assert set_hamming(a, b) == 2
-    with pytest.raises(ParameterError, match="ground sets differ"):
+    # worded as the design readers word it, by model._ground
+    with pytest.raises(ParameterError, match=r"^ground sets differ: n=10 vs n=11$"):
         set_hamming(DefectiveSet(10, (1,)), DefectiveSet(11, (1,)))
 
 
@@ -263,7 +264,7 @@ def test_masking_report_checks_ground_set():
 def test_defective_set_readers_check_the_ground_set(analysis):
     # all three refuse a set over 4 items on a design over 5, with one message
     design = TestDesign.from_rows(5, [(1, 2), (3,), (4, 5)])
-    with pytest.raises(ParameterError, match=r"^ground sets differ: design n=5, set n=4$"):
+    with pytest.raises(ParameterError, match=r"^ground sets differ: n=5 vs n=4$"):
         analysis(design, DefectiveSet(4, (1,)))
 
 

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from pooltest.cli import main
-from pooltest.decode import _DECODER_NAMES, _PIPELINE_INNER
+from pooltest.decode import _DECODER_NAMES, _PIPELINE_INNER, SubsetParams, deletion_pipeline
 from pooltest.design import DesignSpec, load_design, ncc_design, save_design
 from pooltest.harness import ExperimentConfig, run_experiment, write_trials_csv
 from pooltest.errors import ParameterError
 from pooltest.metrics import _CRITERION_KINDS, Criterion
 from pooltest.metrics import tests_for_rate as minimal_tests
-from pooltest.model import k_from_theta
+from pooltest.model import _PRIOR_KINDS, PriorSpec, k_from_theta
+from pooltest.oracle import ORACLE_SUITES, oracle_check
 
 
 def run_cli(*args, cwd=None):
@@ -75,10 +76,30 @@ def test_gen_design_parameter_error_is_exit_1(tmp_path):
     assert "error" in r.stderr.lower()
 
 
+# gen-design reads its shape by the rule simulate's config reads, in the same words
+SHAPES = {
+    "k-above-n": (("--n", "10", "--k", "20", "--tests", "5"), "need 1 <= k <= 10, got 20"),
+    "k-above-n-rate": (("--n", "10", "--k", "20", "--rate", "0.5"), "need 1 <= k <= 10, got 20"),
+    "no-k": (("--n", "10", "--tests", "5"), "exactly one of k and theta must be given"),
+    "no-tests": (("--n", "10", "--k", "2"), "exactly one of T and target_rate must be given"),
+    "no-n": (("--k", "2", "--tests", "5"), "need n >= 1, got None"),
+}
+
+
+@pytest.mark.parametrize("command", ["gen-design", "simulate"])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_gen_design_and_simulate_refuse_a_shape_alike(command, shape, tmp_path, capsys):
+    argv, message = SHAPES[shape]
+    out = tmp_path / "out"
+    assert main([command, *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_gen_design_rejects_zero_k(tmp_path):
     r = run_cli("gen-design", "--n", 30, "--k", 0, "--tests", 20, "--out", tmp_path / "x.txt")
     assert r.returncode == 1
-    assert "error: bernoulli design needs k >= 1" in r.stderr
+    assert "error: need 1 <= k <= 30, got 0" in r.stderr
     assert "Traceback" not in r.stderr
 
 
@@ -427,6 +448,44 @@ def test_unusable_files_are_exit_1(case, tmp_path):
     assert "Traceback" not in r.stderr
 
 
+# every choice reader, each refusing a value in require_choice's one wording;
+# all but the suite are reached past argparse's choices by a config-file line,
+# with the flags that reach the reader
+CHOICE_READERS = {
+    "design": (lambda v: DesignSpec(v), ("bernoulli", "ncc", "explicit"), ()),
+    "decoder": (
+        lambda v: ExperimentConfig(
+            n=20, k=2, T=10, design=DesignSpec("bernoulli"), decoder=v, criterion=Criterion.exact(), trials=2
+        ),
+        _DECODER_NAMES,
+        (),
+    ),
+    "frontend": (lambda v: SubsetParams(0.1, frontend=v), ("dd-pad", "ml", "provided"), ()),
+    "inner": (
+        lambda v: deletion_pipeline(DesignSpec("bernoulli"), 100, 5, 40, alpha=0.1, inner=v),
+        _PIPELINE_INNER,
+        ("--decoder", "pipeline", "--alpha", "0.1"),
+    ),
+    "criterion": (lambda v: Criterion(v), _CRITERION_KINDS, ()),
+    "prior": (lambda v: PriorSpec(v, k=2), _PRIOR_KINDS, ()),
+    "suite": (lambda v: oracle_check(v), sorted(ORACLE_SUITES), None),
+}
+
+
+@pytest.mark.parametrize("name", CHOICE_READERS)
+def test_every_choice_is_refused_in_one_wording(name, tmp_path, capsys):
+    call, choices, flags = CHOICE_READERS[name]
+    value = "ml" if name == "inner" else "nope"
+    message = f"need {name} in {{{', '.join(choices)}}}, got '{value}'"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        call(value)
+    if flags is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{name} = {value}\n")
+        assert main([*_SIM, *flags, "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # oracle-check
 
@@ -506,7 +565,7 @@ def test_config_file_rejects_an_unknown_criterion(tmp_path):
     cfg.write_text("criterion = foo\n")
     r = run_cli(*_SIM, "--config", cfg, "--out", tmp_path / "t.csv")
     assert r.returncode == 1
-    assert "error: unknown criterion" in r.stderr
+    assert "error: need criterion in {exact, subset, superset, two-sided, asymmetric}, got 'foo'" in r.stderr
     assert "Traceback" not in r.stderr
 
 

@@ -378,6 +378,15 @@ def test_subset_params_read_provided_items_as_whole_numbers():
     assert subset_decode(d, y, 3, whole) == subset_decode(d, y, 3, ints)
 
 
+def test_subset_params_read_provided_once_into_a_sorted_tuple_of_ints():
+    # a generator is read once, not spent by one read and refused by the next
+    params = SubsetParams(0.5, frontend="provided", provided=(i for i in (5, 2)))
+    assert params.provided == (2, 5) and all(type(i) is int for i in params.provided)
+    assert params == SubsetParams(0.5, frontend="provided", provided=np.array([2.0, 5.0]))
+    with pytest.raises(ParameterError, match=r"^provided estimate repeats an item: \(2, 2, 5\)$"):
+        SubsetParams(0.5, frontend="provided", provided=(i for i in (2, 5, 2)))
+
+
 # ---------------------------------------------------------------------------
 # the deletion pipeline
 
@@ -390,7 +399,7 @@ def test_pipeline_validation():
         deletion_pipeline(SPEC, 100, 5, 40, alpha=0.0)
     with pytest.raises(ParameterError):
         deletion_pipeline(SPEC, 100, 5, 40, alpha=1.0)
-    with pytest.raises(ParameterError, match="exhaustive ml"):
+    with pytest.raises(ParameterError, match=r"^need inner in \{comp, dd, subset\}, got 'ml'$"):
         deletion_pipeline(SPEC, 100, 5, 40, alpha=0.1, inner="ml")
     with pytest.raises(ParameterError):
         deletion_pipeline(SPEC, 100, 5, 40, alpha=0.1, xi=0.2)

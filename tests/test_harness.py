@@ -123,7 +123,7 @@ def test_config_requires_exactly_one_size_spec():
 
 
 def test_config_rejects_unknown_decoder():
-    with pytest.raises(ParameterError, match="unknown decoder"):
+    with pytest.raises(ParameterError, match=r"^need decoder in \{comp, dd, ml, subset, pipeline\}, got 'guess'$"):
         small_config(decoder="guess")
 
 
@@ -148,7 +148,7 @@ SEARCHES = {
 }
 BAD_KNOBS = {
     "provided": (dict(frontend="provided"), "^frontend 'provided' needs the provided estimate$"),
-    "bogus": (dict(frontend="bogus"), "^unknown frontend 'bogus'$"),
+    "bogus": (dict(frontend="bogus"), r"^need frontend in \{dd-pad, ml, provided\}, got 'bogus'$"),
     "eta": (dict(eta_minus=1.5), "^need 0 <= eta_minus < 1, got 1.5$"),
     "radius": (dict(radius_mult=-1), "^need radius_mult > 0, got -1$"),
 }
@@ -164,7 +164,7 @@ def test_config_refuses_a_bad_search_knob_when_made(search, knob):
 
 
 def test_config_reads_the_search_knobs_whatever_the_decoder():
-    with pytest.raises(ParameterError, match="^unknown frontend 'bogus'$"):
+    with pytest.raises(ParameterError, match=r"^need frontend in \{dd-pad, ml, provided\}, got 'bogus'$"):
         small_config(decoder="dd", frontend="bogus")
 
 
@@ -218,7 +218,9 @@ RUN_INPUTS = {
     "iid-q": (dict(prior_kind="iid", prior_q=1.5), "^need 0 < q < 1, got 1.5$"),
     "theta": (dict(k=None, theta=1.5), "^need 0 < theta < 1, got 1.5$"),
     "rate": (dict(T=None, target_rate=-1.0), "^need target_rate > 0, got -1.0$"),
-    "prior-kind": (dict(prior_kind="bogus"), "^unknown prior kind 'bogus'$"),
+    "prior-kind": (
+        dict(prior_kind="bogus"), r"^need prior in \{combinatorial, iid, iid-trim, iid-pad\}, got 'bogus'$"
+    ),
 }
 
 
@@ -769,7 +771,8 @@ def test_masking_sweep_rejects_explicit_design_of_wrong_shape(tmp_path):
 
 
 def test_oracle_check_dispatch():
-    with pytest.raises(ParameterError, match="unknown suite"):
+    suites = ", ".join(sorted(ORACLE_SUITES))
+    with pytest.raises(ParameterError, match=rf"^need suite in \{{{suites}\}}, got 'never-heard-of-it'$"):
         oracle_check("never-heard-of-it")
 
 

@@ -98,10 +98,11 @@ def _load_rows(n, rows):
 
 
 # every public reader of item indices: the set readers, and the readers that
-# keep the items in their order and need them strictly increasing, the
-# second row of a design and of a design file among them
+# keep the items in their order, cols_of and the ones that need them strictly
+# increasing, the second row of a design and of a design file among them
 ITEM_READERS = {
     **SET_READERS,
+    "cols_of": lambda items: _EXPLAIN_DESIGN.cols_of(items),
     "provided": lambda items: decode.SubsetParams(0.5, frontend="provided", provided=tuple(items)),
     "DefectiveSet": lambda items: DefectiveSet(4, items),
     "from_rows": lambda items: TestDesign.from_rows(4, [(1,), items]),
