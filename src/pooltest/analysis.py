@@ -19,7 +19,10 @@ Outcomes are a length-T bool array. Per-defective counts are bincounts over an
 owner index of the defectives' columns; ExplainScorer is the one place tests
 become integer bitmasks. A trial's decoders and masking read one _Instance:
 the design, its outcomes and its clean mask, computed once from the
-defective set as a sorted int64 array. A trial's masking counts are counts
+defective set as a sorted int64 array. Its one survivor view, the clean items
+and their columns, is built on first read and kept: comp, dd, the dd-pad front
+end, ExplainScorer and the satisfying-set enumeration all read it, so no
+trial reads the survivors' columns twice. A trial's masking counts are counts
 over masks; only masking_report lists the masked items.
 """
 
@@ -28,6 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,13 +86,25 @@ class _Instance:
     read by every decoder and analysis of it.
 
     ``columns`` is _defective_columns of the defective set the outcomes came
-    from, for an instance built from that set; masking reads it.
+    from, for an instance built from that set; masking reads it. The survivor
+    view is computed on first read and kept: ``survivors`` are the comp
+    survivors, the clean items as a sorted int64 array, and
+    ``survivor_columns`` their _defective_columns, which dd, the dd-pad front
+    end and ExplainScorer share. A comp trial reads no columns of them.
     """
 
     design: TestDesign
     positive: np.ndarray
     clean: np.ndarray
     columns: tuple | None = None
+
+    @cached_property
+    def survivors(self) -> np.ndarray:
+        return np.flatnonzero(self.clean) + 1
+
+    @cached_property
+    def survivor_columns(self) -> tuple:
+        return _defective_columns(self.design, self.survivors)
 
 
 def _instance(design: TestDesign, outcomes) -> _Instance:
@@ -128,43 +144,33 @@ def explained_tests(design: TestDesign, outcomes, candidate) -> ExplainCount:
 
 class ExplainScorer:
     """Explain counts of many candidates on one instance, from integer test
-    bitmasks (bit t - 1 for test t): the package's one builder of them.
+    bitmasks (bit t - 1 for test t): the package's one builder of them, read
+    off the instance's survivor columns.
 
-    ``live`` lists the live items in order: clean ones (in ``clean``) that sit
-    in some test. ``masks[i - 1]`` holds a live item i's tests and is 0 for
-    every other item, and ``positive`` is the mask of the positive tests. A
+    ``live`` lists the live items in order: comp survivors that sit in some
+    test. ``masks`` maps each live item to the mask of its tests, and every
+    other item reads as 0; ``positive`` is the mask of the positive tests. A
     candidate's explained count is the popcount of the OR over its members'
     masks.
     """
 
-    def __init__(self, design: TestDesign, outcomes):
-        self._read(_instance(design, outcomes))
-
-    @classmethod
-    def _of(cls, inst: _Instance) -> "ExplainScorer":
-        scorer = cls.__new__(cls)
-        scorer._read(inst)
-        return scorer
-
-    def _read(self, inst: _Instance) -> None:
-        self.clean = inst.clean
-        clean = np.flatnonzero(self.clean) + 1
-        tests, owner = inst.design._columns(clean)
-        lens = np.bincount(owner, minlength=clean.size)
+    def __init__(self, inst: _Instance):
+        idx, tests, owner, _ = inst.survivor_columns
+        lens = np.bincount(owner, minlength=idx.size)
         in_tests = lens > 0
-        self.live = clean[in_tests].tolist()
-        self.masks = [0] * inst.design.n
+        self.live = idx[in_tests].tolist()
+        self.masks = {}
         bits = (tests - 1).tolist()  # the live items' tests, item after item
         start = 0
         for i, end in zip(self.live, np.cumsum(lens[in_tests]).tolist()):
-            self.masks[i - 1] = sum(1 << t for t in bits[start:end])
+            self.masks[i] = sum(1 << t for t in bits[start:end])
             start = end
         self.positive = int.from_bytes(np.packbits(inst.positive, bitorder="little").tobytes(), "little")
 
     def union_mask(self, candidate) -> int:
         m = 0
         for i in candidate:
-            m |= self.masks[i - 1]
+            m |= self.masks.get(i, 0)
         return m
 
     def count(self, candidate) -> int:
@@ -242,17 +248,17 @@ def _masking_counts(inst: _Instance) -> tuple:
     """(masked defectives, masked non-defectives) of the defective set an
     instance was built from, the counts of masking_report.
 
-    A defective sits in positive tests only, so it is clean, and the masked
-    non-defectives are the clean items other than the defectives.
+    A defective sits in positive tests only, so it is a comp survivor, and the
+    masked non-defectives are the survivors other than the defectives.
     """
     k = inst.columns[0].size
-    return int(np.count_nonzero(_masked_defectives(inst))), int(np.count_nonzero(inst.clean)) - k
+    return int(np.count_nonzero(_masked_defectives(inst))), inst.survivors.size - k
 
 
 def satisfying_sets(design: TestDesign, outcomes, k: int, cap: int = DEFAULT_ENUM_CAP) -> list:
     """All size-k sets reproducing the outcomes, in lexicographic order.
 
-    Only the clean items' k-subsets can, so only they are enumerated; the
+    Only the comp survivors' k-subsets can, so only they are enumerated; the
     call still refuses when C(n, k) exceeds ``cap``.
     """
     return _satisfying_sets(_instance(design, outcomes), require_count("k", k, low=0), cap)
@@ -263,9 +269,9 @@ def _satisfying_sets(inst: _Instance, k: int, cap: int) -> list:
     total = math.comb(n, k)
     if total > cap:
         raise CapExceededError(f"C({n}, {k}) = {total} exceeds enumeration cap {cap}", estimate=total)
-    scorer = ExplainScorer._of(inst)
-    clean = (np.flatnonzero(scorer.clean) + 1).tolist()
-    return [c for c in itertools.combinations(clean, k) if scorer.union_mask(c) == scorer.positive]
+    scorer = ExplainScorer(inst)
+    survivors = inst.survivors.tolist()
+    return [c for c in itertools.combinations(survivors, k) if scorer.union_mask(c) == scorer.positive]
 
 
 @dataclass(frozen=True)
@@ -317,7 +323,7 @@ def posterior_uniformity_check(
             estimate=total,
         )
     # under all-positive outcomes every item is clean and keeps its full column
-    scorer = ExplainScorer(design, np.ones(design.T, dtype=bool))
+    scorer = ExplainScorer(_instance(design, np.ones(design.T, dtype=bool)))
     groups: dict = {}
     for j, combo in enumerate(itertools.combinations(range(1, design.n + 1), k)):
         groups.setdefault(scorer.union_mask(combo), []).append(j)

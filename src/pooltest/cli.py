@@ -8,12 +8,12 @@ Subcommands:
     oracle-check run a named cross-check suite
 
 A config file (--config PATH) holds flat ``key = value`` lines using the
-long option names; values given on the command line override it. A key that
-names no option of any subcommand, a number that does not parse, or a switch
-not set to 1/true/yes/on or 0/false/no/off (any case) is a parameter error
-naming the file and line. Exit codes: 0 success, 1 parameter error or a file
-that cannot be read or written, 2 usage error (argparse) or suite failure,
-3 refusal budget exceeded.
+long option names, required ones included; values given on the command line
+override it. A key that names no option of any subcommand, a number that does
+not parse, or a switch not set to 1/true/yes/on or 0/false/no/off (any case)
+is a parameter error naming the file and line. Exit codes: 0 success, 1
+parameter error or a file that cannot be read or written, 2 usage error
+(argparse) or suite failure, 3 refusal budget exceeded.
 """
 
 from __future__ import annotations
@@ -178,6 +178,7 @@ def _apply_config_file(parser, argv):
             if key not in values:
                 continue
             line_no, raw = values[key]
+            sub_action.required = False  # the file supplies it
             if isinstance(sub_action, argparse._StoreTrueAction):
                 defaults[key] = raw.lower() in ("1", "true", "yes", "on")
                 if not defaults[key] and raw.lower() not in ("0", "false", "no", "off"):

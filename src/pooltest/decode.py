@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import DEFAULT_ENUM_CAP, ExplainScorer, _defective_columns, _good_counts, _instance
-from .analysis import _Instance, _satisfying_sets, _truth_instance
+from .analysis import DEFAULT_ENUM_CAP, ExplainScorer, _good_counts, _instance, _Instance
+from .analysis import _satisfying_sets, _truth_instance
 from .design import DesignSpec, TestDesign, build_design
 from .errors import CapExceededError, ParameterError
 from .model import DefectiveSet, PriorSpec, _distinct, _draw, _item_array, _items, _sorted_sample
@@ -38,23 +38,9 @@ from .util import floor_tol, mix_seed, require_choice, require_count, require_re
 DEFAULT_FAMILY_CAP = 5_000_000
 
 
-def _survivors(inst: _Instance) -> np.ndarray:
-    """The comp survivors: items in no negative test, as a sorted int64 array."""
-    return np.flatnonzero(inst.clean) + 1
-
-
-def _sole(design: TestDesign, survivors: np.ndarray) -> np.ndarray:
-    """Survivors that are the only survivor of some test, sorted.
-
-    Survivors sit in positive tests only, so counting over their own columns
-    finds every positive test that holds exactly one of them.
-    """
-    return survivors[_good_counts(_defective_columns(design, survivors)) > 0]
-
-
 def comp_decode(design: TestDesign, outcomes) -> tuple:
     """Items appearing in no negative test, sorted."""
-    return tuple(_survivors(_instance(design, outcomes)).tolist())
+    return tuple(_instance(design, outcomes).survivors.tolist())
 
 
 def dd_decode(design: TestDesign, outcomes) -> tuple:
@@ -64,7 +50,12 @@ def dd_decode(design: TestDesign, outcomes) -> tuple:
 
 
 def _dd(inst: _Instance) -> np.ndarray:
-    return _sole(inst.design, _survivors(inst))
+    """The survivors that are the only survivor of some test, sorted.
+
+    Survivors sit in positive tests only, so counting over their own columns
+    finds every positive test that holds exactly one of them.
+    """
+    return inst.survivors[_good_counts(inst.survivor_columns) > 0]
 
 
 def ml_oracle(design: TestDesign, outcomes, k: int, cap: int = DEFAULT_ENUM_CAP) -> tuple:
@@ -153,9 +144,8 @@ def dd_pad_frontend(design: TestDesign, outcomes, k: int) -> tuple:
 
 def _dd_pad(inst: _Instance, k: int) -> tuple:
     n, k = inst.design.n, require_count("k", k, low=0, high=inst.design.n)
-    survivors = _survivors(inst)
-    chosen = set(_sole(inst.design, survivors).tolist()[:k])
-    for i in itertools.chain(survivors.tolist(), range(1, n + 1)):
+    chosen = set(_dd(inst).tolist()[:k])
+    for i in itertools.chain(inst.survivors.tolist(), range(1, n + 1)):
         if len(chosen) == k:
             break
         chosen.add(i)
@@ -203,7 +193,7 @@ def _argmax_explained(scorer: ExplainScorer, base, size, radius, n):
     """
     base_set = set(base)
     live = [i for i in scorer.live if i not in base_set]
-    live_masks = [scorer.masks[i - 1] for i in live]
+    live_masks = [scorer.masks[i] for i in live]
     widest = max((m.bit_count() for m in live_masks), default=0)
     reach = scorer.union_mask(live)
     js = _swaps(len(base), size, radius, n)
@@ -245,7 +235,7 @@ def _hill_climb(scorer: ExplainScorer, base, size, radius):
     base_set = set(base)
     masks = scorer.masks
     # (item, mask, change in distance from the base when the item comes in)
-    live = [(i, masks[i - 1], -1 if i in base_set else 1) for i in scorer.live]
+    live = [(i, masks[i], -1 if i in base_set else 1) for i in scorer.live]
     widest = max((m.bit_count() for _, m, _ in live), default=0)
     reach = scorer.union_mask(scorer.live)
     current = list(base[:size])
@@ -255,7 +245,7 @@ def _hill_climb(scorer: ExplainScorer, base, size, radius):
         dist = len(base_set ^ cur_set)
         best_swap = None
         # ORs of the members before and after each position
-        member_masks = [masks[i - 1] for i in current]
+        member_masks = [masks.get(i, 0) for i in current]
         before = list(itertools.accumulate(member_masks, operator.or_, initial=0))
         after = list(itertools.accumulate(reversed(member_masks), operator.or_, initial=0))[::-1]
         for p, out in enumerate(current):
@@ -324,7 +314,7 @@ def _subset(inst: _Instance, k: int, params: SubsetParams) -> tuple:
     if size == 0:
         return (), "target size (1 - eta_minus) * k rounds to zero; returning empty estimate"
     base = _front_end(inst, k, params)
-    scorer = ExplainScorer._of(inst)
+    scorer = ExplainScorer(inst)
     n = inst.design.n
     count = family_size(len(base), size, radius, n)
     if params.family_cap is None or count <= params.family_cap:
@@ -345,7 +335,7 @@ def _subset(inst: _Instance, k: int, params: SubsetParams) -> tuple:
 #: name -> run(instance, k, params), the estimate as a sorted int64 array;
 #: ml reads params.ml_cap, and subset drops the note on an empty estimate
 _DECODERS = {
-    "comp": lambda inst, k, params: _survivors(inst),
+    "comp": lambda inst, k, params: inst.survivors,
     "dd": lambda inst, k, params: _dd(inst),
     "ml": lambda inst, k, params: np.array(_ml(inst, k, params.ml_cap), dtype=np.int64),
     "subset": lambda inst, k, params: np.array(_subset(inst, k, params)[0], dtype=np.int64),

@@ -6,6 +6,7 @@ import pytest
 
 from pooltest.analysis import (
     ExplainScorer,
+    _instance,
     clean_items,
     explained_tests,
     good_test_counts,
@@ -163,7 +164,7 @@ def test_explain_scorer_agrees_with_explained_tests():
         d, s, y_truth = random_instance(rng)
         # the all-negative outcomes leave no test to explain
         for y in (y_truth, np.zeros(d.T, dtype=bool)):
-            scorer = ExplainScorer(d, y)
+            scorer = ExplainScorer(_instance(d, y))
             for _ in range(10):
                 k = int(rng.integers(0, min(5, d.n) + 1))
                 cand = tuple(sorted(int(i) for i in rng.choice(d.n, size=k, replace=False) + 1))
@@ -173,7 +174,7 @@ def test_explain_scorer_agrees_with_explained_tests():
             masks = [
                 sum(1 << t for t in (d.col(i) - 1).tolist()) if i in clean else 0 for i in range(1, d.n + 1)
             ]
-            assert scorer.masks == masks
+            assert scorer.masks == {i: m for i, m in enumerate(masks, 1) if m}
             assert scorer.live == [i for i, m in enumerate(masks, 1) if m]
             assert scorer.positive == sum(1 << t for t in np.flatnonzero(y).tolist())
             empty_clean += sum(1 for i in clean if d.col(i).size == 0)
@@ -181,9 +182,22 @@ def test_explain_scorer_agrees_with_explained_tests():
     assert empty_clean > 0
 
 
+def test_explain_scorer_keeps_a_mask_per_live_survivor_only():
+    # 2^20 items, nearly all of them survivors in no test: only the five
+    # survivors that sit in a test get a mask
+    n = 2**20
+    d = TestDesign.from_rows(n, [(1, 2), (3, n), (5,), (2, 7)])
+    y = generate_outcomes(d, DefectiveSet(n, (2, n)))
+    scorer = ExplainScorer(_instance(d, y))
+    assert scorer.live == [1, 2, 3, 7, n]
+    assert sorted(scorer.masks) == scorer.live
+    assert scorer.masks == {1: 0b0001, 2: 0b1001, 3: 0b0010, 7: 0b1000, n: 0b0010}
+    assert scorer.union_mask((4, 5, 6)) == 0 and scorer.count((1, 2, n)) == 3
+
+
 def test_explain_scorer_regression_instance():
     y = generate_outcomes(REGRESSION_DESIGN, REGRESSION_TRUTH)
-    scorer = ExplainScorer(REGRESSION_DESIGN, y)
+    scorer = ExplainScorer(_instance(REGRESSION_DESIGN, y))
     assert scorer.count((4, 5, 6)) == 0
     assert scorer.count((2, 3, 4)) == 4
     assert scorer.union_mask((4, 5, 6)) == 0

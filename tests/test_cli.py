@@ -600,6 +600,46 @@ def test_config_file_switch_values(tmp_path):
     assert f"error: {cfg}:5: record_sets wants true or false, got 'ture'" in r.stderr
 
 
+# a file's line stands for an option argparse requires; each command reads its
+# required options from the file alone
+_REQUIRED_FROM_FILE = {
+    "oracle-check": "suite = ml-enum\n",
+    "masking": "n = 60\ntheta = 0.35\nrates = 0.7,1.0\ntrials = 3\nout = {out}\n",
+    "gen-design": "n = 40\nk = 3\ntests = 20\nout = {out}\n",
+    "thresholds": "thetas = 0.3,0.5\nout = {out}\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REQUIRED_FROM_FILE))
+def test_config_file_supplies_required_options(command, tmp_path):
+    cfg, out = tmp_path / "c.cfg", tmp_path / "out.txt"
+    cfg.write_text(_REQUIRED_FROM_FILE[command].format(out=out))
+    r = run_cli(command, "--config", cfg)
+    assert r.returncode == 0, r.stderr
+    if command == "oracle-check":
+        assert "[PASS] ml-enum" in r.stdout
+    else:
+        assert out.stat().st_size > 0
+
+
+def test_config_file_leaves_a_missing_required_option_a_usage_error(tmp_path):
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(f"n = 60\ntheta = 0.35\ntrials = 3\nout = {tmp_path / 'm.csv'}\n")
+    r = run_cli("masking", "--config", cfg)
+    assert r.returncode == 2
+    assert "the following arguments are required: --rates" in r.stderr
+
+
+def test_config_file_suite_is_read_by_the_choice_rule(tmp_path):
+    # a file's value skips --suite's choices; oracle_check refuses it
+    cfg = tmp_path / "o.cfg"
+    cfg.write_text("suite = bogus\n")
+    r = run_cli("oracle-check", "--config", cfg)
+    assert r.returncode == 1
+    assert "error: need suite in {" in r.stderr and "got 'bogus'" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 # ---------------------------------------------------------------------------
 # start-up cost
 

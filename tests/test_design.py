@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import pooltest.design
 from pooltest import reference
-from pooltest.analysis import ExplainScorer, _defective_columns, clean_items, masking_report
+from pooltest.analysis import ExplainScorer, _defective_columns, _instance, clean_items, masking_report
 from pooltest.decode import comp_decode, dd_decode
 from pooltest.design import (
     DesignSpec,
@@ -477,7 +477,7 @@ def _readings(d, seed) -> list:
         y = generate_outcomes(d, s)
         out += [y, _defective_columns(d, s.members), masking_report(d, s)]
         for outcomes in (y, rng.random(d.T) < 0.7):
-            scorer = ExplainScorer(d, outcomes)
+            scorer = ExplainScorer(_instance(d, outcomes))
             out += [clean_items(d, outcomes), comp_decode(d, outcomes), dd_decode(d, outcomes)]
             out += [scorer.live, scorer.masks, scorer.positive]
     return out

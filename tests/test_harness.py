@@ -541,6 +541,40 @@ def test_trial_masking_counts_match_masking_report(kind, tmp_path):
     assert zero_test > 0
 
 
+@pytest.mark.parametrize(
+    "decoder, knobs, reads",
+    [
+        ("subset", {}, 2),
+        ("pipeline", {"alpha": 0.1, "inner": "subset", "eta_minus": 0.2}, 2),
+        ("dd", {}, 2),
+        ("comp", {}, 1),
+    ],
+)
+def test_a_trial_reads_the_survivor_columns_at_most_once(decoder, knobs, reads, monkeypatch):
+    # one column read for the truth and at most one for the comp survivors,
+    # which dd, the dd-pad front end and the explain masks share
+    calls = []
+    columns = TestDesign._columns
+
+    def counted(self, items):
+        calls.append(len(items))
+        return columns(self, items)
+
+    monkeypatch.setattr(TestDesign, "_columns", counted)
+    cfg = ExperimentConfig(
+        n=500,
+        design=DesignSpec("bernoulli"),
+        decoder=decoder,
+        criterion=Criterion.subset(0.1),
+        trials=1,
+        k=10,
+        target_rate=0.693,
+        **knobs,
+    )
+    assert run_experiment(cfg).records
+    assert len(calls) == reads
+
+
 @pytest.mark.parametrize("kind", ["bernoulli", "explicit"])
 def test_masking_sweep_counts_match_masking_report(kind, tmp_path):
     n, theta, trials = 60, 0.35, 12
