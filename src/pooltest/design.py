@@ -401,16 +401,24 @@ class DesignSpec:
         return self.kind
 
 
-def build_design(spec: DesignSpec, n: int, T: int, k: int, seed) -> TestDesign:
-    """Instantiate a DesignSpec. k sets the density for the random kinds."""
-    if spec.kind != "explicit" and require_count("k", k, low=None) < 1:
+def _density(spec: DesignSpec, T: int, k: int):
+    """The inclusion probability p of a bernoulli spec, or the draw count L
+    of an ncc spec, at T tests and k defectives, read by the rule its builder
+    applies (0 < p < 1, 1 <= L <= T). Else ParameterError."""
+    if require_count("k", k, low=None) < 1:
         raise ParameterError(f"{spec.kind} design needs k >= 1 to set its density, got {k}")
     if spec.kind == "bernoulli":
-        p = spec.p_override if spec.p_override is not None else spec.nu / k
-        return bernoulli_design(n, T, p, seed)
+        return require_real("p", spec.p_override if spec.p_override is not None else spec.nu / k, 1)
+    L = spec.L_override if spec.L_override is not None else round_half_up(spec.nu * T / k)
+    return require_count("L", L, high=require_count("T", T))
+
+
+def build_design(spec: DesignSpec, n: int, T: int, k: int, seed) -> TestDesign:
+    """Instantiate a DesignSpec. k sets the density for the random kinds."""
+    if spec.kind == "bernoulli":
+        return bernoulli_design(n, T, _density(spec, T, k), seed)
     if spec.kind == "ncc":
-        L = spec.L_override if spec.L_override is not None else round_half_up(spec.nu * T / k)
-        return ncc_design(n, T, L, seed)
+        return ncc_design(n, T, _density(spec, T, k), seed)
     design = load_design(spec.path)
     if design.n != n or design.T != T:
         raise ParameterError(

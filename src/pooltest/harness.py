@@ -9,7 +9,9 @@ design and its deletion from sub-streams 2, 1 and 3 of the trial's
 TAG_TRIAL seed, through the same ``decode._pipeline`` that
 ``deletion_pipeline`` runs. An ``ExperimentConfig`` is checked and
 resolved once, when it is made: every trial reads its k, T, prior, search
-knobs, deletion count and explicit design off the config.
+knobs, deletion count and explicit design off the config, and a random
+design's density is read there too, so a design no trial could build is
+refused before any trial runs.
 ``run_experiment`` is the one trial loop: every decoder, the pipeline's
 inner one included, runs from the table ``decode._DECODERS`` through one
 masking and scoring path, and each rate point of ``masking_sweep`` is a
@@ -19,7 +21,9 @@ draw to the score; tuples appear only in the public returns and, when the
 config records sets, in a record's true_set and est_set. Results are
 therefore byte-identical for a given config regardless of worker count,
 and across runs. Per-trial wall time is measured but written to CSV as 0
-unless timing is requested, precisely to keep the file deterministic. With
+unless timing is requested, precisely to keep the file deterministic. The
+trial CSV's columns are ``TrialRecord``'s fields in order, and this module
+builds its tables' headers and rows only: ``util.write_csv`` writes them. With
 ``workers > 1`` the trial indices split into contiguous blocks; the parent
 runs the first block itself while ``os.fork`` children run the others and
 pickle their records back through pipes, and the records merge in index
@@ -29,46 +33,28 @@ and neither a one-worker nor a multi-worker run imports ``multiprocessing``.
 
 from __future__ import annotations
 
-import csv
 import math
+import operator
 import os
 import pickle
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .analysis import DEFAULT_ENUM_CAP, _masking_counts, _truth_instance
 from .decode import DEFAULT_FAMILY_CAP, _DECODER_NAMES, _EXACT_K, SubsetParams
-from .decode import _decode, _pipeline, _pipeline_setup
-from .design import DesignSpec, TestDesign, build_design
+from .decode import _decode, _k_mid, _pipeline, _pipeline_setup
+from .design import DesignSpec, TestDesign, _density, build_design
 from .errors import ParameterError, RefusalBudgetError
 from .metrics import Criterion, _score, tests_for_rate
 from .model import PriorSpec, _draw, _two_step_q, k_from_theta
-from .util import mix_seed, require_choice, require_count
+from .util import mix_seed, require_choice, require_count, write_csv
 
 TAG_TRIAL = 0
 TAG_DESIGN = 1
 TAG_PRIOR = 2
-
-TRIAL_CSV_HEADER = [
-    "trial",
-    "seed",
-    "n",
-    "k",
-    "T",
-    "design",
-    "decoder",
-    "criterion",
-    "fn",
-    "fp",
-    "est_size",
-    "success",
-    "masked_def",
-    "masked_nondef",
-    "elapsed_us",
-]
 
 _REFUSAL_BUDGET = 0.01
 #: the standard normal quantile of 0.975, which sets the Wilson interval's 95%
@@ -108,7 +94,10 @@ class ExperimentConfig:
     ``prior``, the search knobs ``params`` (eta_minus defaulting to the
     subset criterion's slack, else 0.1; the pipeline's are its inner
     search's, from ``decode._pipeline_setup``), the pipeline's ``deletions``
-    and an ``explicit_design``, loaded and shape-checked once.
+    and an ``explicit_design``, loaded and shape-checked once. A random
+    design's density is read by ``design._density`` (for the pipeline, at
+    ``k_mid``), and a ``prior_q`` outside the iid prior or an ``alpha`` or
+    ``xi`` outside the pipeline is refused, since no trial would read it.
     ``dataclasses.replace`` resolves the new config afresh. The ml front end
     takes neither the pipeline nor a prior of varying size.
     """
@@ -163,10 +152,13 @@ class ExperimentConfig:
         if self.frontend == "ml" and (pipeline or self.prior_kind != "combinatorial"):
             where = "the pipeline's search" if pipeline else f"a search under the {self.prior_kind} prior"
             raise ParameterError(f"frontend 'ml' needs the defective count exactly, so {where} pads dd")
+        for name in ("alpha", "xi"):
+            if getattr(self, name) is not None and not pipeline:
+                raise ParameterError(f"{name} only applies to the pipeline decoder")
         if self.prior_kind == "iid":
             prior = PriorSpec("iid", q=self.prior_q if self.prior_q is not None else k / n)
         else:
-            prior = PriorSpec(self.prior_kind, k=k)
+            prior = PriorSpec(self.prior_kind, k=k, q=self.prior_q)  # refuses a q
             if prior.kind != "combinatorial":
                 _two_step_q(prior.kind, k, n)
         deletions = explicit = None
@@ -177,9 +169,11 @@ class ExperimentConfig:
                     "design over the kept items"
                 )
             deletions, params = _pipeline_setup(n, k, self.alpha, self.xi, self.inner, params)
+            _density(self.design, T, _k_mid(n, k, deletions))  # each trial's design is over n - d items
         elif self.design.kind == "explicit":
-            # the random kinds draw a new design every trial
             explicit = build_design(self.design, n, T, k, None)
+        else:  # the random kinds draw a new design every trial, at one density
+            _density(self.design, T, k)
         resolved = dict(
             run_k=k, run_T=T, prior=prior, params=params, deletions=deletions, explicit_design=explicit
         )
@@ -206,6 +200,13 @@ class TrialRecord:
     elapsed_us: int
     true_set: tuple | None = None  # both None unless the config records sets
     est_set: tuple | None = None
+
+
+# the trial CSV's columns are TrialRecord's fields in order, two of them
+# renamed, the last two written only when the records carry sets
+_TRIAL_FIELDS = tuple(f.name for f in fields(TrialRecord))
+_TRIAL_COLUMNS = [{"false_negatives": "fn", "false_positives": "fp"}.get(f, f) for f in _TRIAL_FIELDS]
+TRIAL_CSV_HEADER = _TRIAL_COLUMNS[:-2]
 
 
 @dataclass(frozen=True)
@@ -392,36 +393,22 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
 def write_trials_csv(records, path, timing: bool = False) -> None:
     """Write per-trial rows; refused trials leave fn/fp/est_size empty and
     mark success as "refused". elapsed_us is 0 unless timing was requested,
-    and the true_set and est_set columns appear when the records carry sets."""
+    and the true_set and est_set columns, each ";"-joined, appear when the
+    records carry sets."""
     record_sets = bool(records) and records[0].true_set is not None
-    header = list(TRIAL_CSV_HEADER)
-    if record_sets:
-        header += ["true_set", "est_set"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for r in records:
-            row = [
-                r.trial,
-                r.seed,
-                r.n,
-                r.k,
-                r.T,
-                r.design,
-                r.decoder,
-                r.criterion,
-                r.false_negatives,  # None for a refused trial, which csv writes as ""
-                r.false_positives,
-                r.est_size,
-                "refused" if r.success is None else int(r.success),
-                r.masked_def,
-                r.masked_nondef,
-                r.elapsed_us if timing else 0,
-            ]
-            if record_sets:
-                row.append(";".join(str(i) for i in r.true_set))
-                row.append(";".join(str(i) for i in r.est_set))
-            w.writerow(row)
+    names = _TRIAL_FIELDS if record_sets else _TRIAL_FIELDS[:-2]
+    cells = operator.attrgetter(*names)
+    success, elapsed = names.index("success"), names.index("elapsed_us")
+    rows = []
+    for r in records:
+        row = list(cells(r))
+        row[success] = "refused" if r.success is None else int(r.success)
+        if not timing:
+            row[elapsed] = 0
+        if record_sets:
+            row[-2:] = ";".join(map(str, r.true_set)), ";".join(map(str, r.est_set))
+        rows.append(row)
+    write_csv(path, _TRIAL_COLUMNS[: len(names)], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -461,17 +448,18 @@ def masking_sweep(
     require_count("trials", trials)
     require_count("master_seed", master_seed, low=None)
     k_from_theta(n, theta)  # a bad n or theta raises even when the rate grid is empty
-    rows = []
-    for r_idx, target in enumerate(rate_grid):
-        summary = run_experiment(
-            ExperimentConfig(
-                n=n, theta=theta, target_rate=target, design=design, decoder="comp",
-                criterion=Criterion.exact(), trials=trials,
-                master_seed=mix_seed(master_seed, 1000 + r_idx),
-            )
+    configs = [  # every point's config is made, and checked, before the first runs
+        ExperimentConfig(
+            n=n, theta=theta, target_rate=target, design=design, decoder="comp",
+            criterion=Criterion.exact(), trials=trials, master_seed=mix_seed(master_seed, 1000 + r_idx),
         )
+        for r_idx, target in enumerate(rate_grid)
+    ]
+    rows = []
+    for cfg in configs:
+        summary = run_experiment(cfg)
         counts = np.array([(r.masked_def, r.masked_nondef) for r in summary.records], dtype=np.int64).T
-        values = [float(target), summary.T]
+        values = [float(cfg.target_rate), summary.T]
         for c in counts:
             values += [float(c.mean()), *np.quantile(c, [0.1, 0.5, 0.9]).tolist()]
         values.append(float((counts[0] > 0).mean()))
@@ -480,10 +468,6 @@ def masking_sweep(
 
 
 def write_masking_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(MASKING_CSV_HEADER)
-        for row in rows:
-            w.writerow(
-                [f"{row[c]:.6g}" if isinstance(row[c], float) else row[c] for c in MASKING_CSV_HEADER]
-            )
+    cells = operator.itemgetter(*MASKING_CSV_HEADER)
+    rows = ([f"{v:.6g}" if isinstance(v, float) else v for v in cells(row)] for row in rows)
+    write_csv(path, MASKING_CSV_HEADER, rows)

@@ -8,15 +8,14 @@ base 2.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .model import _item_array
-from .util import LN2, ceil_tol, floor_tol, require_choice, require_count, require_real
+from .util import LN2, ceil_tol, floor_tol, require_choice, require_count, require_real, write_csv
 
 #: Largest sparsity exponent for which the exact-recovery rate limit equals 1.
 THETA_KNEE = LN2 / (1.0 + LN2)
@@ -173,10 +172,10 @@ def _score(criterion: Criterion, truth: np.ndarray, estimate: np.ndarray, n: int
     elif kind == "superset":
         ok = fn == 0 and estimate.size <= ceil_tol((1.0 + criterion.eta_plus) * k)
     elif kind == "two-sided":
-        allow = criterion.beta * k + 1e-9
+        allow = floor_tol(criterion.beta * k)
         ok = fn <= allow and fp <= allow
     else:  # asymmetric
-        ok = fn <= criterion.alpha_fn * k + 1e-9 and fp <= criterion.alpha_fp * k + 1e-9
+        ok = fn <= floor_tol(criterion.alpha_fn * k) and fp <= floor_tol(criterion.alpha_fp * k)
     return EvalOutcome(bool(ok), fn, fp)
 
 
@@ -214,15 +213,9 @@ def threshold_curve(thetas) -> list[ThresholdPoint]:
 
 
 def write_threshold_csv(thetas, path) -> None:
-    """Write the curve as CSV with columns theta,zeta,r_star,counting_bound."""
-    points = threshold_curve(thetas)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["theta", "zeta", "r_star", "counting_bound"])
-        for p in points:
-            w.writerow(
-                [f"{p.theta:.12g}", f"{p.zeta:.12g}", f"{p.r_star:.12g}", f"{p.counting_bound:.12g}"]
-            )
+    """Write the curve as CSV, one column per ThresholdPoint field."""
+    header = [f.name for f in fields(ThresholdPoint)]
+    write_csv(path, header, ([f"{getattr(p, c):.12g}" for c in header] for p in threshold_curve(thetas)))
 
 
 # ---------------------------------------------------------------------------

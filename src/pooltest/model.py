@@ -144,6 +144,8 @@ class PriorSpec:
         require_choice("prior", self.kind, _PRIOR_KINDS)
         if self.kind != "iid":
             require_count("k", self.k)
+            if self.q is not None:
+                raise ParameterError("q only applies to the iid prior")
         else:
             require_real("q", self.q, 1)
 

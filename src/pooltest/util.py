@@ -1,7 +1,9 @@
-"""Small numeric helpers used throughout the package."""
+"""Small helpers used throughout the package: the input readers, tolerant
+rounding, seed mixing, and ``write_csv``, the one writer of every CSV table."""
 
 from __future__ import annotations
 
+import csv
 import math
 import numbers
 import operator
@@ -89,6 +91,15 @@ def floor_tol(x: float) -> int:
 def ceil_tol(x: float) -> int:
     """ceil(x) with the same integer snapping as floor_tol."""
     return int(math.ceil(_snap_int(x)))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header``, then each of ``rows``, to ``path`` in the package's
+    one CSV dialect: "\\n" line ends and minimal quoting, a None cell empty."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def splitmix64(z: int) -> int:

@@ -4,6 +4,7 @@ import hashlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -803,4 +804,39 @@ def test_masking_explicit_csv_fingerprint(tmp_path):
     assert got == MASKING_EXPLICIT_FINGERPRINT, (
         f"explicit-design masking CSV changed: sha256 {got}, pinned with numpy "
         f"{CSV_FINGERPRINT_NUMPY} (running numpy {np.__version__})"
+    )
+
+
+# tables no entry above covers, each hashed before the CSV writers became one:
+# the threshold curve, a trial CSV without the set columns, and a run whose
+# every trial is refused, which exits 3 and still writes its CSV
+OTHER_CSV_FINGERPRINTS = {
+    "thresholds": (
+        ("thresholds", "--thetas", "0.1,0.3,0.41,0.5,0.7,0.9"), 0,
+        "bc9abb4d4dd810a97a611aeef14052f464bcbabf94c76a649ee0d5d69a1d6d22",
+    ),
+    "dd-ncc-without-sets": (
+        ("simulate", *SIMULATE_GRID["dd-ncc"], "--trials", 20, "--seed", 3), 0,
+        "41f3808134c4d0138b966d83d8c943b23c5ffb09b86bd98b23f15c1ea6db9ba0",
+    ),
+    "refused-rows": (
+        (
+            "simulate", *SIMULATE_GRID["subset-ncc"], "--family-cap", 0, "--trials", 20, "--seed", 3,
+        ), 3,
+        "0bdb12f2277a0b781d6e7b128854a347bd3144dbfbb492a36ad48fb10a9e1509",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_CSV_FINGERPRINTS))
+def test_other_csv_fingerprint(name, tmp_path):
+    args, code, pinned = OTHER_CSV_FINGERPRINTS[name]
+    out = tmp_path / "table.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the refused run warns of its refusals
+        assert main([*map(str, args), "--out", str(out)]) == code
+    got = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == pinned, (
+        f"{name} CSV changed: sha256 {got}, pinned with numpy {CSV_FINGERPRINT_NUMPY} "
+        f"(running numpy {np.__version__})"
     )

@@ -221,6 +221,15 @@ RUN_INPUTS = {
     "prior-kind": (
         dict(prior_kind="bogus"), r"^need prior in \{combinatorial, iid, iid-trim, iid-pad\}, got 'bogus'$"
     ),
+    # designs build_design cannot make at the run's T and k
+    "ncc-L-zero": (dict(n=1000, k=100, T=50, design=DesignSpec("ncc")), r"^need 1 <= L <= 50, got 0$"),
+    "bernoulli-p": (dict(k=1, design=DesignSpec("bernoulli", nu=2.0)), r"^need 0 < p < 1, got 2.0$"),
+    "ncc-L-override": (dict(design=DesignSpec("ncc", L_override=40)), r"^need 1 <= L <= 16, got 40$"),
+    # the pipeline's design is over the kept items, at k_mid = round(100 * 900 / 1000) = 90
+    "pipeline-ncc": (
+        dict(n=1000, k=100, T=60, design=DesignSpec("ncc"), decoder="pipeline", alpha=0.1),
+        r"^need 1 <= L <= 60, got 0$",
+    ),
 }
 
 
@@ -230,6 +239,33 @@ def test_config_refuses_a_bad_run_input_when_made(name):
     bad, message = RUN_INPUTS[name]
     with pytest.raises(ParameterError, match=message):
         small_config(**{**dict(n=24, k=3, T=16), **bad})
+
+
+IGNORED_INPUTS = {
+    "prior-q": (dict(prior_q=0.5), "^q only applies to the iid prior$"),
+    "alpha": (dict(alpha=0.1), "^alpha only applies to the pipeline decoder$"),
+    "xi": (dict(xi=0.05), "^xi only applies to the pipeline decoder$"),
+}
+
+
+@pytest.mark.parametrize("name", IGNORED_INPUTS)
+def test_config_refuses_an_input_its_run_would_ignore(name):
+    # a q under the combinatorial prior and alpha or xi for a decoder other
+    # than the pipeline were once accepted and left unused
+    bad, message = IGNORED_INPUTS[name]
+    with pytest.raises(ParameterError, match=message):
+        small_config(decoder="dd", **bad)
+    used = dict(prior_kind="iid") if name == "prior-q" else dict(decoder="pipeline", alpha=0.1)
+    small_config(**{**bad, **used})
+
+
+def test_masking_sweep_makes_every_config_before_it_runs_one(monkeypatch):
+    # at n = 1000, k = 100 the rate 10 gives T = 47 and L = round(ln 2 * 47 / 100) = 0
+    ran = []
+    monkeypatch.setattr(pooltest.harness, "run_experiment", ran.append)
+    with pytest.raises(ParameterError, match=r"^need 1 <= L <= 47, got 0$"):
+        masking_sweep(1000, math.log(100) / math.log(1000), [0.5, 10.0], DesignSpec("ncc"), 2)
+    assert ran == []
 
 
 def test_config_keeps_its_resolved_inputs_out_of_equality_and_repr():

@@ -10,6 +10,7 @@ from pooltest.errors import ParameterError
 from pooltest.metrics import (
     THETA_KNEE,
     Criterion,
+    EvalOutcome,
     _score,
     chernoff_lower,
     chernoff_upper,
@@ -155,6 +156,19 @@ def test_evaluate_two_sided_and_asymmetric():
     assert not evaluate(crit, truth, (1, 2, 3, 4, 5, 6, 7, 11)).success
 
 
+@pytest.mark.parametrize("kind", ["two-sided", "asymmetric"])
+def test_two_sided_and_asymmetric_bounds_round_like_the_size_bounds(kind):
+    # beta * k lands 1.5e-9 below 100000: inside floor_tol's relative snap,
+    # which allows 100000 misses, and outside an absolute 1e-9, which refused them
+    k = 10**6
+    beta = (100_000 - 1.5e-9) / k
+    assert beta * k + 1e-9 < 100_000 and floor_tol(beta * k) == 100_000
+    crit = Criterion.two_sided(beta) if kind == "two-sided" else Criterion.asymmetric(beta, 0.0)
+    truth = np.arange(1, k + 1, dtype=np.int64)
+    assert _score(crit, truth, truth[100_000:], k) == EvalOutcome(True, 100_000, 0)
+    assert not _score(crit, truth, truth[100_001:], k).success  # one miss more
+
+
 def test_evaluate_accepts_defective_set_objects():
     from pooltest.model import DefectiveSet
 
@@ -173,9 +187,9 @@ def _frozenset_evaluate(c, truth, estimate):
     elif c.kind == "superset":
         ok = fn == 0 and len(e) <= ceil_tol((1.0 + c.eta_plus) * k)
     elif c.kind == "two-sided":
-        ok = fn <= c.beta * k + 1e-9 and fp <= c.beta * k + 1e-9
+        ok = fn <= floor_tol(c.beta * k) and fp <= floor_tol(c.beta * k)
     else:
-        ok = fn <= c.alpha_fn * k + 1e-9 and fp <= c.alpha_fp * k + 1e-9
+        ok = fn <= floor_tol(c.alpha_fn * k) and fp <= floor_tol(c.alpha_fp * k)
     return ok, fn, fp
 
 

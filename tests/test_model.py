@@ -298,6 +298,9 @@ def test_prior_spec_validation_and_labels():
         PriorSpec("combinatorial")  # k required
     with pytest.raises(ParameterError):
         PriorSpec("iid-pad", k=0)
+    for kind in ("combinatorial", "iid-trim", "iid-pad"):  # a q these draws would ignore
+        with pytest.raises(ParameterError, match="^q only applies to the iid prior$"):
+            PriorSpec(kind, k=3, q=0.5)
     assert PriorSpec("iid", q=0.25).label() == "iid(0.25)"
     assert PriorSpec("combinatorial", k=5).label() == "combinatorial(5)"
     assert PriorSpec("iid-trim", k=2).label() == "iid-trim(2)"
